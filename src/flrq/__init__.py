@@ -30,7 +30,6 @@ from .quantize import (
     QuantizedTensor,
     clip,
     dequantize,
-    max_quant_error,
     quantize_matrix,
     search_clip,
 )
@@ -43,7 +42,6 @@ from .sketch import (
     layer_seed,
     make_rng,
     r1_step,
-    sketch_residual_report,
 )
 from .synth import SynthSpec, gen_layer
 

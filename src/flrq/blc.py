@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
-from .linalg import amax, fro_norm, svd_oracle, SVD_DIM_LIMIT
+from .linalg import amax, fro_norm
 from .quantize import (
     DEFAULT_CLIP_GRID,
     DEFAULT_GROUP_SIZE,
@@ -25,7 +25,7 @@ from .quantize import (
     quantize_matrix,
     search_clip,
 )
-from .rankselect import RankSelectionConfig, RankTrace, RankStep, qk, slope, select_rank
+from .rankselect import RankSelectionConfig, RankTrace, select_rank
 from .sketch import LowRankFactors
 
 CHANNEL_MEAN_EPS = 1e-8
@@ -54,7 +54,6 @@ class BlcConfig:
     clip_grid: tuple[float, ...] = DEFAULT_CLIP_GRID
     mode: str = "asymmetric"
     group_size: int = DEFAULT_GROUP_SIZE
-    use_svd_init: bool = False
     alpha_override: np.ndarray | None = None  # bypass activation scaling (tests, ablations)
 
     def resolved_epochs(self) -> int:
@@ -158,46 +157,6 @@ def layer_error(
     return fro_norm(w @ x - approx @ x)
 
 
-def _svd_init(w: np.ndarray, alpha_vec: np.ndarray, cfg: RankSelectionConfig):
-    """Rank selection replayed on exact SVD components of the scaled weights."""
-    m, n = w.shape
-    scaled = w * alpha_vec
-    w0 = amax(scaled)
-    if w0 == 0.0:
-        raise NumericalError("cannot select a rank for a zero matrix")
-    res = svd_oracle(scaled)
-    envelope = w0
-    history = [w0]
-    trace = RankTrace()
-    residual = scaled.copy()
-    stop = None
-    kept = 0
-    max_rank = min(m, n)
-    for r in range(1, max_rank + 1):
-        left_r = res.u[:, r - 1] * res.singular_values[r - 1]
-        residual = residual - np.outer(left_r, res.v[:, r - 1])
-        envelope = min(envelope, amax(residual))
-        history.append(envelope)
-        q_val, k_val = qk(cfg.d, cfg.d_fp, m, n, r, w0, envelope)
-        s = slope(history, cfg.slope_window)
-        trace.steps.append(RankStep(r=r, amax=envelope, q=q_val, k=k_val, slope=s))
-        if k_val >= q_val:
-            stop = "budget_qk"
-            break
-        if k_val > 1.0 + cfg.x:
-            stop = "memory_cap"
-            break
-        if s < cfg.t:
-            stop = "slope"
-            break
-        kept = r
-    trace.stop_reason = stop if stop is not None else "max_rank"
-    trace.selected_rank = kept
-    left, right = res.low_rank(kept)
-    factors = LowRankFactors(left=left, right=right / alpha_vec)
-    return factors, trace
-
-
 def _clip_and_quantize(
     w_rest: np.ndarray, x: np.ndarray, cfg: BlcConfig
 ) -> tuple[QuantizedTensor, float]:
@@ -225,14 +184,7 @@ def flrq_layer(w: np.ndarray, calib: CalibrationBatch, cfg: BlcConfig) -> Quanti
             f"{calib.floored_channels} zero-activation channel(s) floored at {CHANNEL_MEAN_EPS}"
         )
 
-    if cfg.use_svd_init and min(w.shape) <= SVD_DIM_LIMIT:
-        factors, rank_trace = _svd_init(w, alpha_vec, cfg.rank_cfg)
-    else:
-        if cfg.use_svd_init:
-            warnings.append(
-                f"use_svd_init ignored: min(m, n) > {SVD_DIM_LIMIT}, sketch init used"
-            )
-        factors, rank_trace = scaled_flr(w, alpha_vec, cfg.rank_cfg)
+    factors, rank_trace = scaled_flr(w, alpha_vec, cfg.rank_cfg)
     w_q, p_clp = _clip_and_quantize(w - factors.reconstruct(), x, cfg)
 
     wx_norm = fro_norm(w @ x)

@@ -23,10 +23,10 @@ import numpy as np
 from . import io as flrq_io
 from .blc import BlcConfig, CalibrationBatch, QuantizedLayer, flrq_layer, layer_error
 from .errors import FlrqError, FormatError, NumericalError
-from .linalg import amax, fro_norm, svd_oracle
+from .linalg import amax, as_matrix, fro_norm, svd_oracle
 from .quantize import DEFAULT_CLIP_GRID, dequantize, quantize_matrix
 from .rankselect import RankSelectionConfig, select_rank
-from .sketch import LowRankFactors, SketchConfig, deflate, layer_seed, make_rng, r1_step
+from .sketch import LowRankFactors, SketchConfig, deflate, layer_seed
 from .synth import FAMILIES, SynthSpec, gen_layer
 
 ABLATIONS = ("it", "blc", "x", "fixed-vs-flex")
@@ -140,13 +140,22 @@ def _write_layer_inputs(directory: Path, w, x, f32: bool = False) -> None:
     )
 
 
+def _read_matrix(path: Path) -> np.ndarray:
+    try:
+        return as_matrix(flrq_io.read_container_file(path).to_array())
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
 def _read_layer_inputs(directory: Path):
     wpath = directory / WEIGHTS_FILE
     xpath = directory / ACTIVATIONS_FILE
     if not wpath.exists() or not xpath.exists():
         raise FormatError(f"{directory} does not contain {WEIGHTS_FILE} + {ACTIVATIONS_FILE}")
-    w = flrq_io.read_container_file(wpath).to_array()
-    x = flrq_io.read_container_file(xpath).to_array()
+    w = _read_matrix(wpath)
+    x = _read_matrix(xpath)
+    if w.shape[1] != x.shape[0]:
+        raise FormatError(f"{xpath}: activations {x.shape} do not conform to weights {w.shape}")
     return w, x
 
 
@@ -225,22 +234,11 @@ def cmd_quantize(args) -> int:
         raise UsageError("--threads must be >= 1")
     layers = _discover_layers(args.in_dir)
     inputs = [_read_layer_inputs(p) for p in layers]
-    config_echo = {
-        "command": "quantize",
-        "seed": seed,
-        "d": args.d,
-        "d_fp": args.d_fp,
-        "group_size": args.group_size,
-        "x": args.x,
-        "t": args.t,
-        "slope_window": args.slope_window,
-        "it": args.it,
-        "epochs": args.epochs,
-        "alpha_exponent": args.alpha_exponent,
-        "clip_grid": list(_parse_grid(args.clip_grid)),
-        "mode": args.mode,
-        "layers": [p.name for p in layers],
-    }
+    # Keys follow the parser's argument order, which the report bytes depend on.
+    config_echo = {k: v for k, v in vars(args).items() if k not in ("out_dir", "threads", "in_dir")}
+    config_echo.update(
+        seed=seed, clip_grid=list(_parse_grid(args.clip_grid)), layers=[p.name for p in layers]
+    )
 
     def run_one(idx: int) -> tuple[QuantizedLayer, dict]:
         w, x = inputs[idx]
@@ -282,8 +280,6 @@ def cmd_rank_sweep(args) -> int:
     if max_rank > limit:
         _log(f"warning: clamping --max-rank {max_rank} to min(m, n) = {limit}")
         max_rank = limit
-    cfg = SketchConfig(it=args.it, seed=seed)
-    rng = make_rng(seed)
     wx = w @ x
     wx_norm = fro_norm(wx)
 
@@ -293,21 +289,18 @@ def cmd_rank_sweep(args) -> int:
         err = fro_norm(wx - approx @ x)
         return err / wx_norm if wx_norm > 0 else 0.0
 
-    rows = []
-    residual = w.copy()
     envelope = amax(w)
-    pairs = []
-    rows.append((0, envelope, rel_error(LowRankFactors.empty(*w.shape))))
-    for r in range(1, max_rank + 1):
-        if fro_norm(residual) <= 1e-13 * fro_norm(w):
-            _log(f"residual exhausted at rank {r - 1}; stopping sweep early")
-            break
-        pair = r1_step(residual, cfg, rng)
-        residual = residual - np.outer(pair.left, pair.right)
-        pairs.append(pair)
-        envelope = min(envelope, amax(residual))
-        factors = LowRankFactors.from_pairs(pairs, *w.shape)
-        rows.append((r, envelope, rel_error(factors)))
+    rows = [(0, envelope, rel_error(LowRankFactors.empty(*w.shape)))]
+    if max_rank >= 1:
+        factors = deflate(w, max_rank, SketchConfig(it=args.it, seed=seed))
+        residual = w
+        for r in range(1, factors.rank + 1):
+            residual = residual - np.outer(factors.left[:, r - 1], factors.right[r - 1])
+            envelope = min(envelope, amax(residual))
+            prefix = LowRankFactors(left=factors.left[:, :r], right=factors.right[:r])
+            rows.append((r, envelope, rel_error(prefix)))
+        if factors.truncated:
+            _log(f"residual exhausted at rank {factors.rank}; stopping sweep early")
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = args.out_dir / "rank_sweep.csv"

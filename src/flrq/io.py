@@ -20,6 +20,7 @@ stored raw.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -70,7 +71,7 @@ def container_from_packed(packed: bytes) -> TensorContainer:
 
 
 def write_container(c: TensorContainer) -> bytes:
-    expected = int(np.prod(c.dims, dtype=np.int64)) * _ELEMENT_SIZE[c.dtype_code]
+    expected = math.prod(c.dims) * _ELEMENT_SIZE[c.dtype_code]
     if len(c.payload) != expected:
         raise FormatError(
             f"payload length {len(c.payload)} does not match dims {c.dims} "
@@ -99,7 +100,7 @@ def read_container(data: bytes) -> TensorContainer:
         raise TruncatedError("container dims are truncated")
     dims = struct.unpack_from(f"<{ndim}Q", data, offset) if ndim else ()
     offset += 8 * ndim
-    expected = int(np.prod(dims, dtype=np.int64)) * _ELEMENT_SIZE[dtype_code]
+    expected = math.prod(dims) * _ELEMENT_SIZE[dtype_code]  # Python int: no wraparound
     payload = data[offset:]
     if len(payload) < expected:
         raise TruncatedError(f"payload has {len(payload)} bytes, expected {expected}")

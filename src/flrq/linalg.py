@@ -25,15 +25,6 @@ def as_matrix(data) -> np.ndarray:
     return a
 
 
-def as_vector(data) -> np.ndarray:
-    v = np.ascontiguousarray(data, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got ndim={v.ndim}")
-    if not np.isfinite(v).all():
-        raise ValueError("vector contains non-finite entries")
-    return v
-
-
 def gemv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """y = A x."""
     if a.ndim != 2 or x.ndim != 1:
@@ -99,98 +90,8 @@ class SvdResult:
         return float(np.sqrt(np.sum(np.square(self.singular_values[r:]))))
 
 
-def _round_robin_rounds(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    # Tournament schedule: n players (padded to even), n-1 rounds of n/2
-    # disjoint pairs. Index n (the bye) is dropped when n is odd.
-    players = list(range(n)) if n % 2 == 0 else list(range(n + 1))
-    half = len(players) // 2
-    rounds = []
-    order = players[:]
-    for _ in range(len(players) - 1):
-        left = order[:half]
-        right = order[half:][::-1]
-        ii, jj = [], []
-        for i, j in zip(left, right):
-            if i < n and j < n:
-                ii.append(min(i, j))
-                jj.append(max(i, j))
-        rounds.append((np.array(ii), np.array(jj)))
-        order = [order[0]] + [order[-1]] + order[1:-1]
-    return rounds
-
-
-def _jacobi_orthogonalize(m: np.ndarray, tol: float, max_sweeps: int = 60):
-    """One-sided Jacobi: rotate column pairs of M until mutually orthogonal.
-
-    Returns (M, V) with M = A V, V orthogonal. Pairs are processed in a
-    round-robin ordering so each round is one vectorized batch of disjoint
-    rotations; the schedule is fixed, so results are deterministic.
-    """
-    n = m.shape[1]
-    # Row layout: row k of `wt` is column k of the input, so the pair gathers
-    # below touch contiguous memory. Unconditional copy: the input may be a
-    # view and the rotations below write in place.
-    wt = m.T.copy()
-    vt = np.eye(n)
-    if n < 2:
-        return wt.T.copy(), vt
-    rounds = _round_robin_rounds(n)
-    for _ in range(max_sweeps):
-        off = 0.0
-        for ii, jj in rounds:
-            ci = wt[ii]
-            cj = wt[jj]
-            aa = np.einsum("ij,ij->i", ci, ci)
-            bb = np.einsum("ij,ij->i", cj, cj)
-            cc = np.einsum("ij,ij->i", ci, cj)
-            denom = np.sqrt(aa * bb)
-            live = denom > 0.0
-            if live.any():
-                off = max(off, float(np.abs(cc[live] / denom[live]).max()))
-            hot = np.abs(cc) > tol * denom
-            if not hot.any():
-                continue
-            # Inner rotation (|theta| <= pi/4): the smaller-magnitude root of
-            # the angle equation, so the cyclic sweep provably converges.
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                tau = (bb - aa) / (2.0 * cc)
-                t = np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-            t = np.where(hot, t, 0.0)
-            cos = 1.0 / np.sqrt(1.0 + t * t)
-            sin = t * cos
-            cos = cos[:, None]
-            sin = sin[:, None]
-            wt[ii] = ci * cos - cj * sin
-            wt[jj] = ci * sin + cj * cos
-            vi = vt[ii]
-            vj = vt[jj]
-            vt[ii] = vi * cos - vj * sin
-            vt[jj] = vi * sin + vj * cos
-        if off <= tol:
-            break
-    return wt.T.copy(), vt.T.copy()
-
-
-def _complete_basis(u: np.ndarray, start: int) -> None:
-    # Fill columns start.. with an orthonormal completion (deterministic:
-    # project canonical basis vectors against the accumulated columns).
-    m = u.shape[0]
-    col = start
-    for k in range(m):
-        if col >= u.shape[1]:
-            break
-        e = np.zeros(m)
-        e[k] = 1.0
-        e -= u[:, :col] @ (u[:, :col].T @ e)
-        e -= u[:, :col] @ (u[:, :col].T @ e)
-        nrm = np.linalg.norm(e)
-        if nrm > 0.5:
-            u[:, col] = e / nrm
-            col += 1
-
-
-def svd_oracle(a: np.ndarray, tol: float = 1e-14) -> SvdResult:
-    """Exact SVD via one-sided Jacobi. Verification tool, desk scale only."""
+def svd_oracle(a: np.ndarray) -> SvdResult:
+    """Exact thin SVD via LAPACK. Verification tool, desk scale only."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError("svd_oracle expects a 2-D matrix")
@@ -200,25 +101,5 @@ def svd_oracle(a: np.ndarray, tol: float = 1e-14) -> SvdResult:
             f"svd_oracle guard: min(m, n) = {min(m, n)} exceeds {SVD_DIM_LIMIT}; "
             "use the sketch path for matrices this large"
         )
-    transposed = n > m
-    work = a.T if transposed else a
-    rotated, v = _jacobi_orthogonalize(work, tol)
-    norms = np.linalg.norm(rotated, axis=0)
-    order = np.argsort(-norms, kind="stable")
-    sigma = norms[order]
-    v = v[:, order]
-    k = sigma.shape[0]
-    u = np.zeros((work.shape[0], k))
-    cutoff = sigma[0] * 1e-300 if sigma[0] > 0 else 0.0
-    nonzero = 0
-    for j in range(k):
-        if sigma[j] > cutoff:
-            u[:, j] = rotated[:, order[j]] / sigma[j]
-            nonzero += 1
-        else:
-            sigma[j] = 0.0
-    if nonzero < k:
-        _complete_basis(u, nonzero)
-    if transposed:
-        u, v = v, u
-    return SvdResult(u=u, singular_values=sigma, v=v)
+    u, sigma, vt = np.linalg.svd(a, full_matrices=False)
+    return SvdResult(u=u, singular_values=sigma, v=vt.T)

@@ -130,24 +130,10 @@ def dequantize(q: QuantizedTensor) -> np.ndarray:
     return np.ascontiguousarray(out.reshape(m, groups * q.group_size)[:, :n])
 
 
-def max_quant_error(q: QuantizedTensor) -> float:
-    """Worst-case per-element reconstruction error: half the largest group step."""
-    if q.scales.size == 0:
-        return 0.0
-    return float(q.scales.max() / 2.0)
-
-
-def clip(w: np.ndarray, p_clp: float, zero_outliers: bool = False) -> np.ndarray:
-    """Saturate entries to [-p_clp, p_clp].
-
-    ``zero_outliers`` switches to the alternative reading where out-of-range
-    entries are zeroed instead of saturated; it is exposed for experiments
-    and not used by the default pipeline.
-    """
+def clip(w: np.ndarray, p_clp: float) -> np.ndarray:
+    """Saturate entries to [-p_clp, p_clp]."""
     if p_clp <= 0.0:
         raise ValueError(f"clip threshold must be positive, got {p_clp}")
-    if zero_outliers:
-        return np.where(np.abs(w) > p_clp, 0.0, w)
     return np.clip(w, -p_clp, p_clp)
 
 

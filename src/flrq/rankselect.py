@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .linalg import amax, fro_norm, rank1_subtract
-from .sketch import LowRankFactors, Rank1Pair, SketchConfig, make_rng, r1_step
+from .sketch import RESIDUAL_FLOOR, LowRankFactors, Rank1Pair, SketchConfig, make_rng, r1_step
 
 STOP_REASONS = ("budget_qk", "memory_cap", "slope", "max_rank")
 
@@ -122,7 +122,7 @@ def select_rank(w: np.ndarray, cfg: RankSelectionConfig) -> tuple[LowRankFactors
         raise NumericalError("cannot select a rank for a zero matrix")
     rng = make_rng(cfg.seed)
     sketch_cfg = cfg.sketch_config()
-    floor = 1e-13 * fro_norm(w)
+    floor = RESIDUAL_FLOOR * fro_norm(w)
     residual = w.copy()
     envelope = w0
     history = [w0]

@@ -28,11 +28,10 @@ RESIDUAL_FLOOR = 1e-13
 
 @dataclass(frozen=True)
 class SketchConfig:
-    """Knobs for one extraction: power-iteration count, seed, reorthogonalization."""
+    """Knobs for one extraction: power-iteration count and seed."""
 
     it: int = 2
     seed: int = 0
-    reorthogonalize: bool = False
 
     def __post_init__(self):
         if self.it < 0:
@@ -115,9 +114,7 @@ def deflate(a: np.ndarray, r: int, cfg: SketchConfig) -> LowRankFactors:
     """Greedy rank-r approximation: r extractions, each subtracted in turn.
 
     Stops early with ``truncated=True`` if the residual becomes numerically
-    zero. With ``cfg.reorthogonalize`` each new right vector is Gram-Schmidt
-    orthogonalized against the prior ones and the left vector recomputed as
-    the residual's projection onto it.
+    zero.
     """
     m, n = a.shape
     if not 1 <= r <= min(m, n):
@@ -130,35 +127,6 @@ def deflate(a: np.ndarray, r: int, cfg: SketchConfig) -> LowRankFactors:
         if fro_norm(residual) <= floor:
             return LowRankFactors.from_pairs(pairs, m, n, truncated=True)
         pair = r1_step(residual, cfg, rng)
-        if cfg.reorthogonalize and pairs:
-            pair = _reorthogonalize(pair, pairs, residual)
         residual = rank1_subtract(residual, pair.left, pair.right)
         pairs.append(pair)
     return LowRankFactors.from_pairs(pairs, m, n)
-
-
-def _reorthogonalize(pair: Rank1Pair, prior: list[Rank1Pair], residual: np.ndarray) -> Rank1Pair:
-    v = pair.right.copy()
-    for q in prior:
-        v -= (v @ q.right) * q.right
-    nrm = float(np.sqrt(v @ v))
-    if nrm <= 1e-12:
-        # Direction already spanned; keep the raw pair rather than divide by ~0.
-        return pair
-    v /= nrm
-    return Rank1Pair(left=gemv(residual, v), right=v)
-
-
-def sketch_residual_report(a: np.ndarray, factors: LowRankFactors) -> float:
-    """Frobenius norm of a minus the factor reconstruction."""
-    m, n = a.shape
-    if factors.left.shape[0] != m or factors.right.shape[1] != n:
-        raise ValueError(
-            f"factor shapes {factors.left.shape} x {factors.right.shape} "
-            f"do not conform to matrix {a.shape}"
-        )
-    if factors.left.shape[1] != factors.right.shape[0]:
-        raise ValueError("left/right factor ranks disagree")
-    if factors.rank == 0:
-        return fro_norm(a)
-    return fro_norm(a - factors.reconstruct())

@@ -14,7 +14,7 @@ from flrq.errors import NumericalError
 from flrq.linalg import fro_norm
 from flrq.quantize import dequantize, quantize_matrix
 from flrq.rankselect import RankSelectionConfig, select_rank
-from flrq.sketch import LowRankFactors, sketch_residual_report
+from flrq.sketch import LowRankFactors
 from flrq.synth import SynthSpec, gen_layer
 
 
@@ -78,7 +78,7 @@ class TestScaledFlr:
         a = g.uniform(0.5, 4.0, size=36)
         factors, _ = scaled_flr(w, a, RankSelectionConfig(d=4, x=1.0, seed=4))
         assert factors.rank >= 1
-        assert sketch_residual_report(w, factors) <= 1e-6 * fro_norm(w)
+        assert fro_norm(w - factors.reconstruct()) <= 1e-6 * fro_norm(w)
 
     def test_boosted_channel_improves_reconstruction(self):
         # Outliers live in one channel; scaling that channel up makes the
@@ -93,7 +93,7 @@ class TestScaledFlr:
             cfg = RankSelectionConfig(d=4, x=1.0, seed=s)
             plain, _ = select_rank(w, cfg)
             scaled, _ = scaled_flr(w, a, cfg)
-            wins += sketch_residual_report(w, scaled) <= sketch_residual_report(w, plain) + 1e-9
+            wins += fro_norm(w - scaled.reconstruct()) <= fro_norm(w - plain.reconstruct()) + 1e-9
         assert wins >= 8
 
     def test_alpha_length_checked(self):
@@ -230,13 +230,6 @@ class TestFlrqLayer:
         assert np.array_equal(layer.q.zeros, q.zeros)
         assert np.array_equal(layer.factors.left, factors.left)
         assert np.array_equal(layer.factors.right, factors.right)
-
-    def test_svd_init_matches_sketch_init_quality(self):
-        w, calib = outlier_layer(56, m=96, n=96)
-        base = RankSelectionConfig(d=4, seed=9)
-        exact = flrq_layer(w, calib, BlcConfig(rank_cfg=base, epochs=1, use_svd_init=True))
-        sketched = flrq_layer(w, calib, BlcConfig(rank_cfg=base, epochs=1))
-        assert exact.best_error <= sketched.best_error * 1.1
 
     def test_floored_channel_warning_recorded(self):
         g = np.random.default_rng(7)

@@ -1,11 +1,15 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import flrq
 from flrq.cli import main
 
 
@@ -228,3 +232,33 @@ class TestExitCodes:
 
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize(
+        "w_shape, x_shape, nan, bad_file",
+        [
+            ((8,), (8, 4), False, "weights.flrqten"),  # 1-D weights
+            ((4, 8), (6, 3), False, "activations.flrqten"),  # W/X shape mismatch
+            ((4, 8), (8, 3), True, "weights.flrqten"),  # non-finite weights
+        ],
+        ids=["1d-weights", "shape-mismatch", "nan-weights"],
+    )
+    def test_bad_layer_inputs_are_data_errors(self, tmp_path, w_shape, x_shape, nan, bad_file):
+        from flrq.io import container_from_array, write_container_file
+
+        w = np.ones(w_shape)
+        if nan:
+            w[0, 0] = np.nan
+        layer = tmp_path / "layer"
+        layer.mkdir()
+        write_container_file(layer / "weights.flrqten", container_from_array(w))
+        write_container_file(layer / "activations.flrqten", container_from_array(np.ones(x_shape)))
+        env = dict(os.environ, PYTHONPATH=str(Path(flrq.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "flrq.cli", "quantize", "--in", str(layer),
+             "--out-dir", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2
+        assert bad_file in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1

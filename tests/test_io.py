@@ -1,9 +1,13 @@
+import struct
+
 import numpy as np
 import pytest
 
 from flrq.blc import BlcConfig, flrq_layer
 from flrq.errors import BadMagicError, BadVersionError, FormatError, TruncatedError
 from flrq.io import (
+    DTYPE_F64,
+    TensorContainer,
     container_from_array,
     container_from_packed,
     emit_report,
@@ -61,6 +65,15 @@ class TestContainer:
         data = write_container(container_from_array(np.ones((2, 2))))
         with pytest.raises(TruncatedError):
             read_container(data[:-4])
+
+    def test_huge_dims_do_not_wrap(self):
+        # 2^62 * 4 elements wrap to 0 in int64 arithmetic; the empty payload must not pass.
+        dims = (2**62, 4)
+        header = b"FLRQTEN\0" + struct.pack("<IBI2Q", 1, DTYPE_F64, len(dims), *dims)
+        with pytest.raises(TruncatedError):
+            read_container(header)
+        with pytest.raises(FormatError):
+            write_container(TensorContainer(dtype_code=DTYPE_F64, dims=dims, payload=b""))
 
     def test_trailing_garbage_rejected(self):
         data = write_container(container_from_array(np.ones((2, 2))))

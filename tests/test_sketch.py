@@ -4,13 +4,11 @@ import pytest
 from flrq.errors import NumericalError
 from flrq.linalg import fro_norm, svd_oracle
 from flrq.sketch import (
-    LowRankFactors,
     SketchConfig,
     deflate,
     layer_seed,
     make_rng,
     r1_step,
-    sketch_residual_report,
 )
 
 
@@ -123,42 +121,12 @@ class TestDeflate:
             assert cur <= prev + 1e-12
             prev = cur
 
-    def test_reorthogonalize_keeps_right_factors_orthonormal(self):
-        a = gaussian((20, 20), 10)
-        f = deflate(a, 8, SketchConfig(it=2, seed=11, reorthogonalize=True))
-        gram = f.right @ f.right.T
-        assert np.abs(gram - np.eye(f.rank)).max() < 1e-8
-
     def test_deterministic_bytes(self):
         a = gaussian((16, 16), 12)
         f1 = deflate(a, 4, SketchConfig(it=2, seed=13))
         f2 = deflate(a, 4, SketchConfig(it=2, seed=13))
         assert f1.left.tobytes() == f2.left.tobytes()
         assert f1.right.tobytes() == f2.right.tobytes()
-
-
-class TestResidualReport:
-    def test_exact_factors_give_zero(self):
-        rng = np.random.default_rng(13)
-        left = rng.standard_normal((6, 2))
-        right = rng.standard_normal((2, 9))
-        a = left @ right
-        f = LowRankFactors(left=left, right=right)
-        assert sketch_residual_report(a, f) <= 1e-12 * fro_norm(a)
-
-    def test_empty_factors_give_input_norm(self):
-        a = gaussian((5, 7), 14)
-        assert sketch_residual_report(a, LowRankFactors.empty(5, 7)) == fro_norm(a)
-
-    def test_matches_naive_reconstruction(self):
-        a = gaussian((16, 16), 15)
-        f = deflate(a, 4, SketchConfig(it=2, seed=16))
-        naive = fro_norm(a - f.left @ f.right)
-        assert sketch_residual_report(a, f) == pytest.approx(naive, rel=1e-14)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            sketch_residual_report(np.zeros((4, 4)), LowRankFactors.empty(5, 4))
 
 
 class TestSeeding:
