@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
-from .linalg import amax, fro_norm
+from .linalg import fro_norm
 from .quantize import (
     DEFAULT_CLIP_GRID,
     DEFAULT_GROUP_SIZE,
@@ -54,7 +54,6 @@ class BlcConfig:
     clip_grid: tuple[float, ...] = DEFAULT_CLIP_GRID
     mode: str = "asymmetric"
     group_size: int = DEFAULT_GROUP_SIZE
-    alpha_override: np.ndarray | None = None  # bypass activation scaling (tests, ablations)
 
     def resolved_epochs(self) -> int:
         if self.epochs is not None:
@@ -132,15 +131,8 @@ def scaled_flr(
         raise ValueError(f"alpha length {alpha_vec.shape} does not match input dim {w.shape[1]}")
     if (alpha_vec <= 0.0).any():
         raise ValueError("alpha must be strictly positive")
-    if np.all(alpha_vec == 1.0):
-        return select_rank(w, cfg)
     factors, trace = select_rank(w * alpha_vec, cfg)
-    unscaled = LowRankFactors(
-        left=factors.left,
-        right=factors.right / alpha_vec,
-        truncated=factors.truncated,
-    )
-    return unscaled, trace
+    return LowRankFactors(factors.left, factors.right / alpha_vec, factors.truncated), trace
 
 
 def layer_error(
@@ -161,8 +153,6 @@ def _clip_and_quantize(
     w_rest: np.ndarray, x: np.ndarray, cfg: BlcConfig
 ) -> tuple[QuantizedTensor, float]:
     d = cfg.rank_cfg.d
-    if amax(w_rest) == 0.0:
-        return quantize_matrix(w_rest, d, cfg.group_size, cfg.mode), 0.0
     found = search_clip(w_rest, x, d, cfg.group_size, cfg.clip_grid, cfg.mode)
     clipped = clip(w_rest, found.p_clp) if found.p_clp > 0 else w_rest
     return quantize_matrix(clipped, d, cfg.group_size, cfg.mode), found.p_clp
@@ -175,10 +165,7 @@ def flrq_layer(w: np.ndarray, calib: CalibrationBatch, cfg: BlcConfig) -> Quanti
     if w.shape[1] != x.shape[0]:
         raise ValueError(f"calibration {x.shape} does not conform to weights {w.shape}")
     warnings: list[str] = []
-    if cfg.alpha_override is not None:
-        alpha_vec = np.asarray(cfg.alpha_override, dtype=np.float64)
-    else:
-        alpha_vec = alpha(calib.channel_mean_, cfg.alpha_exponent)
+    alpha_vec = alpha(calib.channel_mean_, cfg.alpha_exponent)
     if calib.floored_channels:
         warnings.append(
             f"{calib.floored_channels} zero-activation channel(s) floored at {CHANNEL_MEAN_EPS}"
@@ -208,13 +195,7 @@ def flrq_layer(w: np.ndarray, calib: CalibrationBatch, cfg: BlcConfig) -> Quanti
             )
         if epoch == epochs:
             break
-        residual = w - dequantize(w_q)
-        if amax(residual) == 0.0:
-            # Quantization is already exact; no correction left to extract.
-            factors = LowRankFactors.empty(*w.shape)
-            rank_trace = RankTrace(stop_reason="max_rank", selected_rank=0)
-        else:
-            factors, rank_trace = scaled_flr(residual, alpha_vec, cfg.rank_cfg)
+        factors, rank_trace = scaled_flr(w - dequantize(w_q), alpha_vec, cfg.rank_cfg)
         w_q, p_clp = _clip_and_quantize(w - factors.reconstruct(), x, cfg)
     best.blc_trace = trace
     return best

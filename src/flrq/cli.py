@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
-import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -24,7 +24,7 @@ from . import io as flrq_io
 from .blc import BlcConfig, CalibrationBatch, QuantizedLayer, flrq_layer, layer_error
 from .errors import FlrqError, FormatError, NumericalError
 from .linalg import amax, as_matrix, fro_norm, svd_oracle
-from .quantize import DEFAULT_CLIP_GRID, dequantize, quantize_matrix
+from .quantize import DEFAULT_CLIP_GRID, DEFAULT_GROUP_SIZE, quantize_matrix
 from .rankselect import RankSelectionConfig, select_rank
 from .sketch import LowRankFactors, SketchConfig, deflate, layer_seed
 from .synth import FAMILIES, SynthSpec, gen_layer
@@ -48,13 +48,6 @@ def _log(msg: str) -> None:
     print(f"[flrq] {msg}", file=sys.stderr)
 
 
-def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("FLRQ_SEED")
-    return int(env) if env else 0
-
-
 def _parse_grid(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(tok) for tok in text.split(",") if tok.strip())
@@ -67,7 +60,7 @@ def build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--seed", type=int, default=None, help="global seed (env FLRQ_SEED fallback)")
+        sp.add_argument("--seed", type=int, default=0, help="global seed")
         sp.add_argument("--out-dir", type=Path, default=Path("flrq_out"))
         sp.add_argument("--threads", type=int, default=1,
                         help="worker threads for per-layer jobs (never changes output bytes)")
@@ -171,39 +164,38 @@ def _discover_layers(in_dir: Path) -> list[Path]:
 # --- subcommands --------------------------------------------------------------
 
 
+def _config_echo(args, **resolved) -> dict:
+    """The command's arguments minus paths and threads, then ``resolved``.
+
+    Keys follow the parser's argument order, which the report bytes depend on.
+    """
+    echo = {k: v for k, v in vars(args).items() if k not in ("out_dir", "threads", "in_dir")}
+    echo.update(resolved)
+    return echo
+
+
+def _synth_specs(args) -> list[SynthSpec]:
+    """One SynthSpec per layer from the arguments that name SynthSpec fields."""
+    names = {f.name for f in dataclasses.fields(SynthSpec)} - {"seed"}
+    shared = {k: v for k, v in vars(args).items() if k in names}
+    return [SynthSpec(**shared, seed=layer_seed(args.seed, i)) for i in range(args.layers)]
+
+
+def _plain_rel_error(w, x, factors: LowRankFactors, d, group_size, mode, wx_norm) -> float:
+    """Relative output error of plainly quantizing W - LR and adding LR back."""
+    q = quantize_matrix(w - factors.reconstruct(), d, group_size, mode)
+    err = layer_error(w, q, factors, x)
+    return err / wx_norm if wx_norm > 0 else 0.0
+
+
 def cmd_gen_synth(args) -> int:
-    seed = _resolve_seed(args.seed)
+    specs = _synth_specs(args)
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    for idx in range(args.layers):
-        spec = SynthSpec(
-            m=args.m,
-            n=args.n,
-            family=args.family,
-            seed=layer_seed(seed, idx),
-            tokens=args.tokens,
-            nu=args.nu,
-            outlier_count=args.outlier_count,
-            outlier_boost=args.outlier_boost,
-        )
+    for idx, spec in enumerate(specs):
         w, calib = gen_layer(spec)
         layer_dir = args.out_dir / f"layer_{idx:03d}"
         _write_layer_inputs(layer_dir, w, calib.x, f32=args.f32)
-        (layer_dir / "synth.json").write_text(
-            json.dumps(
-                {
-                    "family": spec.family,
-                    "m": spec.m,
-                    "n": spec.n,
-                    "tokens": spec.tokens,
-                    "seed": spec.seed,
-                    "nu": spec.nu,
-                    "outlier_count": spec.outlier_count,
-                    "outlier_boost": spec.outlier_boost,
-                },
-                indent=2,
-            )
-            + "\n"
-        )
+        (layer_dir / "synth.json").write_text(json.dumps(dataclasses.asdict(spec), indent=2) + "\n")
     _log(f"wrote {args.layers} synthetic layer(s) to {args.out_dir}")
     return 0
 
@@ -229,42 +221,33 @@ def _blc_config(args, seed: int) -> BlcConfig:
 
 
 def cmd_quantize(args) -> int:
-    seed = _resolve_seed(args.seed)
     if args.threads < 1:
         raise UsageError("--threads must be >= 1")
     layers = _discover_layers(args.in_dir)
     inputs = [_read_layer_inputs(p) for p in layers]
-    # Keys follow the parser's argument order, which the report bytes depend on.
-    config_echo = {k: v for k, v in vars(args).items() if k not in ("out_dir", "threads", "in_dir")}
-    config_echo.update(
-        seed=seed, clip_grid=list(_parse_grid(args.clip_grid)), layers=[p.name for p in layers]
+    config_echo = _config_echo(
+        args, clip_grid=list(_parse_grid(args.clip_grid)), layers=[p.name for p in layers]
     )
 
     def run_one(idx: int) -> tuple[QuantizedLayer, dict]:
         w, x = inputs[idx]
-        cfg = _blc_config(args, seed=layer_seed(seed, idx))
+        cfg = _blc_config(args, seed=layer_seed(args.seed, idx))
         layer = flrq_layer(w, CalibrationBatch.from_activations(x), cfg)
-        rtn = quantize_matrix(w, args.d, args.group_size, args.mode)
-        rtn_err = layer_error(w, rtn, LowRankFactors.empty(*w.shape), x)
-        rel = rtn_err / layer.wx_norm if layer.wx_norm > 0 else 0.0
-        return layer, {"rtn_rel_error": rel}
+        rtn = _plain_rel_error(
+            w, x, LowRankFactors.empty(*w.shape), args.d, args.group_size, args.mode, layer.wx_norm
+        )
+        return layer, {"rtn_rel_error": rtn}
 
     t0 = time.perf_counter()
-    if args.threads == 1:
-        results = [run_one(i) for i in range(len(layers))]
-    else:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(run_one, range(len(layers))))
+    with ThreadPoolExecutor(max_workers=args.threads) as pool:
+        results = list(pool.map(run_one, range(len(layers))))
     elapsed = time.perf_counter() - t0
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     for idx, (layer, _) in enumerate(results):
         flrq_io.write_bundle(args.out_dir / f"layer_{idx:03d}", layer, config_echo)
     report = flrq_io.emit_report(
-        [layer for layer, _ in results],
-        config_echo,
-        total_time=None,  # kept null so reruns are byte-identical
-        extras=[extra for _, extra in results],
+        [layer for layer, _ in results], config_echo, extras=[extra for _, extra in results]
     )
     (args.out_dir / "report.json").write_text(report)
     _log(f"quantized {len(layers)} layer(s) in {elapsed:.2f}s -> {args.out_dir}")
@@ -272,7 +255,6 @@ def cmd_quantize(args) -> int:
 
 
 def cmd_rank_sweep(args) -> int:
-    seed = _resolve_seed(args.seed)
     layer_dir = _discover_layers(args.in_dir)[0]
     w, x = _read_layer_inputs(layer_dir)
     max_rank = args.max_rank
@@ -280,19 +262,15 @@ def cmd_rank_sweep(args) -> int:
     if max_rank > limit:
         _log(f"warning: clamping --max-rank {max_rank} to min(m, n) = {limit}")
         max_rank = limit
-    wx = w @ x
-    wx_norm = fro_norm(wx)
+    wx_norm = fro_norm(w @ x)
 
     def rel_error(factors: LowRankFactors) -> float:
-        q = quantize_matrix(w - factors.reconstruct(), args.d, args.group_size, args.mode)
-        approx = dequantize(q) + factors.reconstruct()
-        err = fro_norm(wx - approx @ x)
-        return err / wx_norm if wx_norm > 0 else 0.0
+        return _plain_rel_error(w, x, factors, args.d, args.group_size, args.mode, wx_norm)
 
     envelope = amax(w)
     rows = [(0, envelope, rel_error(LowRankFactors.empty(*w.shape)))]
     if max_rank >= 1:
-        factors = deflate(w, max_rank, SketchConfig(it=args.it, seed=seed))
+        factors = deflate(w, max_rank, SketchConfig(it=args.it, seed=args.seed))
         residual = w
         for r in range(1, factors.rank + 1):
             residual = residual - np.outer(factors.left[:, r - 1], factors.right[r - 1])
@@ -308,16 +286,7 @@ def cmd_rank_sweep(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["r", "amax", "rel_error"])
         writer.writerows(rows)
-    config_echo = {
-        "command": "rank-sweep",
-        "seed": seed,
-        "max_rank": max_rank,
-        "it": args.it,
-        "d": args.d,
-        "group_size": args.group_size,
-        "mode": args.mode,
-        "layer": layer_dir.name,
-    }
+    config_echo = _config_echo(args, max_rank=max_rank, layer=layer_dir.name)
     (args.out_dir / "report.json").write_text(
         json.dumps({"config": config_echo, "rows": len(rows)}, indent=2) + "\n"
     )
@@ -325,27 +294,11 @@ def cmd_rank_sweep(args) -> int:
     return 0
 
 
-def _synth_workload(args, seed: int):
-    layers = []
-    for idx in range(args.layers):
-        spec = SynthSpec(
-            m=args.m,
-            n=args.n,
-            family=args.family,
-            seed=layer_seed(seed, idx),
-            tokens=args.tokens,
-            outlier_count=args.outlier_count,
-            outlier_boost=args.outlier_boost,
-        )
-        layers.append(gen_layer(spec))
-    return layers
-
-
 def cmd_ablate(args) -> int:
-    seed = _resolve_seed(args.seed)
+    seed = args.seed
     if args.which not in ABLATIONS:
         raise UsageError(f"unknown ablation {args.which!r}; valid names: {', '.join(ABLATIONS)}")
-    workload = _synth_workload(args, seed)
+    workload = [gen_layer(spec) for spec in _synth_specs(args)]
     args.out_dir.mkdir(parents=True, exist_ok=True)
     rows: list[dict] = []
 
@@ -402,16 +355,15 @@ def cmd_ablate(args) -> int:
         fixed_rank = 32
         for idx, (w, calib) in enumerate(workload):
             m, n = w.shape
-            wx = w @ calib.x
-            wxn = fro_norm(wx)
+            wxn = fro_norm(w @ calib.x)
             scfg = RankSelectionConfig(d=args.d, seed=layer_seed(seed, idx))
             flex, _ = select_rank(w, scfg)
             fixed = deflate(w, min(fixed_rank, min(m, n)), scfg.sketch_config())
 
             def plain_rel(factors: LowRankFactors) -> float:
-                q = quantize_matrix(w - factors.reconstruct(), args.d)
-                approx = dequantize(q) + factors.reconstruct()
-                return fro_norm(wx - approx @ calib.x) / wxn
+                return _plain_rel_error(
+                    w, calib.x, factors, args.d, DEFAULT_GROUP_SIZE, "asymmetric", wxn
+                )
 
             rows.append(
                 {
@@ -425,20 +377,7 @@ def cmd_ablate(args) -> int:
                 }
             )
 
-    config_echo = {
-        "command": "ablate",
-        "which": args.which,
-        "seed": seed,
-        "d": args.d,
-        "family": args.family,
-        "m": args.m,
-        "n": args.n,
-        "tokens": args.tokens,
-        "layers": args.layers,
-        "outlier_count": args.outlier_count,
-        "outlier_boost": args.outlier_boost,
-    }
-    out = {"config": config_echo, "rows": rows}
+    out = {"config": _config_echo(args), "rows": rows}
     path = args.out_dir / f"ablate_{args.which.replace('-', '_')}.json"
     path.write_text(json.dumps(out, indent=2) + "\n")
     csv_path = args.out_dir / f"ablate_{args.which.replace('-', '_')}.csv"
@@ -453,7 +392,6 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_compare_svd(args) -> int:
-    seed = _resolve_seed(args.seed)
     layer_dir = _discover_layers(args.in_dir)[0]
     w, _ = _read_layer_inputs(layer_dir)
     rank = min(args.rank, min(w.shape))
@@ -465,7 +403,7 @@ def cmd_compare_svd(args) -> int:
     sketch_residuals = []
     t0 = time.perf_counter()
     for rep in range(args.seeds):
-        factors = deflate(w, rank, SketchConfig(it=args.it, seed=layer_seed(seed, rep)))
+        factors = deflate(w, rank, SketchConfig(it=args.it, seed=layer_seed(args.seed, rep)))
         sketch_residuals.append(fro_norm(w - factors.reconstruct()))
     sketch_time = (time.perf_counter() - t0) / max(args.seeds, 1)
     mean_sketch = float(np.mean(sketch_residuals))
@@ -477,18 +415,10 @@ def cmd_compare_svd(args) -> int:
         writer.writerow(["method", "rank", "residual_fro", "seconds"])
         writer.writerow(["svd_truncation", rank, svd_residual, f"{svd_time:.6f}"])
         writer.writerow(["sketch_deflate", rank, mean_sketch, f"{sketch_time:.6f}"])
-    config_echo = {
-        "command": "compare-svd",
-        "seed": seed,
-        "rank": rank,
-        "it": args.it,
-        "seeds": args.seeds,
-        "layer": layer_dir.name,
-    }
     (args.out_dir / "report.json").write_text(
         json.dumps(
             {
-                "config": config_echo,
+                "config": _config_echo(args, rank=rank, layer=layer_dir.name),
                 "svd_residual": svd_residual,
                 "sketch_residual_mean": mean_sketch,
                 "ratio": mean_sketch / svd_residual if svd_residual > 0 else None,
@@ -518,7 +448,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:  # ValueError: a flag value the config rejects
         _log(f"usage error: {exc}")
         return 1
     except NumericalError as exc:

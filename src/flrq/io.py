@@ -29,7 +29,7 @@ import numpy as np
 
 from .blc import EpochRecord, QuantizedLayer
 from .errors import BadMagicError, BadVersionError, FormatError, TruncatedError
-from .quantize import QuantizedTensor
+from .quantize import BIT_WIDTHS, MODES, QuantizedTensor
 from .rankselect import RankStep, RankTrace
 from .sketch import LowRankFactors
 
@@ -159,6 +159,7 @@ _BUNDLE_FILES = {
     "alpha": "alpha.flrqten",
 }
 _META_FILE = "meta.json"
+_META_KEYS = ("d", "group_size", "mode", "shape", "p_clp", "best_epoch", "best_error", "wx_norm")
 
 
 def _code_offset(q: QuantizedTensor) -> int:
@@ -201,13 +202,40 @@ def write_bundle(directory, layer: QuantizedLayer, config: dict | None = None) -
     (d / _META_FILE).write_text(json.dumps(meta, indent=2) + "\n")
 
 
+def _is_count(v) -> bool:
+    return type(v) is int and v >= 1
+
+
+def _read_meta(path: Path) -> dict:
+    """Parse a bundle's metadata and check the fields that shape its arrays."""
+    try:
+        meta = json.loads(path.read_text())
+    except ValueError as exc:
+        raise FormatError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(meta, dict):
+        raise FormatError(f"{path}: expected a JSON object")
+    missing = [k for k in _META_KEYS if k not in meta]
+    if missing:
+        raise FormatError(f"{path}: missing keys {missing}")
+    shape = meta["shape"]
+    if not (isinstance(shape, list) and len(shape) == 2 and all(map(_is_count, shape))):
+        raise FormatError(f"{path}: shape {shape!r} is not two positive integers")
+    if type(meta["d"]) is not int or meta["d"] not in BIT_WIDTHS:
+        raise FormatError(f"{path}: bit width {meta['d']!r} is not one of {BIT_WIDTHS}")
+    if meta["mode"] not in MODES:
+        raise FormatError(f"{path}: mode {meta['mode']!r} is not one of {MODES}")
+    if not _is_count(meta["group_size"]):
+        raise FormatError(f"{path}: group size {meta['group_size']!r} is not a positive integer")
+    return meta
+
+
 def read_bundle(directory) -> tuple[QuantizedLayer, dict]:
     """Read a layer bundle back; returns the layer and its metadata record."""
     d = Path(directory)
     meta_path = d / _META_FILE
     if not meta_path.exists():
         raise FormatError(f"bundle {d} has no {_META_FILE}")
-    meta = json.loads(meta_path.read_text())
+    meta = _read_meta(meta_path)
     m, n = meta["shape"]
     bit_width = meta["d"]
     mode = meta["mode"]
@@ -223,10 +251,16 @@ def read_bundle(directory) -> tuple[QuantizedLayer, dict]:
     zeros = read_container_file(zeros_path).to_array() if zeros_path.exists() else None
     if mode == "asymmetric" and zeros is None:
         raise FormatError("asymmetric bundle is missing its zeros container")
+    groups = (m, -(-n // group_size))
+    for name, arr in (("scales", scales), ("zeros", zeros)):
+        if arr is not None and arr.shape != groups:
+            raise FormatError(f"bundle {name} shape {arr.shape} does not match {groups}")
     left = read_container_file(d / _BUNDLE_FILES["left"]).to_array()
     right = read_container_file(d / _BUNDLE_FILES["right"]).to_array()
     alpha = read_container_file(d / _BUNDLE_FILES["alpha"]).to_array()
-    if left.shape[1] != right.shape[0] or left.shape[0] != m or right.shape[1] != n:
+    if (left.ndim, right.ndim) != (2, 2) or (
+        left.shape[1] != right.shape[0] or left.shape[0] != m or right.shape[1] != n
+    ):
         raise FormatError(
             f"bundle factor shapes {left.shape} x {right.shape} do not match layer {m}x{n}"
         )
@@ -275,16 +309,13 @@ def extra_bits(d_fp: int, rank: int, m: int, n: int) -> float:
     return d_fp * rank * (m + n) / (m * n)
 
 
-def emit_report(
-    layers, config: dict, total_time: float | None = None, extras: list[dict] | None = None
-) -> str:
+def emit_report(layers, config: dict, extras: list[dict] | None = None) -> str:
     """Render the canonical JSON report for a set of quantized layers.
 
     Keys are emitted in a fixed order and floats use their shortest repr, so
-    identical inputs produce byte-identical text. Timing is whatever the
-    caller passes (the CLI passes None to keep reruns byte-identical).
-    ``extras`` optionally merges additional per-layer columns (e.g. baseline
-    errors) into the rows.
+    identical inputs produce byte-identical text; ``total_time`` is always
+    null for the same reason. ``extras`` optionally merges additional
+    per-layer columns (e.g. baseline errors) into the rows.
     """
     d_fp = int(config.get("d_fp", 16))
     rows = []
@@ -310,9 +341,9 @@ def emit_report(
         aggregate = {
             "avg_rank": float(np.mean([r["rank"] for r in rows])),
             "avg_extra_bits": float(np.mean([r["extra_bits"] for r in rows])),
-            "total_time": total_time,
+            "total_time": None,
         }
     else:
-        aggregate = {"avg_rank": None, "avg_extra_bits": None, "total_time": total_time}
+        aggregate = {"avg_rank": None, "avg_extra_bits": None, "total_time": None}
     report = {"config": config, "layers": rows, "aggregate": aggregate}
     return json.dumps(report, indent=2) + "\n"

@@ -16,10 +16,12 @@ SVD_DIM_LIMIT = 1024
 
 
 def as_matrix(data) -> np.ndarray:
-    """Validate and canonicalize a dense 2-D matrix (float64, row-major, finite)."""
+    """Validate and canonicalize a dense, non-empty 2-D matrix (float64, row-major, finite)."""
     a = np.ascontiguousarray(data, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={a.ndim}")
+    if a.size == 0:
+        raise ValueError(f"matrix of shape {a.shape} is empty")
     if not np.isfinite(a).all():
         raise ValueError("matrix contains non-finite entries")
     return a

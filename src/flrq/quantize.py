@@ -27,22 +27,12 @@ class QuantizedTensor:
     """Integer codes plus per-group scales (and zero-points in asymmetric mode)."""
 
     codes: np.ndarray  # (m, n) int16
-    scales: np.ndarray  # (m, groups_per_row)
-    zeros: np.ndarray | None  # (m, groups_per_row), asymmetric only
+    scales: np.ndarray  # (m, ceil(n / group_size))
+    zeros: np.ndarray | None  # same shape as scales, asymmetric only
     bit_width: int
     group_size: int
     mode: str
     shape: tuple[int, int]
-
-    @property
-    def groups_per_row(self) -> int:
-        return self.scales.shape[1]
-
-    def code_range(self) -> tuple[int, int]:
-        if self.mode == "symmetric":
-            half = 2 ** (self.bit_width - 1) - 1
-            return -half, half
-        return 0, 2**self.bit_width - 1
 
 
 def _check_args(d: int, group_size: int, mode: str) -> None:

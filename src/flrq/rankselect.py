@@ -114,12 +114,12 @@ def select_rank(w: np.ndarray, cfg: RankSelectionConfig) -> tuple[LowRankFactors
 
     Extracts rank-1 pairs from the residual; a pair is kept only if, with it
     included, k < q, k <= 1 + x, and the amax slope is still >= t. The pair
-    that triggers a stop is discarded, so rank 0 is a valid outcome.
+    that triggers a stop is discarded, so rank 0 is a valid outcome. A zero
+    matrix is already at the residual floor: it stops before any extraction
+    with reason ``max_rank``.
     """
     m, n = w.shape
     w0 = amax(w)
-    if w0 == 0.0:
-        raise NumericalError("cannot select a rank for a zero matrix")
     rng = make_rng(cfg.seed)
     sketch_cfg = cfg.sketch_config()
     floor = RESIDUAL_FLOOR * fro_norm(w)

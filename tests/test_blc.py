@@ -212,18 +212,13 @@ class TestFlrqLayer:
         assert np.mean(on_err) <= np.mean(off_err) <= np.mean(plain_err)
 
     def test_alpha_neutral_path_is_bit_exact(self):
-        # all-ones alpha, one epoch, no clipping: the pipeline must equal the
-        # manual composition of rank selection and quantization.
+        # one epoch, no clipping: the pipeline must equal the manual
+        # composition of scaled rank selection and quantization.
         w, calib = outlier_layer(55, m=96, n=96)
         rank_cfg = RankSelectionConfig(d=4, seed=6)
-        cfg = BlcConfig(
-            rank_cfg=rank_cfg,
-            epochs=1,
-            clip_grid=(1.0,),
-            alpha_override=np.ones(96),
-        )
+        cfg = BlcConfig(rank_cfg=rank_cfg, epochs=1, clip_grid=(1.0,))
         layer = flrq_layer(w, calib, cfg)
-        factors, _ = select_rank(w, rank_cfg)
+        factors, _ = scaled_flr(w, alpha(calib.channel_mean_), rank_cfg)
         q = quantize_matrix(w - factors.reconstruct(), 4, cfg.group_size, cfg.mode)
         assert np.array_equal(layer.q.codes, q.codes)
         assert np.array_equal(layer.q.scales, q.scales)

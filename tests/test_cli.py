@@ -11,6 +11,7 @@ import pytest
 
 import flrq
 from flrq.cli import main
+from flrq.io import container_from_array, read_bundle, write_container_file
 
 
 def tree_digest(root: Path) -> str:
@@ -32,6 +33,22 @@ def synth_dir(tmp_path):
     ])
     assert rc == 0
     return out
+
+
+def write_layer(directory: Path, w, x) -> Path:
+    directory.mkdir(parents=True)
+    write_container_file(directory / "weights.flrqten", container_from_array(w))
+    write_container_file(directory / "activations.flrqten", container_from_array(x))
+    return directory
+
+
+def run_cli(*argv) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter, so an uncaught exception shows as a traceback."""
+    env = dict(os.environ, PYTHONPATH=str(Path(flrq.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "flrq.cli", *map(str, argv)],
+        capture_output=True, text=True, env=env,
+    )
 
 
 class TestGenSynth:
@@ -94,30 +111,25 @@ class TestQuantizeCommand:
                    str(tmp_path / "out")])
         assert rc == 2
 
-    def test_env_seed_fallback(self, synth_dir, tmp_path, monkeypatch):
-        monkeypatch.setenv("FLRQ_SEED", "11")
-        out_env = tmp_path / "env"
-        rc = main(["quantize", "--in", str(synth_dir), "--out-dir", str(out_env), "--d", "4"])
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_all_zero_layer_is_rank_zero(self, tmp_path, d):
+        layer = write_layer(tmp_path / "zero", np.zeros((40, 30)), np.ones((30, 8)))
+        out = tmp_path / "out"
+        rc = main(["quantize", "--in", str(layer), "--out-dir", str(out), "--d", str(d)])
         assert rc == 0
-        out_flag = tmp_path / "flag"
-        main(["quantize", "--in", str(synth_dir), "--out-dir", str(out_flag),
-              "--seed", "11", "--d", "4"])
-        assert tree_digest(out_env) == tree_digest(out_flag)
+        row = json.loads((out / "report.json").read_text())["layers"][0]
+        assert (row["rank"], row["rel_error"], row["rtn_rel_error"]) == (0, 0.0, 0.0)
+        back, _ = read_bundle(out / "layer_000")
+        assert not back.reconstruct().any()
 
 
 class TestRankSweep:
     def test_rank1_layer_error_collapses(self, tmp_path):
-        from flrq.io import container_from_array, write_container_file
-
         g = np.random.default_rng(0)
         u, v = g.standard_normal(48), g.standard_normal(64)
         w = np.outer(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)) * 480
         w += 0.01 * g.standard_normal((48, 64))
-        x = g.standard_normal((64, 16))
-        layer = tmp_path / "layer"
-        layer.mkdir()
-        write_container_file(layer / "weights.flrqten", container_from_array(w))
-        write_container_file(layer / "activations.flrqten", container_from_array(x))
+        layer = write_layer(tmp_path / "layer", w, g.standard_normal((64, 16)))
         out = tmp_path / "sweep"
         rc = main(["rank-sweep", "--in", str(layer), "--max-rank", "4",
                    "--seed", "1", "--out-dir", str(out)])
@@ -192,15 +204,9 @@ class TestAblate:
 
 class TestCompareSvd:
     def test_rank1_layer_both_residuals_vanish(self, tmp_path):
-        from flrq.io import container_from_array, write_container_file
-
         g = np.random.default_rng(2)
         w = np.outer(g.standard_normal(32), g.standard_normal(48))
-        x = g.standard_normal((48, 8))
-        layer = tmp_path / "layer"
-        layer.mkdir()
-        write_container_file(layer / "weights.flrqten", container_from_array(w))
-        write_container_file(layer / "activations.flrqten", container_from_array(x))
+        layer = write_layer(tmp_path / "layer", w, g.standard_normal((48, 8)))
         out = tmp_path / "cmp"
         rc = main(["compare-svd", "--in", str(layer), "--rank", "1", "--seeds", "2",
                    "--seed", "0", "--out-dir", str(out)])
@@ -211,8 +217,6 @@ class TestCompareSvd:
         assert report["sketch_residual_mean"] <= 1e-6 * scale
 
     def test_guard_exceeded_is_numerical_error(self, tmp_path):
-        from flrq.io import container_from_array, write_container_file
-
         layer = tmp_path / "layer"
         layer.mkdir()
         w = np.ones((1030, 1030))
@@ -239,26 +243,43 @@ class TestExitCodes:
             ((8,), (8, 4), False, "weights.flrqten"),  # 1-D weights
             ((4, 8), (6, 3), False, "activations.flrqten"),  # W/X shape mismatch
             ((4, 8), (8, 3), True, "weights.flrqten"),  # non-finite weights
+            ((4, 8), (8, 0), False, "activations.flrqten"),  # no calibration tokens
         ],
-        ids=["1d-weights", "shape-mismatch", "nan-weights"],
+        ids=["1d-weights", "shape-mismatch", "nan-weights", "zero-tokens"],
     )
     def test_bad_layer_inputs_are_data_errors(self, tmp_path, w_shape, x_shape, nan, bad_file):
-        from flrq.io import container_from_array, write_container_file
-
         w = np.ones(w_shape)
         if nan:
             w[0, 0] = np.nan
-        layer = tmp_path / "layer"
-        layer.mkdir()
-        write_container_file(layer / "weights.flrqten", container_from_array(w))
-        write_container_file(layer / "activations.flrqten", container_from_array(np.ones(x_shape)))
-        env = dict(os.environ, PYTHONPATH=str(Path(flrq.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "flrq.cli", "quantize", "--in", str(layer),
-             "--out-dir", str(tmp_path / "out")],
-            capture_output=True, text=True, env=env,
-        )
+        layer = write_layer(tmp_path / "layer", w, np.ones(x_shape))
+        proc = run_cli("quantize", "--in", layer, "--out-dir", tmp_path / "out")
         assert proc.returncode == 2
         assert bad_file in proc.stderr
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["quantize", "--group-size", "0"],
+            ["quantize", "--epochs", "0"],
+            ["quantize", "--x", "-1"],
+            ["quantize", "--clip-grid", "1.5"],
+            ["quantize", "--clip-grid", ","],
+            ["quantize", "--it", "-1"],
+            ["gen-synth", "--m", "0"],
+            ["compare-svd", "--rank", "0"],
+        ],
+        ids=["group-size-0", "epochs-0", "x-negative", "clip-grid-above-1", "clip-grid-empty",
+             "it-negative", "gen-synth-m-0", "compare-svd-rank-0"],
+    )
+    def test_bad_flags_are_usage_errors(self, tmp_path, argv):
+        g = np.random.default_rng(0)
+        w, x = g.standard_normal((8, 16)), g.standard_normal((16, 4))
+        layer = write_layer(tmp_path / "layer", w, x)
+        inputs = [] if argv[0] == "gen-synth" else ["--in", layer]
+        proc = run_cli(*argv, *inputs, "--out-dir", tmp_path / "out")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("[flrq] usage error:")

@@ -1,12 +1,16 @@
+import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from flrq.blc import BlcConfig, flrq_layer
 from flrq.errors import BadMagicError, BadVersionError, FormatError, TruncatedError
 from flrq.io import (
     DTYPE_F64,
+    MAGIC,
     TensorContainer,
     container_from_array,
     container_from_packed,
@@ -86,6 +90,21 @@ class TestContainer:
         with pytest.raises(FormatError):
             read_container(bytes(data))
 
+    @given(
+        st.one_of(
+            st.binary(max_size=64),
+            st.binary(max_size=64).map(lambda b: MAGIC + b),
+            st.tuples(
+                st.integers(0, 3), st.integers(0, 3), st.binary(max_size=64)
+            ).map(lambda t: MAGIC + struct.pack("<IBI", 1, t[0], t[1]) + t[2]),
+        )
+    )
+    def test_random_bytes_raise_only_format_errors(self, data):
+        try:
+            read_container(data)
+        except FormatError:
+            pass
+
     def test_packed_roundtrip(self):
         payload = bytes(range(17))
         data = write_container(container_from_packed(payload))
@@ -122,6 +141,13 @@ class TestPacking:
         for length in (1, 2, 7, 8, 9, 100, 1000):
             codes = rng.integers(0, 2**d, size=length)
             assert np.array_equal(unpack_codes(pack_codes(codes, d), d, length), codes)
+
+    @given(st.sampled_from([2, 3, 4]).flatmap(
+        lambda d: st.tuples(st.just(d), st.lists(st.integers(0, 2**d - 1), max_size=200))
+    ))
+    def test_pack_unpack_identity(self, case):
+        d, codes = case
+        assert unpack_codes(pack_codes(codes, d), d, len(codes)).tolist() == codes
 
     def test_out_of_range_code_rejected(self):
         with pytest.raises(ValueError):
@@ -167,6 +193,33 @@ class TestBundles:
 
     def test_missing_meta_rejected(self, tmp_path):
         (tmp_path / "b").mkdir()
+        with pytest.raises(FormatError):
+            read_bundle(tmp_path / "b")
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda meta: meta.update(mode="weird"),
+            lambda meta: meta.update(group_size=0),
+            lambda meta: meta.update(group_size=7),  # disagrees with the scales' shape
+            lambda meta: meta.update(d=5),
+            lambda meta: meta.update(shape=[32 * 64]),
+            lambda meta: meta.update(shape=[-32, -64]),
+            lambda meta: meta.pop("best_error"),
+            None,  # not JSON at all
+        ],
+        ids=["mode", "group-size-0", "group-size-7", "d-5", "shape-1d", "shape-negative",
+             "missing-key", "bad-json"],
+    )
+    def test_tampered_metadata_rejected(self, tmp_path, tamper):
+        write_bundle(tmp_path / "b", make_layer(d=4))
+        meta_path = tmp_path / "b" / "meta.json"
+        if tamper is None:
+            meta_path.write_text("{not json")
+        else:
+            meta = json.loads(meta_path.read_text())
+            tamper(meta)
+            meta_path.write_text(json.dumps(meta))
         with pytest.raises(FormatError):
             read_bundle(tmp_path / "b")
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from flrq.linalg import amax
 from flrq.quantize import (
@@ -12,6 +14,21 @@ from flrq.quantize import (
 
 
 class TestQuantizeMatrix:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 6),
+        n=st.integers(1, 70),
+        group_size=st.integers(1, 32),
+        d=st.sampled_from([2, 3, 4]),
+        mode=st.sampled_from(["symmetric", "asymmetric"]),
+        exponent=st.integers(-8, 8),
+    )
+    def test_dequantize_within_half_step(self, seed, m, n, group_size, d, mode, exponent):
+        w = np.random.default_rng(seed).standard_normal((m, n)) * 10.0**exponent
+        q = quantize_matrix(w, d, group_size=group_size, mode=mode)
+        step = np.repeat(q.scales, group_size, axis=1)[:, :n]
+        assert (np.abs(dequantize(q) - w) <= step / 2 + 1e-12 * amax(w)).all()
+
     def test_hand_case_symmetric_4bit(self):
         r = np.array([[-3.0, 1.0, 2.9]])
         q = quantize_matrix(r, 4, group_size=3, mode="symmetric")

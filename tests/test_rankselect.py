@@ -118,9 +118,11 @@ class TestSelectRank:
             _, k = qk(cfg.d, cfg.d_fp, 48, 80, factors.rank, 1.0, 1.0)
             assert k <= 1.0 + cfg.x + 1e-12
 
-    def test_zero_matrix_errors(self):
-        with pytest.raises(NumericalError):
-            select_rank(np.zeros((8, 8)), RankSelectionConfig(seed=0))
+    def test_zero_matrix_is_rank_zero(self):
+        factors, trace = select_rank(np.zeros((8, 8)), RankSelectionConfig(seed=0))
+        assert factors.rank == 0
+        assert trace.stop_reason == "max_rank"
+        assert trace.steps == []
 
     def test_trace_amax_non_increasing(self):
         w = np.random.default_rng(6).standard_normal((64, 96))
