@@ -6,16 +6,8 @@ sketch, clip-search and group-quantize the remainder, then alternate the
 two halves keeping the epoch with the lowest calibration output error.
 """
 
-from .blc import (
-    BlcConfig,
-    CalibrationBatch,
-    QuantizedLayer,
-    alpha,
-    channel_mean,
-    flrq_layer,
-    layer_error,
-    scaled_flr,
-)
+from .blc import QuantizedLayer, alpha, channel_mean, flrq_layer, layer_error, scaled_flr
+from .config import FlrqConfig
 from .errors import (
     BadMagicError,
     BadVersionError,
@@ -33,16 +25,8 @@ from .quantize import (
     quantize_matrix,
     search_clip,
 )
-from .rankselect import RankSelectionConfig, RankTrace, qk, select_rank, slope
-from .sketch import (
-    LowRankFactors,
-    Rank1Pair,
-    SketchConfig,
-    deflate,
-    layer_seed,
-    make_rng,
-    r1_step,
-)
+from .rankselect import RankTrace, qk, select_rank, slope
+from .sketch import LowRankFactors, Rank1Pair, deflate, layer_seed, make_rng, r1_step
 from .synth import SynthSpec, gen_layer
 
 __version__ = "0.1.0"

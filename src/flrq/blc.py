@@ -14,53 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import FlrqConfig
 from .errors import NumericalError
 from .linalg import fro_norm
-from .quantize import (
-    DEFAULT_CLIP_GRID,
-    DEFAULT_GROUP_SIZE,
-    QuantizedTensor,
-    clip,
-    dequantize,
-    quantize_matrix,
-    search_clip,
-)
-from .rankselect import RankSelectionConfig, RankTrace, select_rank
+from .quantize import QuantizedTensor, clip, dequantize, quantize_matrix, search_clip
+from .rankselect import RankTrace, select_rank
 from .sketch import LowRankFactors
 
 CHANNEL_MEAN_EPS = 1e-8
-
-
-@dataclass
-class CalibrationBatch:
-    """Calibration activations (n x tokens) and their per-channel profile."""
-
-    x: np.ndarray
-    channel_mean_: np.ndarray
-    floored_channels: int = 0
-
-    @classmethod
-    def from_activations(cls, x: np.ndarray) -> "CalibrationBatch":
-        mean = channel_mean(x)
-        floored = int(np.count_nonzero(mean <= CHANNEL_MEAN_EPS))
-        return cls(x=np.asarray(x, dtype=np.float64), channel_mean_=mean, floored_channels=floored)
-
-
-@dataclass(frozen=True)
-class BlcConfig:
-    rank_cfg: RankSelectionConfig
-    epochs: int | None = None  # None: 20 at 2-bit, 1 at 3/4-bit
-    alpha_exponent: float = 2.5
-    clip_grid: tuple[float, ...] = DEFAULT_CLIP_GRID
-    mode: str = "asymmetric"
-    group_size: int = DEFAULT_GROUP_SIZE
-
-    def resolved_epochs(self) -> int:
-        if self.epochs is not None:
-            if self.epochs < 1:
-                raise ValueError("epochs must be >= 1")
-            return self.epochs
-        return 20 if self.rank_cfg.d == 2 else 1
 
 
 @dataclass
@@ -119,7 +80,7 @@ def alpha(x_bar: np.ndarray, exponent: float = 2.5) -> np.ndarray:
 
 
 def scaled_flr(
-    w: np.ndarray, alpha_vec: np.ndarray, cfg: RankSelectionConfig
+    w: np.ndarray, alpha_vec: np.ndarray, cfg: FlrqConfig
 ) -> tuple[LowRankFactors, RankTrace]:
     """Flexible-rank extraction on the channel-scaled weights.
 
@@ -150,28 +111,26 @@ def layer_error(
 
 
 def _clip_and_quantize(
-    w_rest: np.ndarray, x: np.ndarray, cfg: BlcConfig
+    w_rest: np.ndarray, x: np.ndarray, cfg: FlrqConfig
 ) -> tuple[QuantizedTensor, float]:
-    d = cfg.rank_cfg.d
-    found = search_clip(w_rest, x, d, cfg.group_size, cfg.clip_grid, cfg.mode)
+    found = search_clip(w_rest, x, cfg.d, cfg.group_size, cfg.clip_grid, cfg.mode)
     clipped = clip(w_rest, found.p_clp) if found.p_clp > 0 else w_rest
-    return quantize_matrix(clipped, d, cfg.group_size, cfg.mode), found.p_clp
+    return quantize_matrix(clipped, cfg.d, cfg.group_size, cfg.mode), found.p_clp
 
 
-def flrq_layer(w: np.ndarray, calib: CalibrationBatch, cfg: BlcConfig) -> QuantizedLayer:
-    """Quantize one layer with the full alternating pipeline."""
-    epochs = cfg.resolved_epochs()
-    x = calib.x
+def flrq_layer(w: np.ndarray, x: np.ndarray, cfg: FlrqConfig) -> QuantizedLayer:
+    """Quantize one layer (m x n weights, n x tokens activations) with the full pipeline."""
     if w.shape[1] != x.shape[0]:
         raise ValueError(f"calibration {x.shape} does not conform to weights {w.shape}")
+    epochs = cfg.resolved_epochs()
+    mean = channel_mean(x)
+    floored = int(np.count_nonzero(mean <= CHANNEL_MEAN_EPS))
     warnings: list[str] = []
-    alpha_vec = alpha(calib.channel_mean_, cfg.alpha_exponent)
-    if calib.floored_channels:
-        warnings.append(
-            f"{calib.floored_channels} zero-activation channel(s) floored at {CHANNEL_MEAN_EPS}"
-        )
+    if floored:
+        warnings.append(f"{floored} zero-activation channel(s) floored at {CHANNEL_MEAN_EPS}")
+    alpha_vec = alpha(mean, cfg.alpha_exponent)
 
-    factors, rank_trace = scaled_flr(w, alpha_vec, cfg.rank_cfg)
+    factors, rank_trace = scaled_flr(w, alpha_vec, cfg)
     w_q, p_clp = _clip_and_quantize(w - factors.reconstruct(), x, cfg)
 
     wx_norm = fro_norm(w @ x)
@@ -195,7 +154,7 @@ def flrq_layer(w: np.ndarray, calib: CalibrationBatch, cfg: BlcConfig) -> Quanti
             )
         if epoch == epochs:
             break
-        factors, rank_trace = scaled_flr(w - dequantize(w_q), alpha_vec, cfg.rank_cfg)
+        factors, rank_trace = scaled_flr(w - dequantize(w_q), alpha_vec, cfg)
         w_q, p_clp = _clip_and_quantize(w - factors.reconstruct(), x, cfg)
     best.blc_trace = trace
     return best

@@ -3,8 +3,8 @@
 Subcommands: gen-synth (make synthetic layers), quantize (full pipeline),
 rank-sweep (rank vs amax/error curves), ablate (trend tables), compare-svd
 (sketch vs exact truncation). Every command is deterministic for a fixed
---seed; --threads only changes wall time. Exit codes: 0 ok, 1 usage,
-2 data/format, 3 numerical failure.
+--seed; quantize's --threads only changes wall time. Exit codes: 0 ok,
+1 usage, 2 data/format, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -15,18 +15,20 @@ import dataclasses
 import json
 import sys
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import io as flrq_io
-from .blc import BlcConfig, CalibrationBatch, QuantizedLayer, flrq_layer, layer_error
+from .blc import QuantizedLayer, flrq_layer, layer_error
+from .config import FlrqConfig
 from .errors import FlrqError, FormatError, NumericalError
 from .linalg import amax, as_matrix, fro_norm, svd_oracle
-from .quantize import DEFAULT_CLIP_GRID, DEFAULT_GROUP_SIZE, quantize_matrix
-from .rankselect import RankSelectionConfig, select_rank
-from .sketch import LowRankFactors, SketchConfig, deflate, layer_seed
+from .quantize import DEFAULT_CLIP_GRID, quantize_matrix
+from .rankselect import select_rank
+from .sketch import LowRankFactors, deflate, layer_seed
 from .synth import FAMILIES, SynthSpec, gen_layer
 
 ABLATIONS = ("it", "blc", "x", "fixed-vs-flex")
@@ -62,8 +64,6 @@ def build_parser() -> _Parser:
     def common(sp):
         sp.add_argument("--seed", type=int, default=0, help="global seed")
         sp.add_argument("--out-dir", type=Path, default=Path("flrq_out"))
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker threads for per-layer jobs (never changes output bytes)")
 
     g = sub.add_parser("gen-synth", help="generate synthetic layers")
     common(g)
@@ -79,6 +79,8 @@ def build_parser() -> _Parser:
 
     q = sub.add_parser("quantize", help="quantize a directory of layers")
     common(q)
+    q.add_argument("--threads", type=int, default=1,
+                   help="worker threads, one layer each (never changes output bytes)")
     q.add_argument("--in", dest="in_dir", type=Path, required=True)
     q.add_argument("--d", type=int, default=4, choices=(2, 3, 4))
     q.add_argument("--d-fp", type=int, default=16, choices=(16, 32))
@@ -89,7 +91,7 @@ def build_parser() -> _Parser:
     q.add_argument("--it", type=int, default=2)
     q.add_argument("--epochs", type=int, default=None)
     q.add_argument("--alpha-exponent", type=float, default=2.5)
-    q.add_argument("--clip-grid", type=str, default=",".join(str(v) for v in DEFAULT_CLIP_GRID))
+    q.add_argument("--clip-grid", type=_parse_grid, default=DEFAULT_CLIP_GRID)
     q.add_argument("--mode", choices=("symmetric", "asymmetric"), default="asymmetric")
 
     r = sub.add_parser("rank-sweep", help="rank vs amax/error curves for one layer")
@@ -136,7 +138,7 @@ def _write_layer_inputs(directory: Path, w, x, f32: bool = False) -> None:
 def _read_matrix(path: Path) -> np.ndarray:
     try:
         return as_matrix(flrq_io.read_container_file(path).to_array())
-    except ValueError as exc:
+    except (ValueError, FormatError) as exc:
         raise FormatError(f"{path}: {exc}") from None
 
 
@@ -174,16 +176,26 @@ def _config_echo(args, **resolved) -> dict:
     return echo
 
 
+def _fields_of(cls, args) -> dict:
+    """The arguments whose names are fields of the dataclass ``cls``."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return {k: v for k, v in vars(args).items() if k in names}
+
+
+def _flrq_config(args) -> FlrqConfig:
+    """The command's FlrqConfig, checked before any input is read."""
+    return FlrqConfig(**_fields_of(FlrqConfig, args))
+
+
 def _synth_specs(args) -> list[SynthSpec]:
     """One SynthSpec per layer from the arguments that name SynthSpec fields."""
-    names = {f.name for f in dataclasses.fields(SynthSpec)} - {"seed"}
-    shared = {k: v for k, v in vars(args).items() if k in names}
-    return [SynthSpec(**shared, seed=layer_seed(args.seed, i)) for i in range(args.layers)]
+    base = SynthSpec(**_fields_of(SynthSpec, args))
+    return [dataclasses.replace(base, seed=layer_seed(args.seed, i)) for i in range(args.layers)]
 
 
-def _plain_rel_error(w, x, factors: LowRankFactors, d, group_size, mode, wx_norm) -> float:
+def _plain_rel_error(w, x, factors: LowRankFactors, cfg: FlrqConfig, wx_norm) -> float:
     """Relative output error of plainly quantizing W - LR and adding LR back."""
-    q = quantize_matrix(w - factors.reconstruct(), d, group_size, mode)
+    q = quantize_matrix(w - factors.reconstruct(), cfg.d, cfg.group_size, cfg.mode)
     err = layer_error(w, q, factors, x)
     return err / wx_norm if wx_norm > 0 else 0.0
 
@@ -192,55 +204,38 @@ def cmd_gen_synth(args) -> int:
     specs = _synth_specs(args)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     for idx, spec in enumerate(specs):
-        w, calib = gen_layer(spec)
+        w, x = gen_layer(spec)
         layer_dir = args.out_dir / f"layer_{idx:03d}"
-        _write_layer_inputs(layer_dir, w, calib.x, f32=args.f32)
+        _write_layer_inputs(layer_dir, w, x, f32=args.f32)
         (layer_dir / "synth.json").write_text(json.dumps(dataclasses.asdict(spec), indent=2) + "\n")
     _log(f"wrote {args.layers} synthetic layer(s) to {args.out_dir}")
     return 0
 
 
-def _blc_config(args, seed: int) -> BlcConfig:
-    rank_cfg = RankSelectionConfig(
-        d=args.d,
-        d_fp=args.d_fp,
-        x=args.x,
-        t=args.t,
-        slope_window=args.slope_window,
-        it=args.it,
-        seed=seed,
-    )
-    return BlcConfig(
-        rank_cfg=rank_cfg,
-        epochs=args.epochs,
-        alpha_exponent=args.alpha_exponent,
-        clip_grid=_parse_grid(args.clip_grid),
-        mode=args.mode,
-        group_size=args.group_size,
-    )
-
-
 def cmd_quantize(args) -> int:
     if args.threads < 1:
         raise UsageError("--threads must be >= 1")
+    cfg = _flrq_config(args)
     layers = _discover_layers(args.in_dir)
-    inputs = [_read_layer_inputs(p) for p in layers]
-    config_echo = _config_echo(
-        args, clip_grid=list(_parse_grid(args.clip_grid)), layers=[p.name for p in layers]
-    )
+    config_echo = _config_echo(args, layers=[p.name for p in layers])
 
-    def run_one(idx: int) -> tuple[QuantizedLayer, dict]:
-        w, x = inputs[idx]
-        cfg = _blc_config(args, seed=layer_seed(args.seed, idx))
-        layer = flrq_layer(w, CalibrationBatch.from_activations(x), cfg)
-        rtn = _plain_rel_error(
-            w, x, LowRankFactors.empty(*w.shape), args.d, args.group_size, args.mode, layer.wx_norm
-        )
+    def run_one(idx: int, w, x) -> tuple[QuantizedLayer, dict]:
+        layer = flrq_layer(w, x, dataclasses.replace(cfg, seed=layer_seed(args.seed, idx)))
+        rtn = _plain_rel_error(w, x, LowRankFactors.empty(*w.shape), cfg, layer.wx_norm)
         return layer, {"rtn_rel_error": rtn}
 
+    # A layer is read when a worker is free for it, so at most `threads` layers'
+    # inputs are held. The main thread reads them: inputs allocated on a worker
+    # thread share that thread's malloc heap with the clip search's temporaries,
+    # and glibc then trims and re-faults it (14x the page faults on 512^2 layers).
     t0 = time.perf_counter()
+    results, running = [], deque()
     with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        results = list(pool.map(run_one, range(len(layers))))
+        for idx, path in enumerate(layers):
+            if len(running) == args.threads:
+                results.append(running.popleft().result())
+            running.append(pool.submit(run_one, idx, *_read_layer_inputs(path)))
+        results += [f.result() for f in running]
     elapsed = time.perf_counter() - t0
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
@@ -255,6 +250,7 @@ def cmd_quantize(args) -> int:
 
 
 def cmd_rank_sweep(args) -> int:
+    cfg = _flrq_config(args)
     layer_dir = _discover_layers(args.in_dir)[0]
     w, x = _read_layer_inputs(layer_dir)
     max_rank = args.max_rank
@@ -264,19 +260,16 @@ def cmd_rank_sweep(args) -> int:
         max_rank = limit
     wx_norm = fro_norm(w @ x)
 
-    def rel_error(factors: LowRankFactors) -> float:
-        return _plain_rel_error(w, x, factors, args.d, args.group_size, args.mode, wx_norm)
-
     envelope = amax(w)
-    rows = [(0, envelope, rel_error(LowRankFactors.empty(*w.shape)))]
+    rows = [(0, envelope, _plain_rel_error(w, x, LowRankFactors.empty(*w.shape), cfg, wx_norm))]
     if max_rank >= 1:
-        factors = deflate(w, max_rank, SketchConfig(it=args.it, seed=args.seed))
+        factors = deflate(w, max_rank, cfg)
         residual = w
         for r in range(1, factors.rank + 1):
             residual = residual - np.outer(factors.left[:, r - 1], factors.right[r - 1])
             envelope = min(envelope, amax(residual))
             prefix = LowRankFactors(left=factors.left[:, :r], right=factors.right[:r])
-            rows.append((r, envelope, rel_error(prefix)))
+            rows.append((r, envelope, _plain_rel_error(w, x, prefix, cfg, wx_norm)))
         if factors.truncated:
             _log(f"residual exhausted at rank {factors.rank}; stopping sweep early")
 
@@ -295,24 +288,23 @@ def cmd_rank_sweep(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    seed = args.seed
     if args.which not in ABLATIONS:
         raise UsageError(f"unknown ablation {args.which!r}; valid names: {', '.join(ABLATIONS)}")
+    cfg = _flrq_config(args)
     workload = [gen_layer(spec) for spec in _synth_specs(args)]
     args.out_dir.mkdir(parents=True, exist_ok=True)
     rows: list[dict] = []
 
-    if args.which == "it":
-        # sketch_residual (fixed-rank extraction quality) is the monotone
-        # column; the end-to-end rel_error also trends down but can wobble
-        # per layer through the clip search.
-        probe_rank = 8
-        for idx, (w, calib) in enumerate(workload):
+    for idx, (w, x) in enumerate(workload):
+        base = dataclasses.replace(cfg, seed=layer_seed(args.seed, idx))
+        if args.which == "it":
+            # sketch_residual (fixed-rank extraction quality) is the monotone
+            # column; the end-to-end rel_error also trends down but can wobble
+            # per layer through the clip search.
             for it in (0, 1, 2, 4):
-                lseed = layer_seed(seed, idx)
-                cfg = BlcConfig(rank_cfg=RankSelectionConfig(d=args.d, it=it, seed=lseed))
-                layer = flrq_layer(w, calib, cfg)
-                probe = deflate(w, min(probe_rank, min(w.shape)), SketchConfig(it=it, seed=lseed))
+                it_cfg = dataclasses.replace(base, it=it)
+                layer = flrq_layer(w, x, it_cfg)
+                probe = deflate(w, min(8, min(w.shape)), it_cfg)
                 rows.append(
                     {
                         "layer": idx,
@@ -321,11 +313,9 @@ def cmd_ablate(args) -> int:
                         "rel_error": layer.rel_error,
                     }
                 )
-    elif args.which == "blc":
-        for idx, (w, calib) in enumerate(workload):
-            base = RankSelectionConfig(d=args.d, seed=layer_seed(seed, idx))
-            on = flrq_layer(w, calib, BlcConfig(rank_cfg=base, epochs=20))
-            off = flrq_layer(w, calib, BlcConfig(rank_cfg=base, epochs=1))
+        elif args.which == "blc":
+            on = flrq_layer(w, x, dataclasses.replace(base, epochs=20))
+            off = flrq_layer(w, x, dataclasses.replace(base, epochs=1))
             rows.append(
                 {
                     "layer": idx,
@@ -334,13 +324,9 @@ def cmd_ablate(args) -> int:
                     "improved": on.rel_error <= off.rel_error,
                 }
             )
-    elif args.which == "x":
-        for idx, (w, calib) in enumerate(workload):
+        elif args.which == "x":
             for x_cap in (0.1, 0.2, 0.4):
-                cfg = BlcConfig(
-                    rank_cfg=RankSelectionConfig(d=args.d, x=x_cap, seed=layer_seed(seed, idx))
-                )
-                layer = flrq_layer(w, calib, cfg)
+                layer = flrq_layer(w, x, dataclasses.replace(base, x=x_cap))
                 m, n = layer.q.shape
                 rows.append(
                     {
@@ -351,29 +337,20 @@ def cmd_ablate(args) -> int:
                         "rel_error": layer.rel_error,
                     }
                 )
-    else:  # fixed-vs-flex
-        fixed_rank = 32
-        for idx, (w, calib) in enumerate(workload):
+        else:  # fixed-vs-flex
             m, n = w.shape
-            wxn = fro_norm(w @ calib.x)
-            scfg = RankSelectionConfig(d=args.d, seed=layer_seed(seed, idx))
-            flex, _ = select_rank(w, scfg)
-            fixed = deflate(w, min(fixed_rank, min(m, n)), scfg.sketch_config())
-
-            def plain_rel(factors: LowRankFactors) -> float:
-                return _plain_rel_error(
-                    w, calib.x, factors, args.d, DEFAULT_GROUP_SIZE, "asymmetric", wxn
-                )
-
+            wxn = fro_norm(w @ x)
+            flex, _ = select_rank(w, base)
+            fixed = deflate(w, min(32, min(m, n)), base)
             rows.append(
                 {
                     "layer": idx,
                     "flex_rank": flex.rank,
                     "flex_extra_bits": flrq_io.extra_bits(16, flex.rank, m, n),
-                    "flex_rel_error": plain_rel(flex),
+                    "flex_rel_error": _plain_rel_error(w, x, flex, base, wxn),
                     "fixed_rank": fixed.rank,
                     "fixed_extra_bits": flrq_io.extra_bits(16, fixed.rank, m, n),
-                    "fixed_rel_error": plain_rel(fixed),
+                    "fixed_rel_error": _plain_rel_error(w, x, fixed, base, wxn),
                 }
             )
 
@@ -392,6 +369,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_compare_svd(args) -> int:
+    cfg = _flrq_config(args)
     layer_dir = _discover_layers(args.in_dir)[0]
     w, _ = _read_layer_inputs(layer_dir)
     rank = min(args.rank, min(w.shape))
@@ -403,7 +381,7 @@ def cmd_compare_svd(args) -> int:
     sketch_residuals = []
     t0 = time.perf_counter()
     for rep in range(args.seeds):
-        factors = deflate(w, rank, SketchConfig(it=args.it, seed=layer_seed(args.seed, rep)))
+        factors = deflate(w, rank, dataclasses.replace(cfg, seed=layer_seed(args.seed, rep)))
         sketch_residuals.append(fro_norm(w - factors.reconstruct()))
     sketch_time = (time.perf_counter() - t0) / max(args.seeds, 1)
     mean_sketch = float(np.mean(sketch_residuals))
@@ -412,9 +390,9 @@ def cmd_compare_svd(args) -> int:
     csv_path = args.out_dir / "compare_svd.csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["method", "rank", "residual_fro", "seconds"])
-        writer.writerow(["svd_truncation", rank, svd_residual, f"{svd_time:.6f}"])
-        writer.writerow(["sketch_deflate", rank, mean_sketch, f"{sketch_time:.6f}"])
+        writer.writerow(["method", "rank", "residual_fro"])
+        writer.writerow(["svd_truncation", rank, svd_residual])
+        writer.writerow(["sketch_deflate", rank, mean_sketch])
     (args.out_dir / "report.json").write_text(
         json.dumps(
             {

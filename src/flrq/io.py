@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -159,7 +159,10 @@ _BUNDLE_FILES = {
     "alpha": "alpha.flrqten",
 }
 _META_FILE = "meta.json"
-_META_KEYS = ("d", "group_size", "mode", "shape", "p_clp", "best_epoch", "best_error", "wx_norm")
+_META_KEYS = (
+    "d", "group_size", "mode", "shape", "p_clp", "best_epoch", "best_error", "wx_norm",
+    "blc_trace", "rank_trace",
+)
 
 
 def _code_offset(q: QuantizedTensor) -> int:
@@ -192,11 +195,8 @@ def write_bundle(directory, layer: QuantizedLayer, config: dict | None = None) -
         "best_error": layer.best_error,
         "wx_norm": layer.wx_norm,
         "warnings": layer.warnings,
-        "blc_trace": [
-            {"epoch": r.epoch, "error": r.error, "p_clp": r.p_clp, "rank": r.rank}
-            for r in layer.blc_trace
-        ],
-        "rank_trace": layer.rank_trace.to_dict(),
+        "blc_trace": [asdict(r) for r in layer.blc_trace],
+        "rank_trace": asdict(layer.rank_trace),
         "config": config if config is not None else {},
     }
     (d / _META_FILE).write_text(json.dumps(meta, indent=2) + "\n")
@@ -273,19 +273,12 @@ def read_bundle(directory) -> tuple[QuantizedLayer, dict]:
         mode=mode,
         shape=(m, n),
     )
-    trace = [
-        EpochRecord(epoch=r["epoch"], error=r["error"], p_clp=r["p_clp"], rank=r["rank"])
-        for r in meta.get("blc_trace", [])
-    ]
-    rt_dict = meta.get("rank_trace", {})
-    rank_trace = RankTrace(
-        steps=[
-            RankStep(r=s["r"], amax=s["amax"], q=s["q"], k=s["k"], slope=s["slope"])
-            for s in rt_dict.get("steps", [])
-        ],
-        stop_reason=rt_dict.get("stop_reason", ""),
-        selected_rank=rt_dict.get("selected_rank", 0),
-    )
+    try:
+        trace = [EpochRecord(**r) for r in meta["blc_trace"]]
+        rt = meta["rank_trace"]
+        rank_trace = RankTrace(**{**rt, "steps": [RankStep(**s) for s in rt["steps"]]})
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{meta_path}: malformed trace ({exc!r})") from None
     layer = QuantizedLayer(
         q=q,
         factors=LowRankFactors(left=left, right=right),

@@ -35,13 +35,21 @@ class QuantizedTensor:
     shape: tuple[int, int]
 
 
-def _check_args(d: int, group_size: int, mode: str) -> None:
+def check_args(d: int, group_size: int, mode: str) -> None:
     if d not in BIT_WIDTHS:
         raise ValueError(f"bit width must be one of {BIT_WIDTHS}, got {d}")
     if group_size < 1:
         raise ValueError("group_size must be >= 1")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+
+
+def check_grid(grid: tuple[float, ...]) -> None:
+    if len(grid) == 0:
+        raise ValueError("clip grid is empty")
+    for rho in grid:
+        if not 0.0 < rho <= 1.0:
+            raise ValueError(f"clip ratios must lie in (0, 1], got {rho}")
 
 
 def _grouped(a: np.ndarray, group_size: int) -> tuple[np.ndarray, int]:
@@ -60,7 +68,7 @@ def quantize_matrix(
     mode: str = "asymmetric",
 ) -> QuantizedTensor:
     """Quantize a dense matrix group by group."""
-    _check_args(d, group_size, mode)
+    check_args(d, group_size, mode)
     if not np.isfinite(r).all():
         raise ValueError("cannot quantize non-finite values")
     m, n = r.shape
@@ -145,11 +153,7 @@ def search_clip(
 
     Candidates are ratio * amax(W); ties break toward the larger threshold.
     """
-    if len(grid) == 0:
-        raise ValueError("clip grid is empty")
-    for rho in grid:
-        if not 0.0 < rho <= 1.0:
-            raise ValueError(f"clip ratios must lie in (0, 1], got {rho}")
+    check_grid(grid)
     if w.shape[1] != x.shape[0]:
         raise ValueError(f"activation shape {x.shape} does not conform to weights {w.shape}")
     top = amax(w)

@@ -15,37 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import FlrqConfig
 from .errors import NumericalError
 from .linalg import amax, fro_norm, rank1_subtract
-from .sketch import RESIDUAL_FLOOR, LowRankFactors, Rank1Pair, SketchConfig, make_rng, r1_step
+from .sketch import RESIDUAL_FLOOR, LowRankFactors, Rank1Pair, make_rng, r1_step
 
 STOP_REASONS = ("budget_qk", "memory_cap", "slope", "max_rank")
-
-
-@dataclass(frozen=True)
-class RankSelectionConfig:
-    d: int = 4  # target quantization bit width
-    d_fp: int = 16  # storage width of the factors, bits
-    x: float = 0.2  # cap on fractional model-size increase
-    t: float = 1e-3  # slope threshold
-    slope_window: int = 4
-    it: int = 2
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.d not in (2, 3, 4):
-            raise ValueError(f"bit width must be 2, 3 or 4, got {self.d}")
-        if self.d_fp not in (16, 32):
-            raise ValueError(f"factor storage width must be 16 or 32, got {self.d_fp}")
-        if self.x < 0.0:
-            raise ValueError("memory cap x must be >= 0")
-        if self.slope_window < 1:
-            raise ValueError("slope window must be >= 1")
-        if self.t < 0.0:
-            raise ValueError("slope threshold must be >= 0")
-
-    def sketch_config(self) -> SketchConfig:
-        return SketchConfig(it=self.it, seed=self.seed)
 
 
 @dataclass(frozen=True)
@@ -59,19 +34,9 @@ class RankStep:
 
 @dataclass
 class RankTrace:
-    steps: list[RankStep] = field(default_factory=list)
     stop_reason: str = ""
     selected_rank: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "stop_reason": self.stop_reason,
-            "selected_rank": self.selected_rank,
-            "steps": [
-                {"r": s.r, "amax": s.amax, "q": s.q, "k": s.k, "slope": s.slope}
-                for s in self.steps
-            ],
-        }
+    steps: list[RankStep] = field(default_factory=list)
 
 
 def qk(d: int, d_fp: int, m: int, n: int, r: int, w0: float, wr: float) -> tuple[float, float]:
@@ -109,7 +74,7 @@ def slope(amax_history, window: int) -> float:
     return (hist[-1 - window] - hist[-1]) / (window * a0)
 
 
-def select_rank(w: np.ndarray, cfg: RankSelectionConfig) -> tuple[LowRankFactors, RankTrace]:
+def select_rank(w: np.ndarray, cfg: FlrqConfig) -> tuple[LowRankFactors, RankTrace]:
     """Run the flexible-rank loop on one layer.
 
     Extracts rank-1 pairs from the residual; a pair is kept only if, with it
@@ -121,7 +86,6 @@ def select_rank(w: np.ndarray, cfg: RankSelectionConfig) -> tuple[LowRankFactors
     m, n = w.shape
     w0 = amax(w)
     rng = make_rng(cfg.seed)
-    sketch_cfg = cfg.sketch_config()
     floor = RESIDUAL_FLOOR * fro_norm(w)
     residual = w.copy()
     envelope = w0
@@ -134,7 +98,7 @@ def select_rank(w: np.ndarray, cfg: RankSelectionConfig) -> tuple[LowRankFactors
         if fro_norm(residual) <= floor:
             stop = "max_rank"  # residual exhausted: nothing left to extract
             break
-        pair = r1_step(residual, sketch_cfg, rng)
+        pair = r1_step(residual, cfg, rng)
         candidate = rank1_subtract(residual, pair.left, pair.right)
         envelope = min(envelope, amax(candidate))
         history.append(envelope)

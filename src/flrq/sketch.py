@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import FlrqConfig
 from .errors import NumericalError
 from .linalg import fro_norm, gemv, gemv_t, rank1_subtract
 
@@ -24,18 +25,6 @@ MAX_PROBE_REDRAWS = 3
 
 # Residual mass below this (relative to the input) counts as numerically zero.
 RESIDUAL_FLOOR = 1e-13
-
-
-@dataclass(frozen=True)
-class SketchConfig:
-    """Knobs for one extraction: power-iteration count and seed."""
-
-    it: int = 2
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.it < 0:
-            raise ValueError("power-iteration count must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -84,7 +73,7 @@ def layer_seed(global_seed: int, layer_index: int) -> int:
     return (global_seed ^ layer_index) & 0xFFFFFFFFFFFFFFFF
 
 
-def r1_step(a: np.ndarray, cfg: SketchConfig, rng: np.random.Generator) -> Rank1Pair:
+def r1_step(a: np.ndarray, cfg: FlrqConfig, rng: np.random.Generator) -> Rank1Pair:
     """Extract one rank-1 pair from ``a`` using 2*it + 2 matrix-vector products.
 
     The probe p = (A A^T)^it A s is built by alternating gemv/gemv_t calls;
@@ -110,7 +99,7 @@ def r1_step(a: np.ndarray, cfg: SketchConfig, rng: np.random.Generator) -> Rank1
     return Rank1Pair(left=left, right=right)
 
 
-def deflate(a: np.ndarray, r: int, cfg: SketchConfig) -> LowRankFactors:
+def deflate(a: np.ndarray, r: int, cfg: FlrqConfig) -> LowRankFactors:
     """Greedy rank-r approximation: r extractions, each subtracted in turn.
 
     Stops early with ``truncated=True`` if the residual becomes numerically

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blc import CalibrationBatch
 from .sketch import make_rng
 
 FAMILIES = ("gaussian", "student_t", "outlier_channels")
@@ -47,8 +46,8 @@ class SynthSpec:
                 raise ValueError("outlier count must be in [1, n]")
 
 
-def gen_layer(spec: SynthSpec) -> tuple[np.ndarray, CalibrationBatch]:
-    """Deterministically generate (weights, calibration batch) for one layer."""
+def gen_layer(spec: SynthSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministically generate (weights m x n, activations n x tokens) for one layer."""
     rng = make_rng(spec.seed)
     if spec.family == "student_t":
         w = rng.standard_t(spec.nu, size=(spec.m, spec.n))
@@ -59,4 +58,4 @@ def gen_layer(spec: SynthSpec) -> tuple[np.ndarray, CalibrationBatch]:
         channels = rng.choice(spec.n, size=spec.outlier_count, replace=False)
         w[:, channels] *= spec.outlier_boost
         x[channels, :] *= spec.outlier_boost
-    return w, CalibrationBatch.from_activations(x)
+    return w, x

@@ -13,8 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flrq.blc import BlcConfig, flrq_layer
+from flrq.blc import flrq_layer
 from flrq.cli import main
+from flrq.config import FlrqConfig
 from flrq.errors import BadMagicError, BadVersionError, TruncatedError
 from flrq.io import (
     container_from_array,
@@ -27,8 +28,8 @@ from flrq.io import (
 )
 from flrq.linalg import fro_norm, svd_oracle
 from flrq.quantize import dequantize, quantize_matrix
-from flrq.rankselect import RankSelectionConfig, qk, select_rank
-from flrq.sketch import SketchConfig, deflate, r1_step, make_rng
+from flrq.rankselect import qk, select_rank
+from flrq.sketch import deflate, r1_step, make_rng
 from flrq.synth import SynthSpec, gen_layer
 
 
@@ -78,7 +79,7 @@ def test_01_rank1_exactness(announce):
         u = rng.standard_normal(64)
         v = rng.standard_normal(128)
         a = np.outer(u, v)
-        pair = r1_step(a, SketchConfig(it=0, seed=s), make_rng(s))
+        pair = r1_step(a, FlrqConfig(it=0, seed=s), make_rng(s))
         worst = max(worst, fro_norm(a - pair.reconstruct()) / fro_norm(a))
     elapsed = time.perf_counter() - t0
     check(
@@ -95,8 +96,8 @@ def test_02_sketch_vs_oracle_quality(announce):
     for s in range(100):
         a = rng.standard_normal((128, 256))
         optimal = svd_oracle(a).truncation_error(16)
-        f2 = deflate(a, 16, SketchConfig(it=2, seed=7000 + s))
-        f8 = deflate(a, 16, SketchConfig(it=8, seed=7000 + s))
+        f2 = deflate(a, 16, FlrqConfig(it=2, seed=7000 + s))
+        f8 = deflate(a, 16, FlrqConfig(it=8, seed=7000 + s))
         ratios2.append(fro_norm(a - f2.reconstruct()) / optimal)
         ratios8.append(fro_norm(a - f8.reconstruct()) / optimal)
     mean2, mean8 = float(np.mean(ratios2)), float(np.mean(ratios8))
@@ -118,7 +119,7 @@ def test_03_randomized_tail_bound(announce):
         a = rng.standard_normal((64, n))
         sigma3.append(svd_oracle(a).singular_values[2])
         for it in (1, 2):
-            f = deflate(a, 2, SketchConfig(it=it, seed=8000 + s))
+            f = deflate(a, 2, FlrqConfig(it=it, seed=8000 + s))
             residuals[it].append(np.linalg.norm(a - f.reconstruct(), 2))
     ok = True
     details = []
@@ -186,14 +187,14 @@ def test_06_flexible_rank_behavior(announce):
     caps_ok = True
     for s in range(20):
         w = rank1_dominant(64, 64, 900 + s)
-        cfg = RankSelectionConfig(d=4, seed=s)
+        cfg = FlrqConfig(d=4, seed=s)
         factors, _ = select_rank(w, cfg)
         ranks_dominant.append(factors.rank)
         _, k = qk(cfg.d, cfg.d_fp, 64, 64, factors.rank, 1.0, 1.0)
         caps_ok &= k <= 1 + cfg.x + 1e-12
     for s in range(20):
         w = np.random.default_rng(950 + s).standard_normal((64, 64))
-        cfg = RankSelectionConfig(d=4, seed=s)
+        cfg = FlrqConfig(d=4, seed=s)
         factors, _ = select_rank(w, cfg)
         ranks_gauss.append(factors.rank)
         _, k = qk(cfg.d, cfg.d_fp, 64, 64, factors.rank, 1.0, 1.0)
@@ -211,10 +212,9 @@ def test_07_blc_monotonicity_and_2bit_rescue(announce):
     mono_ok = True
     on_errs, off_errs = [], []
     for s in range(10):
-        w, calib = outlier_workload(1000 + s)
-        base = RankSelectionConfig(d=2, seed=s)
-        on = flrq_layer(w, calib, BlcConfig(rank_cfg=base, epochs=20))
-        off = flrq_layer(w, calib, BlcConfig(rank_cfg=base, epochs=1))
+        w, x = outlier_workload(1000 + s)
+        on = flrq_layer(w, x, FlrqConfig(d=2, seed=s, epochs=20))
+        off = flrq_layer(w, x, FlrqConfig(d=2, seed=s, epochs=1))
         best_so_far = np.minimum.accumulate([r.error for r in on.blc_trace])
         mono_ok &= bool(np.all(np.diff(best_so_far) <= 1e-15))
         improved += on.best_error < on.blc_trace[0].error
@@ -296,8 +296,8 @@ def test_10_container_io(announce, tmp_path):
 
     spec = SynthSpec(m=32, n=64, family="outlier_channels", seed=3, tokens=16,
                      outlier_count=1, outlier_boost=15.0)
-    w, calib = gen_layer(spec)
-    layer = flrq_layer(w, calib, BlcConfig(rank_cfg=RankSelectionConfig(d=2, x=1.0, seed=3), epochs=2))
+    w, x = gen_layer(spec)
+    layer = flrq_layer(w, x, FlrqConfig(d=2, x=1.0, seed=3, epochs=2))
     write_bundle(tmp_path / "bundle", layer, {"d": 2})
     back, _ = read_bundle(tmp_path / "bundle")
     bundle_ok = (

@@ -1,19 +1,12 @@
 import numpy as np
 import pytest
 
-from flrq.blc import (
-    BlcConfig,
-    CalibrationBatch,
-    alpha,
-    channel_mean,
-    flrq_layer,
-    layer_error,
-    scaled_flr,
-)
+from flrq.blc import alpha, channel_mean, flrq_layer, layer_error, scaled_flr
+from flrq.config import FlrqConfig
 from flrq.errors import NumericalError
 from flrq.linalg import fro_norm
 from flrq.quantize import dequantize, quantize_matrix
-from flrq.rankselect import RankSelectionConfig, select_rank
+from flrq.rankselect import select_rank
 from flrq.sketch import LowRankFactors
 from flrq.synth import SynthSpec, gen_layer
 
@@ -66,7 +59,7 @@ class TestAlpha:
 class TestScaledFlr:
     def test_unit_alpha_matches_plain(self):
         w = np.random.default_rng(0).standard_normal((48, 48))
-        cfg = RankSelectionConfig(d=4, x=1.0, seed=3)
+        cfg = FlrqConfig(d=4, x=1.0, seed=3)
         plain, _ = select_rank(w, cfg)
         scaled, _ = scaled_flr(w, np.ones(48), cfg)
         assert np.array_equal(plain.left, scaled.left)
@@ -76,7 +69,7 @@ class TestScaledFlr:
         g = np.random.default_rng(1)
         w = np.outer(g.standard_normal(24), g.standard_normal(36)) * 8
         a = g.uniform(0.5, 4.0, size=36)
-        factors, _ = scaled_flr(w, a, RankSelectionConfig(d=4, x=1.0, seed=4))
+        factors, _ = scaled_flr(w, a, FlrqConfig(d=4, x=1.0, seed=4))
         assert factors.rank >= 1
         assert fro_norm(w - factors.reconstruct()) <= 1e-6 * fro_norm(w)
 
@@ -90,7 +83,7 @@ class TestScaledFlr:
             w[:, 7] *= 10.0
             a = np.ones(32)
             a[7] = 10.0
-            cfg = RankSelectionConfig(d=4, x=1.0, seed=s)
+            cfg = FlrqConfig(d=4, x=1.0, seed=s)
             plain, _ = select_rank(w, cfg)
             scaled, _ = scaled_flr(w, a, cfg)
             wins += fro_norm(w - scaled.reconstruct()) <= fro_norm(w - plain.reconstruct()) + 1e-9
@@ -98,7 +91,7 @@ class TestScaledFlr:
 
     def test_alpha_length_checked(self):
         with pytest.raises(ValueError):
-            scaled_flr(np.ones((4, 4)), np.ones(5), RankSelectionConfig(seed=0))
+            scaled_flr(np.ones((4, 4)), np.ones(5), FlrqConfig(seed=0))
 
 
 class TestLayerError:
@@ -144,26 +137,25 @@ def outlier_layer(seed, m=256, n=256, count=2, boost=30.0):
 
 class TestFlrqLayer:
     def test_single_epoch_trace(self):
-        w, calib = outlier_layer(50, m=64, n=64)
-        cfg = BlcConfig(rank_cfg=RankSelectionConfig(d=4, seed=1), epochs=1)
-        layer = flrq_layer(w, calib, cfg)
+        w, x = outlier_layer(50, m=64, n=64)
+        cfg = FlrqConfig(d=4, seed=1, epochs=1)
+        layer = flrq_layer(w, x, cfg)
         assert len(layer.blc_trace) == 1
         assert layer.best_epoch == 1
 
     def test_epoch_default_follows_bit_width(self):
-        assert BlcConfig(rank_cfg=RankSelectionConfig(d=2)).resolved_epochs() == 20
-        assert BlcConfig(rank_cfg=RankSelectionConfig(d=3)).resolved_epochs() == 1
-        assert BlcConfig(rank_cfg=RankSelectionConfig(d=4)).resolved_epochs() == 1
+        assert FlrqConfig(d=2).resolved_epochs() == 20
+        assert FlrqConfig(d=3).resolved_epochs() == 1
+        assert FlrqConfig(d=4).resolved_epochs() == 1
 
     def test_zero_epochs_rejected(self):
-        cfg = BlcConfig(rank_cfg=RankSelectionConfig(d=4), epochs=0)
         with pytest.raises(ValueError):
-            cfg.resolved_epochs()
+            FlrqConfig(d=4, epochs=0)
 
     def test_two_bit_alternation_improves(self):
-        w, calib = outlier_layer(51)
-        cfg = BlcConfig(rank_cfg=RankSelectionConfig(d=2, seed=2), epochs=20)
-        layer = flrq_layer(w, calib, cfg)
+        w, x = outlier_layer(51)
+        cfg = FlrqConfig(d=2, seed=2, epochs=20)
+        layer = flrq_layer(w, x, cfg)
         assert layer.best_error < layer.blc_trace[0].error
 
     def test_four_bit_nearly_converged_at_first_epoch(self):
@@ -171,41 +163,38 @@ class TestFlrqLayer:
         # alternation finds (the 2-bit rescue lives in the acceptance suite).
         gains = []
         for s in range(5):
-            w, calib = outlier_layer(1000 + s)
-            l4 = flrq_layer(
-                w, calib, BlcConfig(rank_cfg=RankSelectionConfig(d=4, seed=s), epochs=5)
-            )
+            w, x = outlier_layer(1000 + s)
+            l4 = flrq_layer(w, x, FlrqConfig(d=4, seed=s, epochs=5))
             gains.append(1.0 - l4.best_error / l4.blc_trace[0].error)
         assert np.mean(gains) <= 0.10
 
     def test_best_so_far_non_increasing(self):
-        w, calib = outlier_layer(53, m=128, n=128)
-        cfg = BlcConfig(rank_cfg=RankSelectionConfig(d=2, seed=4), epochs=12)
-        layer = flrq_layer(w, calib, cfg)
+        w, x = outlier_layer(53, m=128, n=128)
+        cfg = FlrqConfig(d=2, seed=4, epochs=12)
+        layer = flrq_layer(w, x, cfg)
         best_so_far = np.minimum.accumulate([r.error for r in layer.blc_trace])
         assert np.all(np.diff(best_so_far) <= 0 + 1e-15)
         assert layer.best_error == best_so_far[-1]
 
     def test_snapshot_is_best_epoch_not_last(self):
-        w, calib = outlier_layer(54, m=128, n=128)
-        cfg = BlcConfig(rank_cfg=RankSelectionConfig(d=2, seed=5), epochs=10)
-        layer = flrq_layer(w, calib, cfg)
+        w, x = outlier_layer(54, m=128, n=128)
+        cfg = FlrqConfig(d=2, seed=5, epochs=10)
+        layer = flrq_layer(w, x, cfg)
         best = min(r.error for r in layer.blc_trace)
         assert layer.best_error == best
         assert layer.blc_trace[layer.best_epoch - 1].error == best
-        recon_err = fro_norm(w @ calib.x - layer.reconstruct() @ calib.x)
+        recon_err = fro_norm(w @ x - layer.reconstruct() @ x)
         assert recon_err == pytest.approx(layer.best_error, rel=1e-10)
 
     def test_fidelity_ordering_two_bit(self):
         # averaged over seeds: full loop <= single pass <= plain quantization
         on_err, off_err, plain_err = [], [], []
         for s in range(10):
-            w, calib = outlier_layer(60 + s)
-            base = RankSelectionConfig(d=2, seed=s)
-            on = flrq_layer(w, calib, BlcConfig(rank_cfg=base, epochs=20))
-            off = flrq_layer(w, calib, BlcConfig(rank_cfg=base, epochs=1))
+            w, x = outlier_layer(60 + s)
+            on = flrq_layer(w, x, FlrqConfig(d=2, seed=s, epochs=20))
+            off = flrq_layer(w, x, FlrqConfig(d=2, seed=s, epochs=1))
             q = quantize_matrix(w, 2)
-            plain = layer_error(w, q, LowRankFactors.empty(*w.shape), calib.x)
+            plain = layer_error(w, q, LowRankFactors.empty(*w.shape), x)
             on_err.append(on.rel_error)
             off_err.append(off.rel_error)
             plain_err.append(plain / on.wx_norm)
@@ -214,11 +203,10 @@ class TestFlrqLayer:
     def test_alpha_neutral_path_is_bit_exact(self):
         # one epoch, no clipping: the pipeline must equal the manual
         # composition of scaled rank selection and quantization.
-        w, calib = outlier_layer(55, m=96, n=96)
-        rank_cfg = RankSelectionConfig(d=4, seed=6)
-        cfg = BlcConfig(rank_cfg=rank_cfg, epochs=1, clip_grid=(1.0,))
-        layer = flrq_layer(w, calib, cfg)
-        factors, _ = scaled_flr(w, alpha(calib.channel_mean_), rank_cfg)
+        w, x = outlier_layer(55, m=96, n=96)
+        cfg = FlrqConfig(d=4, seed=6, epochs=1, clip_grid=(1.0,))
+        layer = flrq_layer(w, x, cfg)
+        factors, _ = scaled_flr(w, alpha(channel_mean(x)), cfg)
         q = quantize_matrix(w - factors.reconstruct(), 4, cfg.group_size, cfg.mode)
         assert np.array_equal(layer.q.codes, q.codes)
         assert np.array_equal(layer.q.scales, q.scales)
@@ -231,6 +219,5 @@ class TestFlrqLayer:
         x = g.standard_normal((16, 8))
         x[3, :] = 0.0  # dead channel
         w = g.standard_normal((8, 16))
-        calib = CalibrationBatch.from_activations(x)
-        layer = flrq_layer(w, calib, BlcConfig(rank_cfg=RankSelectionConfig(d=4, seed=8)))
+        layer = flrq_layer(w, x, FlrqConfig(d=4, seed=8))
         assert any("floored" in msg for msg in layer.warnings)

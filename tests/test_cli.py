@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -10,7 +11,9 @@ import numpy as np
 import pytest
 
 import flrq
-from flrq.cli import main
+from flrq import cli
+from flrq.cli import ABLATIONS, build_parser, main
+from flrq.config import FlrqConfig
 from flrq.io import container_from_array, read_bundle, write_container_file
 
 
@@ -49,6 +52,29 @@ def run_cli(*argv) -> subprocess.CompletedProcess:
         [sys.executable, "-m", "flrq.cli", *map(str, argv)],
         capture_output=True, text=True, env=env,
     )
+
+
+BAD_FLAGS = {
+    "group-size-0": ["quantize", "--group-size", "0"],
+    "epochs-0": ["quantize", "--epochs", "0"],
+    "x-negative": ["quantize", "--x", "-1"],
+    "clip-grid-above-1": ["quantize", "--clip-grid", "1.5"],
+    "clip-grid-empty": ["quantize", "--clip-grid", ","],
+    "it-negative": ["quantize", "--it", "-1"],
+    "threads-0": ["quantize", "--threads", "0"],
+    "gen-synth-m-0": ["gen-synth", "--m", "0"],
+    "compare-svd-rank-0": ["compare-svd", "--rank", "0"],
+    # --threads belongs to quantize alone; elsewhere it would be silently ignored.
+    "gen-synth-threads": ["gen-synth", "--threads", "2"],
+    "rank-sweep-threads": ["rank-sweep", "--threads", "2"],
+    "ablate-threads": ["ablate", "--which", "it", "--threads", "2"],
+    "compare-svd-threads": ["compare-svd", "--threads", "2"],
+}
+BAD_FLAG_CASES = [pytest.param(argv, False, id=name) for name, argv in BAD_FLAGS.items()] + [
+    pytest.param(argv, True, id=f"{name}-bad-magic")
+    for name, argv in BAD_FLAGS.items()
+    if argv[0] == "quantize"
+]
 
 
 class TestGenSynth:
@@ -105,6 +131,32 @@ class TestQuantizeCommand:
                        "--seed", "5", "--d", "3"])
             assert rc == 0
         assert tree_digest(outs[0]) == tree_digest(outs[1])
+
+    def test_one_layer_held_per_worker(self, synth_dir, tmp_path, monkeypatch):
+        events = []
+        read, quantize_layer = cli._read_layer_inputs, cli.flrq_layer
+
+        def traced_read(path):
+            events.append("read")
+            return read(path)
+
+        def traced_layer(*args):
+            layer = quantize_layer(*args)
+            events.append("done")
+            return layer
+
+        monkeypatch.setattr(cli, "_read_layer_inputs", traced_read)
+        monkeypatch.setattr(cli, "flrq_layer", traced_layer)
+        rc = main(["quantize", "--in", str(synth_dir), "--out-dir", str(tmp_path / "out"),
+                   "--threads", "1"])
+        assert rc == 0
+        assert events == ["read", "done", "read", "done"]
+
+    def test_flags_are_config_fields(self):
+        # A renamed flag must not silently fall back to the config default.
+        args = vars(build_parser().parse_args(["quantize", "--in", "layers"]))
+        flags = set(args) - {"command", "out_dir", "in_dir", "threads"}
+        assert flags == {f.name for f in dataclasses.fields(FlrqConfig)}
 
     def test_missing_input_is_data_error(self, tmp_path):
         rc = main(["quantize", "--in", str(tmp_path / "nope"), "--out-dir",
@@ -258,28 +310,51 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["quantize", "--group-size", "0"],
-            ["quantize", "--epochs", "0"],
-            ["quantize", "--x", "-1"],
-            ["quantize", "--clip-grid", "1.5"],
-            ["quantize", "--clip-grid", ","],
-            ["quantize", "--it", "-1"],
-            ["gen-synth", "--m", "0"],
-            ["compare-svd", "--rank", "0"],
-        ],
-        ids=["group-size-0", "epochs-0", "x-negative", "clip-grid-above-1", "clip-grid-empty",
-             "it-negative", "gen-synth-m-0", "compare-svd-rank-0"],
-    )
-    def test_bad_flags_are_usage_errors(self, tmp_path, argv):
+    @pytest.mark.parametrize("argv, bad_magic", BAD_FLAG_CASES)
+    def test_bad_flags_are_usage_errors(self, tmp_path, argv, bad_magic):
         g = np.random.default_rng(0)
         w, x = g.standard_normal((8, 16)), g.standard_normal((16, 4))
         layer = write_layer(tmp_path / "layer", w, x)
-        inputs = [] if argv[0] == "gen-synth" else ["--in", layer]
+        if bad_magic:  # flags are checked before any layer file is opened
+            (layer / "weights.flrqten").write_bytes(b"NOTFLRQ\0" + bytes(32))
+        inputs = ["--in", layer] if argv[0] in ("quantize", "rank-sweep", "compare-svd") else []
         proc = run_cli(*argv, *inputs, "--out-dir", tmp_path / "out")
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("[flrq] usage error:")
+
+    def test_bad_later_layer_writes_nothing(self, tmp_path):
+        g = np.random.default_rng(1)
+        for idx in range(2):
+            write_layer(tmp_path / "in" / f"layer_{idx:03d}",
+                        g.standard_normal((8, 16)), g.standard_normal((16, 4)))
+        bad = tmp_path / "in" / "layer_001" / "weights.flrqten"
+        bad.write_bytes(b"NOTFLRQ\0" + bytes(32))
+        proc = run_cli("quantize", "--in", tmp_path / "in", "--out-dir", tmp_path / "out")
+        assert proc.returncode == 2
+        assert "layer_001" in proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+
+class TestByteStable:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen-synth", "--m", "16", "--n", "24", "--layers", "2", "--seed", "3"],
+            ["rank-sweep", "--max-rank", "4", "--seed", "1"],
+            *(
+                ["ablate", "--which", which, "--layers", "1", "--m", "32", "--n", "32"]
+                for which in ABLATIONS
+            ),
+            ["compare-svd", "--rank", "4", "--seeds", "2", "--seed", "0"],
+        ],
+        ids=["gen-synth", "rank-sweep", *(f"ablate-{w}" for w in ABLATIONS), "compare-svd"],
+    )
+    def test_rerun_byte_identical(self, synth_dir, tmp_path, argv):
+        layer = synth_dir / "layer_000"
+        inputs = [] if argv[0] in ("gen-synth", "ablate") else ["--in", str(layer)]
+        outs = [tmp_path / f"out{i}" for i in range(2)]
+        for out in outs:
+            assert main([*argv, *inputs, "--out-dir", str(out)]) == 0
+        assert tree_digest(outs[0]) == tree_digest(outs[1])

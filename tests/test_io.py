@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flrq.blc import BlcConfig, flrq_layer
+from flrq.blc import flrq_layer
+from flrq.config import FlrqConfig
 from flrq.errors import BadMagicError, BadVersionError, FormatError, TruncatedError
 from flrq.io import (
     DTYPE_F64,
@@ -24,7 +25,6 @@ from flrq.io import (
     write_container,
 )
 from flrq.quantize import dequantize
-from flrq.rankselect import RankSelectionConfig
 from flrq.synth import SynthSpec, gen_layer
 
 
@@ -163,9 +163,8 @@ class TestPacking:
 def make_layer(seed=0, d=3, mode="asymmetric"):
     spec = SynthSpec(m=32, n=64, family="outlier_channels", seed=seed, tokens=16,
                      outlier_count=1, outlier_boost=20.0)
-    w, calib = gen_layer(spec)
-    cfg = BlcConfig(rank_cfg=RankSelectionConfig(d=d, x=1.0, seed=seed), epochs=2, mode=mode)
-    return flrq_layer(w, calib, cfg)
+    w, x = gen_layer(spec)
+    return flrq_layer(w, x, FlrqConfig(d=d, x=1.0, seed=seed, epochs=2, mode=mode))
 
 
 class TestBundles:
@@ -207,9 +206,13 @@ class TestBundles:
             lambda meta: meta.update(shape=[-32, -64]),
             lambda meta: meta.pop("best_error"),
             None,  # not JSON at all
+            lambda meta: meta["blc_trace"][0].pop("error"),
+            lambda meta: meta.update(blc_trace=5),
+            lambda meta: meta.pop("rank_trace"),
         ],
         ids=["mode", "group-size-0", "group-size-7", "d-5", "shape-1d", "shape-negative",
-             "missing-key", "bad-json"],
+             "missing-key", "bad-json", "blc-trace-missing-key", "blc-trace-not-a-list",
+             "no-rank-trace"],
     )
     def test_tampered_metadata_rejected(self, tmp_path, tamper):
         write_bundle(tmp_path / "b", make_layer(d=4))

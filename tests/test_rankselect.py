@@ -1,13 +1,15 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from flrq.config import FlrqConfig
 from flrq.errors import NumericalError
 from flrq.linalg import amax, rank1_subtract
-from flrq.rankselect import RankSelectionConfig, qk, select_rank, slope
-from flrq.sketch import SketchConfig, make_rng, r1_step
+from flrq.rankselect import qk, select_rank, slope
+from flrq.sketch import make_rng, r1_step
 
 
 def rank1_dominant(m, n, seed, scale=10.0, noise=0.01):
@@ -86,7 +88,7 @@ class TestSelectRank:
     def test_rank1_dominant_selects_one(self):
         for s in range(5):
             w = rank1_dominant(64, 64, 100 + s)
-            factors, trace = select_rank(w, RankSelectionConfig(d=4, seed=s))
+            factors, trace = select_rank(w, FlrqConfig(d=4, seed=s))
             assert factors.rank == 1
             assert trace.stop_reason in ("memory_cap", "slope")
 
@@ -94,7 +96,7 @@ class TestSelectRank:
         # Wider layer so the memory cap does not fire first; the flat amax
         # after the dominant pair is what ends the loop.
         w = rank1_dominant(128, 128, 3)
-        cfg = RankSelectionConfig(d=4, slope_window=1, seed=5)
+        cfg = FlrqConfig(d=4, slope_window=1, seed=5)
         factors, trace = select_rank(w, cfg)
         assert factors.rank == 1
         assert trace.stop_reason == "slope"
@@ -102,44 +104,44 @@ class TestSelectRank:
     def test_gaussian_selects_small_rank(self):
         for s in range(5):
             w = np.random.default_rng(200 + s).standard_normal((64, 64))
-            factors, _ = select_rank(w, RankSelectionConfig(d=4, seed=s))
+            factors, _ = select_rank(w, FlrqConfig(d=4, seed=s))
             assert factors.rank <= 8
 
     def test_memory_cap_zero_forbids_extraction(self):
         w = np.random.default_rng(5).standard_normal((32, 32))
-        factors, _ = select_rank(w, RankSelectionConfig(d=4, x=0.0, seed=9))
+        factors, _ = select_rank(w, FlrqConfig(d=4, x=0.0, seed=9))
         assert factors.rank == 0
 
     def test_budget_cap_always_respected(self):
         for s in range(8):
             w = rank1_dominant(48, 80, 300 + s, scale=5)
-            cfg = RankSelectionConfig(d=2, x=0.5, seed=s)
+            cfg = FlrqConfig(d=2, x=0.5, seed=s)
             factors, _ = select_rank(w, cfg)
             _, k = qk(cfg.d, cfg.d_fp, 48, 80, factors.rank, 1.0, 1.0)
             assert k <= 1.0 + cfg.x + 1e-12
 
     def test_zero_matrix_is_rank_zero(self):
-        factors, trace = select_rank(np.zeros((8, 8)), RankSelectionConfig(seed=0))
+        factors, trace = select_rank(np.zeros((8, 8)), FlrqConfig(seed=0))
         assert factors.rank == 0
         assert trace.stop_reason == "max_rank"
         assert trace.steps == []
 
     def test_trace_amax_non_increasing(self):
         w = np.random.default_rng(6).standard_normal((64, 96))
-        _, trace = select_rank(w, RankSelectionConfig(d=2, x=2.0, t=0.0, seed=7))
+        _, trace = select_rank(w, FlrqConfig(d=2, x=2.0, t=0.0, seed=7))
         vals = [s.amax for s in trace.steps]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_trace_reproducible_byte_for_byte(self):
         w = np.random.default_rng(7).standard_normal((32, 48))
-        cfg = RankSelectionConfig(d=3, x=1.0, seed=11)
+        cfg = FlrqConfig(d=3, x=1.0, seed=11)
         _, t1 = select_rank(w, cfg)
         _, t2 = select_rank(w, cfg)
-        assert json.dumps(t1.to_dict()) == json.dumps(t2.to_dict())
+        assert json.dumps(dataclasses.asdict(t1)) == json.dumps(dataclasses.asdict(t2))
 
     def test_single_stop_reason_recorded(self):
         w = np.random.default_rng(8).standard_normal((16, 16))
-        _, trace = select_rank(w, RankSelectionConfig(d=4, seed=2))
+        _, trace = select_rank(w, FlrqConfig(d=4, seed=2))
         assert trace.stop_reason in ("budget_qk", "memory_cap", "slope", "max_rank")
 
 
@@ -149,18 +151,17 @@ class TestLoopOracle:
         # stream and compare the stopping rank and kept factors.
         for s in range(6):
             w = rank1_dominant(32, 48, 400 + s, scale=4, noise=0.2)
-            cfg = RankSelectionConfig(d=3, x=0.8, seed=s)
+            cfg = FlrqConfig(d=3, x=0.8, seed=s)
             factors, trace = select_rank(w, cfg)
 
             rng = make_rng(cfg.seed)
-            scfg = SketchConfig(it=cfg.it, seed=cfg.seed)
             residual = w.copy()
             w0 = amax(w)
             envelope = w0
             history = [w0]
             kept = 0
             for r in range(1, min(w.shape) + 1):
-                pair = r1_step(residual, scfg, rng)
+                pair = r1_step(residual, cfg, rng)
                 candidate = rank1_subtract(residual, pair.left, pair.right)
                 envelope = min(envelope, amax(candidate))
                 history.append(envelope)

@@ -1,15 +1,10 @@
 import numpy as np
 import pytest
 
+from flrq.config import FlrqConfig
 from flrq.errors import NumericalError
 from flrq.linalg import fro_norm, svd_oracle
-from flrq.sketch import (
-    SketchConfig,
-    deflate,
-    layer_seed,
-    make_rng,
-    r1_step,
-)
+from flrq.sketch import deflate, layer_seed, make_rng, r1_step
 
 
 def gaussian(shape, seed):
@@ -23,27 +18,27 @@ class TestR1Step:
         v = rng.standard_normal(24)
         a = np.outer(u, v)
         for it in (0, 2):
-            pair = r1_step(a, SketchConfig(it=it, seed=1), make_rng(1))
+            pair = r1_step(a, FlrqConfig(it=it, seed=1), make_rng(1))
             assert fro_norm(a - pair.reconstruct()) <= 1e-6 * fro_norm(a)
 
     def test_right_factor_unit_norm(self):
         a = gaussian((12, 20), 1)
-        pair = r1_step(a, SketchConfig(it=2, seed=2), make_rng(2))
+        pair = r1_step(a, FlrqConfig(it=2, seed=2), make_rng(2))
         assert np.linalg.norm(pair.right) == pytest.approx(1.0, abs=1e-10)
 
     def test_high_it_converges_to_top_singular_pair(self):
         a = np.diag([3.0, 1.0])
-        pair = r1_step(a, SketchConfig(it=8, seed=3), make_rng(3))
+        pair = r1_step(a, FlrqConfig(it=8, seed=3), make_rng(3))
         assert np.linalg.norm(pair.left) == pytest.approx(3.0, rel=1e-3)
 
     def test_zero_matrix_errors(self):
         with pytest.raises(NumericalError):
-            r1_step(np.zeros((4, 4)), SketchConfig(seed=0), make_rng(0))
+            r1_step(np.zeros((4, 4)), FlrqConfig(seed=0), make_rng(0))
 
     def test_deterministic_for_fixed_seed(self):
         a = gaussian((10, 14), 2)
-        p1 = r1_step(a, SketchConfig(it=2, seed=9), make_rng(9))
-        p2 = r1_step(a, SketchConfig(it=2, seed=9), make_rng(9))
+        p1 = r1_step(a, FlrqConfig(it=2, seed=9), make_rng(9))
+        p2 = r1_step(a, FlrqConfig(it=2, seed=9), make_rng(9))
         assert np.array_equal(p1.left, p2.left)
         assert np.array_equal(p1.right, p2.right)
 
@@ -58,7 +53,7 @@ class TestR1Step:
         for s in range(100):
             a = rng.standard_normal((64, n))
             sigma2.append(svd_oracle(a).singular_values[1])
-            f = deflate(a, 1, SketchConfig(it=it, seed=5000 + s))
+            f = deflate(a, 1, FlrqConfig(it=it, seed=5000 + s))
             residuals.append(np.linalg.norm(a - f.reconstruct(), 2))
         bound = np.mean(sigma2) * (1 + (1 + 4 * np.sqrt(2 * n)) ** (1 / (it + 1)))
         assert np.mean(residuals) <= bound
@@ -67,7 +62,7 @@ class TestR1Step:
         a = gaussian((64, 128), 5)
         def mean_residual(it):
             vals = [
-                fro_norm(a - deflate(a, 1, SketchConfig(it=it, seed=s)).reconstruct())
+                fro_norm(a - deflate(a, 1, FlrqConfig(it=it, seed=s)).reconstruct())
                 for s in range(50)
             ]
             return np.mean(vals)
@@ -82,35 +77,35 @@ class TestDeflate:
         v1 = rng.standard_normal(30); v1 /= np.linalg.norm(v1)
         v2 = rng.standard_normal(30); v2 -= (v2 @ v1) * v1; v2 /= np.linalg.norm(v2)
         a = np.outer(u1, v1) + 0.1 * np.outer(u2, v2)
-        f = deflate(a, 2, SketchConfig(it=4, seed=7))
+        f = deflate(a, 2, FlrqConfig(it=4, seed=7))
         assert fro_norm(a - f.reconstruct()) <= 1e-5 * fro_norm(a)
 
     def test_full_rank_extraction(self):
         a = gaussian((8, 8), 7)
-        f = deflate(a, 8, SketchConfig(it=8, seed=8))
+        f = deflate(a, 8, FlrqConfig(it=8, seed=8))
         assert fro_norm(a - f.reconstruct()) <= 1e-4 * fro_norm(a)
 
     def test_zero_matrix_truncates(self):
-        f = deflate(np.zeros((5, 5)), 3, SketchConfig(seed=0))
+        f = deflate(np.zeros((5, 5)), 3, FlrqConfig(seed=0))
         assert f.truncated
         assert f.rank == 0
 
     def test_rank1_input_truncates_early(self):
         rng = np.random.default_rng(8)
         a = np.outer(rng.standard_normal(10), rng.standard_normal(12))
-        f = deflate(a, 5, SketchConfig(it=2, seed=1))
+        f = deflate(a, 5, FlrqConfig(it=2, seed=1))
         assert f.truncated
         assert f.rank < 5
 
     def test_invalid_rank(self):
         with pytest.raises(ValueError):
-            deflate(np.ones((4, 4)), 0, SketchConfig(seed=0))
+            deflate(np.ones((4, 4)), 0, FlrqConfig(seed=0))
         with pytest.raises(ValueError):
-            deflate(np.ones((4, 4)), 5, SketchConfig(seed=0))
+            deflate(np.ones((4, 4)), 5, FlrqConfig(seed=0))
 
     def test_monotone_residual_norm(self):
         a = gaussian((24, 36), 9)
-        cfg = SketchConfig(it=2, seed=10)
+        cfg = FlrqConfig(it=2, seed=10)
         rng = make_rng(cfg.seed)
         residual = a.copy()
         prev = fro_norm(residual)
@@ -123,8 +118,8 @@ class TestDeflate:
 
     def test_deterministic_bytes(self):
         a = gaussian((16, 16), 12)
-        f1 = deflate(a, 4, SketchConfig(it=2, seed=13))
-        f2 = deflate(a, 4, SketchConfig(it=2, seed=13))
+        f1 = deflate(a, 4, FlrqConfig(it=2, seed=13))
+        f2 = deflate(a, 4, FlrqConfig(it=2, seed=13))
         assert f1.left.tobytes() == f2.left.tobytes()
         assert f1.right.tobytes() == f2.right.tobytes()
 
@@ -136,6 +131,6 @@ class TestSeeding:
 
     def test_streams_differ_across_layers(self):
         a = gaussian((10, 10), 17)
-        p0 = r1_step(a, SketchConfig(seed=layer_seed(42, 0)), make_rng(layer_seed(42, 0)))
-        p1 = r1_step(a, SketchConfig(seed=layer_seed(42, 1)), make_rng(layer_seed(42, 1)))
+        p0 = r1_step(a, FlrqConfig(seed=layer_seed(42, 0)), make_rng(layer_seed(42, 0)))
+        p1 = r1_step(a, FlrqConfig(seed=layer_seed(42, 1)), make_rng(layer_seed(42, 1)))
         assert not np.allclose(p0.right, p1.right)

@@ -29,10 +29,10 @@ class TestSynthSpec:
 class TestGenLayer:
     def test_deterministic_bytes(self):
         spec = SynthSpec(m=4, n=4, family="gaussian", seed=12)
-        w1, c1 = gen_layer(spec)
-        w2, c2 = gen_layer(spec)
+        w1, x1 = gen_layer(spec)
+        w2, x2 = gen_layer(spec)
         assert w1.tobytes() == w2.tobytes()
-        assert c1.x.tobytes() == c2.x.tobytes()
+        assert x1.tobytes() == x2.tobytes()
 
     def test_seeds_change_output(self):
         w1, _ = gen_layer(SynthSpec(m=4, n=4, seed=1))
@@ -40,10 +40,9 @@ class TestGenLayer:
         assert not np.array_equal(w1, w2)
 
     def test_shapes(self):
-        w, calib = gen_layer(SynthSpec(m=6, n=10, tokens=5, seed=0))
+        w, x = gen_layer(SynthSpec(m=6, n=10, tokens=5, seed=0))
         assert w.shape == (6, 10)
-        assert calib.x.shape == (10, 5)
-        assert calib.channel_mean_.shape == (10,)
+        assert x.shape == (10, 5)
 
     def test_boosted_column_dominates(self):
         for s in range(20):
@@ -51,7 +50,7 @@ class TestGenLayer:
                 m=64, n=96, family="outlier_channels", seed=s,
                 outlier_count=1, outlier_boost=10.0,
             )
-            w, calib = gen_layer(spec)
+            w, _ = gen_layer(spec)
             col_amax = np.abs(w).max(axis=0)
             assert col_amax.max() >= 5.0 * np.median(col_amax)
 
@@ -60,9 +59,9 @@ class TestGenLayer:
             m=32, n=48, family="outlier_channels", seed=3,
             outlier_count=2, outlier_boost=25.0,
         )
-        w, calib = gen_layer(spec)
+        w, x = gen_layer(spec)
         boosted_w = set(np.argsort(-np.abs(w).max(axis=0))[:2])
-        boosted_x = set(np.argsort(-np.abs(calib.x).max(axis=1))[:2])
+        boosted_x = set(np.argsort(-np.abs(x).max(axis=1))[:2])
         assert boosted_w == boosted_x
 
     def test_student_t_heavy_tails(self):
