@@ -17,7 +17,8 @@ import numpy as np
 from .config import FlrqConfig
 from .errors import NumericalError
 from .linalg import fro_norm
-from .quantize import QuantizedTensor, clip, dequantize, quantize_matrix, search_clip
+# clip is not called here, but benchmark/tracer.py wraps it as a blc name.
+from .quantize import QuantizedTensor, clip, dequantize, quantize_matrix, search_clip  # noqa: F401
 from .rankselect import RankTrace, select_rank
 from .sketch import LowRankFactors
 
@@ -114,8 +115,9 @@ def _clip_and_quantize(
     w_rest: np.ndarray, x: np.ndarray, cfg: FlrqConfig
 ) -> tuple[QuantizedTensor, float]:
     found = search_clip(w_rest, x, cfg.d, cfg.group_size, cfg.clip_grid, cfg.mode)
-    clipped = clip(w_rest, found.p_clp) if found.p_clp > 0 else w_rest
-    return quantize_matrix(clipped, cfg.d, cfg.group_size, cfg.mode), found.p_clp
+    if found.q is None:  # an all-zero remainder: nothing to clip
+        return quantize_matrix(w_rest, cfg.d, cfg.group_size, cfg.mode), found.p_clp
+    return found.q, found.p_clp
 
 
 def flrq_layer(w: np.ndarray, x: np.ndarray, cfg: FlrqConfig) -> QuantizedLayer:

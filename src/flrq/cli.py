@@ -15,8 +15,7 @@ import dataclasses
 import json
 import sys
 import time
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +24,7 @@ from . import io as flrq_io
 from .blc import QuantizedLayer, flrq_layer, layer_error
 from .config import FlrqConfig
 from .errors import FlrqError, FormatError, NumericalError
-from .linalg import amax, as_matrix, fro_norm, svd_oracle
+from .linalg import amax, as_matrix, blas_threads, fro_norm, svd_oracle
 from .quantize import DEFAULT_CLIP_GRID, quantize_matrix
 from .rankselect import select_rank
 from .sketch import LowRankFactors, deflate, layer_seed
@@ -57,6 +56,12 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         raise UsageError(f"bad clip grid {text!r}: {exc}") from None
 
 
+def _count(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return int(text)
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="flrq", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -71,7 +76,7 @@ def build_parser() -> _Parser:
     g.add_argument("--m", type=int, default=64)
     g.add_argument("--n", type=int, default=64)
     g.add_argument("--tokens", type=int, default=64)
-    g.add_argument("--layers", type=int, default=1)
+    g.add_argument("--layers", type=_count, default=1)
     g.add_argument("--nu", type=float, default=3.0)
     g.add_argument("--outlier-count", type=int, default=4)
     g.add_argument("--outlier-boost", type=float, default=10.0)
@@ -79,7 +84,7 @@ def build_parser() -> _Parser:
 
     q = sub.add_parser("quantize", help="quantize a directory of layers")
     common(q)
-    q.add_argument("--threads", type=int, default=1,
+    q.add_argument("--threads", type=_count, default=1,
                    help="worker threads, one layer each (never changes output bytes)")
     q.add_argument("--in", dest="in_dir", type=Path, required=True)
     q.add_argument("--d", type=int, default=4, choices=(2, 3, 4))
@@ -106,7 +111,7 @@ def build_parser() -> _Parser:
     a = sub.add_parser("ablate", help="run one of the trend ablations")
     common(a)
     a.add_argument("--which", type=str, required=True)
-    a.add_argument("--layers", type=int, default=4)
+    a.add_argument("--layers", type=_count, default=4)
     a.add_argument("--m", type=int, default=128)
     a.add_argument("--n", type=int, default=128)
     a.add_argument("--tokens", type=int, default=64)
@@ -120,7 +125,7 @@ def build_parser() -> _Parser:
     c.add_argument("--in", dest="in_dir", type=Path, required=True)
     c.add_argument("--rank", type=int, default=16)
     c.add_argument("--it", type=int, default=2)
-    c.add_argument("--seeds", type=int, default=10)
+    c.add_argument("--seeds", type=_count, default=10)
     return p
 
 
@@ -213,30 +218,31 @@ def cmd_gen_synth(args) -> int:
 
 
 def cmd_quantize(args) -> int:
-    if args.threads < 1:
-        raise UsageError("--threads must be >= 1")
     cfg = _flrq_config(args)
     layers = _discover_layers(args.in_dir)
     config_echo = _config_echo(args, layers=[p.name for p in layers])
+    workers = min(args.threads, len(layers))
 
-    def run_one(idx: int, w, x) -> tuple[QuantizedLayer, dict]:
+    def run_one(idx: int, w, x) -> tuple[int, tuple[QuantizedLayer, dict]]:
         layer = flrq_layer(w, x, dataclasses.replace(cfg, seed=layer_seed(args.seed, idx)))
         rtn = _plain_rel_error(w, x, LowRankFactors.empty(*w.shape), cfg, layer.wx_norm)
-        return layer, {"rtn_rel_error": rtn}
+        return idx, (layer, {"rtn_rel_error": rtn})
 
-    # A layer is read when a worker is free for it, so at most `threads` layers'
+    # A layer is read when a worker is free for it, so at most `workers` layers'
     # inputs are held. The main thread reads them: inputs allocated on a worker
     # thread share that thread's malloc heap with the clip search's temporaries,
     # and glibc then trims and re-faults it (14x the page faults on 512^2 layers).
     t0 = time.perf_counter()
-    results, running = [], deque()
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
+    done, running = {}, set()  # done: layer index -> (layer, extras)
+    with blas_threads(workers) as blas, ThreadPoolExecutor(max_workers=workers) as pool:
         for idx, path in enumerate(layers):
-            if len(running) == args.threads:
-                results.append(running.popleft().result())
-            running.append(pool.submit(run_one, idx, *_read_layer_inputs(path)))
-        results += [f.result() for f in running]
+            if len(running) == workers:
+                finished, running = wait(running, return_when=FIRST_COMPLETED)
+                done.update(f.result() for f in finished)
+            running.add(pool.submit(run_one, idx, *_read_layer_inputs(path)))
+        done.update(f.result() for f in running)
     elapsed = time.perf_counter() - t0
+    results = [done[idx] for idx in range(len(layers))]
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     for idx, (layer, _) in enumerate(results):
@@ -245,7 +251,8 @@ def cmd_quantize(args) -> int:
         [layer for layer, _ in results], config_echo, extras=[extra for _, extra in results]
     )
     (args.out_dir / "report.json").write_text(report)
-    _log(f"quantized {len(layers)} layer(s) in {elapsed:.2f}s -> {args.out_dir}")
+    split = f"{workers} worker(s) x " + (f"{blas} BLAS thread(s)" if blas else "BLAS unpinned")
+    _log(f"quantized {len(layers)} layer(s) in {elapsed:.2f}s ({split}) -> {args.out_dir}")
     return 0
 
 
@@ -383,7 +390,7 @@ def cmd_compare_svd(args) -> int:
     for rep in range(args.seeds):
         factors = deflate(w, rank, dataclasses.replace(cfg, seed=layer_seed(args.seed, rep)))
         sketch_residuals.append(fro_norm(w - factors.reconstruct()))
-    sketch_time = (time.perf_counter() - t0) / max(args.seeds, 1)
+    sketch_time = (time.perf_counter() - t0) / args.seeds
     mean_sketch = float(np.mean(sketch_residuals))
 
     args.out_dir.mkdir(parents=True, exist_ok=True)

@@ -47,7 +47,7 @@ _NUMPY_DTYPE = {DTYPE_F32: "<f4", DTYPE_F64: "<f8"}
 class TensorContainer:
     dtype_code: int
     dims: tuple[int, ...]
-    payload: bytes
+    payload: bytes | memoryview  # a view of the file bytes when read
 
     def to_array(self) -> np.ndarray:
         if self.dtype_code == DTYPE_PACKED:
@@ -55,7 +55,7 @@ class TensorContainer:
         return (
             np.frombuffer(self.payload, dtype=_NUMPY_DTYPE[self.dtype_code])
             .reshape(self.dims)
-            .astype(np.float64)
+            .astype(np.float64, copy=False)  # f64: a read-only view of the payload
         )
 
 
@@ -86,7 +86,7 @@ def read_container(data: bytes) -> TensorContainer:
     if len(data) < len(MAGIC):
         raise TruncatedError("container shorter than the magic header")
     if data[: len(MAGIC)] != MAGIC:
-        raise BadMagicError(f"bad magic {data[:len(MAGIC)]!r}")
+        raise BadMagicError(f"bad magic {bytes(data[:len(MAGIC)])!r}")
     offset = len(MAGIC)
     if len(data) < offset + 9:
         raise TruncatedError("container header is truncated")
@@ -101,7 +101,7 @@ def read_container(data: bytes) -> TensorContainer:
     dims = struct.unpack_from(f"<{ndim}Q", data, offset) if ndim else ()
     offset += 8 * ndim
     expected = math.prod(dims) * _ELEMENT_SIZE[dtype_code]  # Python int: no wraparound
-    payload = data[offset:]
+    payload = memoryview(data)[offset:]  # a view: the payload is not copied
     if len(payload) < expected:
         raise TruncatedError(f"payload has {len(payload)} bytes, expected {expected}")
     if len(payload) > expected:
@@ -114,7 +114,12 @@ def write_container_file(path, c: TensorContainer) -> None:
 
 
 def read_container_file(path) -> TensorContainer:
-    return read_container(Path(path).read_bytes())
+    # Headers are 17 + 8*ndim bytes, so reading 7 bytes into an aligned buffer puts an
+    # f64 payload on an 8-byte boundary; numpy's matmul copies an unaligned operand.
+    buf = np.empty(Path(path).stat().st_size + 7, dtype=np.uint8)
+    with open(path, "rb") as fh:
+        got = fh.readinto(memoryview(buf)[7:])
+    return read_container(memoryview(buf)[7 : 7 + got].toreadonly())
 
 
 def pack_codes(codes, d: int) -> bytes:

@@ -1,18 +1,48 @@
 """Dense linear algebra kernels, GEMV-centric, plus an exact SVD used for verification.
 
 All compute is 64-bit float; 32-bit appears only at the I/O boundary. Every
-function is pure, so values can move freely between threads.
+kernel is pure, so values can move freely between threads.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .errors import NumericalError
 
 SVD_DIM_LIMIT = 1024
+
+
+@contextmanager
+def blas_threads(workers: int):
+    """Cap numpy's bundled OpenBLAS so that workers x its threads <= cores, then restore it.
+
+    Yields the BLAS threads per worker, or None (changing nothing) when that
+    library or its thread calls cannot be found.
+    """
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    try:
+        lib = ctypes.CDLL(str(next(libs.glob("libscipy_openblas64_*.so"))))
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (StopIteration, OSError, AttributeError):
+        lib = None
+    if lib is None:
+        yield None
+        return
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    before = get()
+    put(max(1, min(before, len(os.sched_getaffinity(0)) // workers)))
+    try:
+        yield get()
+    finally:
+        put(before)
 
 
 def as_matrix(data) -> np.ndarray:

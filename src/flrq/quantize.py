@@ -52,13 +52,11 @@ def check_grid(grid: tuple[float, ...]) -> None:
             raise ValueError(f"clip ratios must lie in (0, 1], got {rho}")
 
 
-def _grouped(a: np.ndarray, group_size: int) -> tuple[np.ndarray, int]:
-    """Pad columns to a multiple of group_size and reshape to (m, G, group_size)."""
-    m, n = a.shape
-    groups = -(-n // group_size)
-    padded = np.zeros((m, groups * group_size))
-    padded[:, :n] = a
-    return padded.reshape(m, groups, group_size), groups
+def _grouped(a: np.ndarray, group_size: int) -> np.ndarray:
+    """``a`` as (m, groups, group_size): a view, or an edge-padded copy when n is ragged."""
+    if a.shape[1] % group_size:
+        a = np.pad(a, ((0, 0), (0, -a.shape[1] % group_size)), mode="edge")
+    return a.reshape(a.shape[0], a.shape[1] // group_size, group_size)
 
 
 def quantize_matrix(
@@ -69,43 +67,32 @@ def quantize_matrix(
 ) -> QuantizedTensor:
     """Quantize a dense matrix group by group."""
     check_args(d, group_size, mode)
-    if not np.isfinite(r).all():
-        raise ValueError("cannot quantize non-finite values")
+    r = np.asarray(r, dtype=np.float64)
     m, n = r.shape
-    blocks, groups = _grouped(r, group_size)
-    # Padding columns are zero; mask them out of the group statistics.
-    mask = np.zeros((1, groups, group_size), dtype=bool)
-    mask[0].reshape(-1)[:n] = True
+    starts = np.arange(0, n, group_size)  # reduceat: no padding, faster than max(axis=2)
+    gmax, gmin = np.maximum.reduceat(r, starts, axis=1), np.minimum.reduceat(r, starts, axis=1)
+    if not (np.isfinite(gmax).all() and np.isfinite(gmin).all()):
+        raise ValueError("cannot quantize non-finite values")
 
     if mode == "symmetric":
-        half = 2 ** (d - 1) - 1
-        gmax = np.where(mask, np.abs(blocks), 0.0).max(axis=2)
-        scales = gmax / half
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = np.round(blocks / scales[:, :, None])
-        q = np.where(scales[:, :, None] > 0.0, q, 0.0)
-        codes = np.clip(q, -half, half).astype(np.int16)
-        zeros = None
+        lo, hi = 1 - 2 ** (d - 1), 2 ** (d - 1) - 1
+        scales = (np.maximum(gmax, -gmin) + 0.0) / hi  # max |value|; + 0.0 turns -0.0 into 0.0
     else:
-        levels = 2**d - 1
-        neg_inf = np.full_like(blocks, -np.inf)
-        pos_inf = np.full_like(blocks, np.inf)
-        gmax = np.where(mask, blocks, neg_inf).max(axis=2)
-        gmin = np.where(mask, blocks, pos_inf).min(axis=2)
+        lo, hi = 0, 2**d - 1
         span = gmax - gmin
-        # Constant nonzero groups get a span-free scale so that scale == 0
-        # only ever means an all-zero group.
-        const = span == 0.0
-        scales = np.where(const, np.abs(gmax) / levels, span / levels)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            zeros = np.round(-gmin / scales)
-            q = np.round(blocks / scales[:, :, None]) + zeros[:, :, None]
-        live = scales > 0.0
-        zeros = np.where(live, zeros, 0.0)
-        q = np.where(live[:, :, None], q, 0.0)
-        codes = np.clip(q, 0, levels).astype(np.int16)
-
-    codes = codes.reshape(m, groups * group_size)[:, :n]
+        # A constant nonzero group gets |value| / levels: scale 0 only means all zero.
+        scales = np.where(span == 0.0, np.abs(gmax) / hi, span / hi)
+    # A group with scale 0 is divided by 1 instead: all its values round to code 0.
+    live = scales > 0.0
+    divisor = np.where(live, scales, 1.0)
+    q = np.divide(_grouped(r, group_size), divisor[:, :, None])  # a view of r is never written
+    np.round(q, out=q)
+    zeros = None
+    if mode == "asymmetric":
+        zeros = np.where(live, np.round(-gmin / divisor), 0.0)
+        q += zeros[:, :, None]
+    # q holds small integers here, so clipping after the cast clips the same values.
+    codes = np.clip(q.astype(np.int16), lo, hi).reshape(m, q.shape[1] * group_size)[:, :n]
     return QuantizedTensor(
         codes=np.ascontiguousarray(codes),
         scales=scales,
@@ -120,12 +107,11 @@ def quantize_matrix(
 def dequantize(q: QuantizedTensor) -> np.ndarray:
     """Reconstruct the dense matrix from codes and group parameters."""
     m, n = q.shape
-    blocks, groups = _grouped(q.codes.astype(np.float64), q.group_size)
-    if q.mode == "symmetric":
-        out = blocks * q.scales[:, :, None]
-    else:
-        out = (blocks - q.zeros[:, :, None]) * q.scales[:, :, None]
-    return np.ascontiguousarray(out.reshape(m, groups * q.group_size)[:, :n])
+    out = _grouped(q.codes, q.group_size).astype(np.float64)
+    if q.mode == "asymmetric":
+        out -= q.zeros[:, :, None]
+    out *= q.scales[:, :, None]
+    return np.ascontiguousarray(out.reshape(m, out.shape[1] * q.group_size)[:, :n])
 
 
 def clip(w: np.ndarray, p_clp: float) -> np.ndarray:
@@ -139,6 +125,7 @@ def clip(w: np.ndarray, p_clp: float) -> np.ndarray:
 class ClipSearchResult:
     p_clp: float
     grid_errors: list[tuple[float, float]]  # (candidate threshold, output error)
+    q: QuantizedTensor | None = None  # the chosen candidate, quantized; None if none was tried
 
 
 def search_clip(
@@ -161,8 +148,7 @@ def search_clip(
         # Nothing to clip; record an empty search.
         return ClipSearchResult(p_clp=0.0, grid_errors=[])
     wx = w @ x
-    best_p = None
-    best_err = np.inf
+    best_p, best_q, best_err = None, None, np.inf
     grid_errors: list[tuple[float, float]] = []
     for rho in sorted(set(grid), reverse=True):
         p = rho * top
@@ -170,6 +156,5 @@ def search_clip(
         err = fro_norm(wx - dequantize(q) @ x)
         grid_errors.append((p, err))
         if err < best_err:
-            best_err = err
-            best_p = p
-    return ClipSearchResult(p_clp=best_p, grid_errors=grid_errors)
+            best_err, best_p, best_q = err, p, q
+    return ClipSearchResult(p_clp=best_p, grid_errors=grid_errors, q=best_q)

@@ -1,17 +1,19 @@
 import csv
+import ctypes
 import dataclasses
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import flrq
-from flrq import cli
+from flrq import cli, linalg
 from flrq.cli import ABLATIONS, build_parser, main
 from flrq.config import FlrqConfig
 from flrq.io import container_from_array, read_bundle, write_container_file
@@ -45,6 +47,17 @@ def write_layer(directory: Path, w, x) -> Path:
     return directory
 
 
+def openblas_thread_count():
+    """A reader of the thread count of numpy's bundled OpenBLAS (skips the test without it)."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    paths = sorted(libs.glob("libscipy_openblas64_*.so"))
+    if not paths:
+        pytest.skip("numpy's bundled OpenBLAS is not reachable")
+    get = ctypes.CDLL(str(paths[0])).scipy_openblas_get_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+    return get
+
+
 def run_cli(*argv) -> subprocess.CompletedProcess:
     """Run the CLI in a fresh interpreter, so an uncaught exception shows as a traceback."""
     env = dict(os.environ, PYTHONPATH=str(Path(flrq.__file__).parents[1]))
@@ -64,6 +77,11 @@ BAD_FLAGS = {
     "threads-0": ["quantize", "--threads", "0"],
     "gen-synth-m-0": ["gen-synth", "--m", "0"],
     "compare-svd-rank-0": ["compare-svd", "--rank", "0"],
+    # count flags: none of them can be 0 or negative
+    "gen-synth-layers-negative": ["gen-synth", "--layers", "-1"],
+    "ablate-layers-0": ["ablate", "--which", "it", "--layers", "0"],
+    "compare-svd-seeds-0": ["compare-svd", "--seeds", "0"],
+    "compare-svd-seeds-negative": ["compare-svd", "--seeds", "-1"],
     # --threads belongs to quantize alone; elsewhere it would be silently ignored.
     "gen-synth-threads": ["gen-synth", "--threads", "2"],
     "rank-sweep-threads": ["rank-sweep", "--threads", "2"],
@@ -151,6 +169,75 @@ class TestQuantizeCommand:
                    "--threads", "1"])
         assert rc == 0
         assert events == ["read", "done", "read", "done"]
+
+    def test_free_worker_takes_the_next_layer(self, tmp_path, monkeypatch):
+        # Layer 0 runs until layer 2 has started; layer 1 is done long before,
+        # so its worker must take layer 2 without waiting for layer 0.
+        g = np.random.default_rng(2)
+        for idx in range(3):
+            write_layer(tmp_path / "in" / f"layer_{idx:03d}",
+                        g.standard_normal((8, 16)), g.standard_normal((16, 4)))
+        third_started, waits = threading.Event(), []
+        quantize_layer = cli.flrq_layer
+
+        def traced_layer(w, x, cfg):  # --seed 0: cfg.seed is the layer index
+            if cfg.seed == 2:
+                third_started.set()
+            elif cfg.seed == 0:
+                waits.append(third_started.wait(timeout=30))
+            return quantize_layer(w, x, cfg)
+
+        monkeypatch.setattr(cli, "flrq_layer", traced_layer)
+        rc = main(["quantize", "--in", str(tmp_path / "in"), "--out-dir", str(tmp_path / "out"),
+                   "--threads", "2"])
+        assert rc == 0
+        assert waits == [True]
+
+    def test_blas_threads_capped_then_restored(self, synth_dir, tmp_path, monkeypatch, capsys):
+        get = openblas_thread_count()
+        before, seen = get(), []
+        quantize_layer = cli.flrq_layer
+
+        def traced_layer(*args):
+            seen.append(get())
+            return quantize_layer(*args)
+
+        monkeypatch.setattr(cli, "flrq_layer", traced_layer)
+        rc = main(["quantize", "--in", str(synth_dir), "--out-dir", str(tmp_path / "out"),
+                   "--threads", "2"])
+        assert rc == 0
+        assert get() == before
+        per_worker = max(1, min(before, len(os.sched_getaffinity(0)) // 2))
+        assert seen == [per_worker, per_worker]
+        assert f"(2 worker(s) x {per_worker} BLAS thread(s))" in capsys.readouterr().err
+
+    def test_unreachable_blas_runs_unpinned(self, synth_dir, tmp_path, monkeypatch, capsys):
+        def no_library(name):
+            raise OSError(f"cannot load {name}")
+
+        monkeypatch.setattr(linalg.ctypes, "CDLL", no_library)
+        rc = main(["quantize", "--in", str(synth_dir), "--out-dir", str(tmp_path / "out")])
+        assert rc == 0
+        assert "(1 worker(s) x BLAS unpinned)" in capsys.readouterr().err
+
+    def test_bytes_independent_of_blas_threads(self, tmp_path):
+        # Layers large enough for OpenBLAS to split its GEMMs across threads.
+        assert main(["gen-synth", "--family", "outlier_channels", "--m", "256", "--n", "256",
+                     "--tokens", "512", "--layers", "2", "--seed", "4",
+                     "--out-dir", str(tmp_path / "in")]) == 0
+        env = dict(os.environ, PYTHONPATH=str(Path(flrq.__file__).parents[1]))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        digests = set()
+        for threads in ("1", "2"):
+            for blas_env in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+                out = tmp_path / f"out_{threads}_{len(blas_env)}"
+                subprocess.run(
+                    [sys.executable, "-m", "flrq.cli", "quantize", "--in", str(tmp_path / "in"),
+                     "--out-dir", str(out), "--d", "3", "--threads", threads],
+                    env={**env, **blas_env}, check=True, capture_output=True,
+                )
+                digests.add(tree_digest(out))
+        assert len(digests) == 1
 
     def test_flags_are_config_fields(self):
         # A renamed flag must not silently fall back to the config default.

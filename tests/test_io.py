@@ -20,9 +20,11 @@ from flrq.io import (
     pack_codes,
     read_bundle,
     read_container,
+    read_container_file,
     unpack_codes,
     write_bundle,
     write_container,
+    write_container_file,
 )
 from flrq.quantize import dequantize
 from flrq.synth import SynthSpec, gen_layer
@@ -36,6 +38,18 @@ class TestContainer:
         assert out.dims == (3, 5)
         assert np.array_equal(out.to_array(), a)
         assert write_container(out) == data
+
+    def test_f64_reads_are_views_not_copies(self, tmp_path):
+        a = np.arange(6.0).reshape(2, 3)
+        data = write_container(container_from_array(a))
+        arr = read_container(data).to_array()
+        assert np.shares_memory(arr, np.frombuffer(data, dtype=np.uint8))
+        assert not arr.flags.writeable
+        # From a file the payload lands 8-byte aligned, so matmul need not copy it.
+        write_container_file(tmp_path / "a.flrqten", container_from_array(a))
+        arr = read_container_file(tmp_path / "a.flrqten").to_array()
+        assert arr.flags.aligned and not arr.flags.writeable
+        assert np.array_equal(arr, a)
 
     def test_roundtrip_f32(self):
         a = np.random.default_rng(1).standard_normal((4, 2)).astype(np.float32)

@@ -13,7 +13,76 @@ from flrq.quantize import (
 )
 
 
+def reference_quantize(w, d, group_size, mode):
+    """The module docstring's rules as a plain loop: (codes, scales, zeros, dequantized)."""
+    m, n = w.shape
+    groups = -(-n // group_size)
+    codes = np.zeros((m, n), dtype=np.int16)
+    scales, zeros, deq = np.zeros((m, groups)), np.zeros((m, groups)), np.zeros((m, n))
+    for i in range(m):
+        for g in range(groups):
+            cols = range(g * group_size, min(n, (g + 1) * group_size))
+            vals = [w[i, j] for j in cols]
+            if mode == "symmetric":
+                lo, hi = -(2 ** (d - 1) - 1), 2 ** (d - 1) - 1
+                scale, zero = max(abs(v) for v in vals) / hi, 0.0
+            else:
+                lo, hi = 0, 2**d - 1
+                span = max(vals) - min(vals)
+                # a constant group takes |value| / levels, so scale 0 means all zero
+                scale = (span if span != 0.0 else abs(max(vals))) / hi
+                zero = np.round(-min(vals) / scale) if scale > 0.0 else 0.0
+            scales[i, g], zeros[i, g] = scale, zero
+            for j, v in zip(cols, vals):
+                code = min(max(np.round(v / scale) + zero, lo), hi) if scale > 0.0 else 0
+                codes[i, j] = code
+                deq[i, j] = (np.float64(code) - zero) * scale
+    return codes, scales, None if mode == "symmetric" else zeros, deq
+
+
+@st.composite
+def group_matrices(draw):
+    """A matrix whose groups are each normal, constant, all zero, half zero or subnormal.
+
+    Every zero in one matrix has the same sign: the sign of a group minimum
+    that is +0.0 in one place and -0.0 in another depends on numpy's
+    reduction order, so no rule can pin it.
+    """
+    m, n, group_size = draw(st.integers(1, 4)), draw(st.integers(1, 40)), draw(st.integers(1, 48))
+    zero = draw(st.sampled_from([0.0, -0.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.standard_normal((m, n)) * 10.0 ** draw(st.integers(-300, 300))
+    for i in range(m):
+        for start in range(0, n, group_size):
+            g = w[i, start : start + group_size]
+            kind = rng.integers(5)
+            if kind == 1:
+                g[:] = g[0]
+            elif kind == 2:
+                g[:] = zero
+            elif kind == 3:
+                g[::2] = zero
+            elif kind == 4:
+                k = rng.integers(-2, 3, size=g.size)
+                g[:] = np.where(k == 0, zero, k * 5e-324)
+    return w, group_size
+
+
 class TestQuantizeMatrix:
+    @given(case=group_matrices(), d=st.sampled_from([2, 3, 4]),
+           mode=st.sampled_from(["symmetric", "asymmetric"]))
+    def test_matches_per_group_loop(self, case, d, mode):
+        w, group_size = case
+        codes, scales, zeros, deq = reference_quantize(w, d, group_size, mode)
+        q = quantize_matrix(w, d, group_size=group_size, mode=mode)
+        assert q.codes.dtype == np.int16 and q.codes.flags.c_contiguous
+        assert q.codes.tobytes() == codes.tobytes()
+        assert q.scales.tobytes() == scales.tobytes()
+        assert (q.zeros is None) == (zeros is None)
+        if zeros is not None:
+            assert q.zeros.tobytes() == zeros.tobytes()
+        assert dequantize(q).tobytes() == deq.tobytes()
+
     @given(
         seed=st.integers(0, 2**32 - 1),
         m=st.integers(1, 6),
@@ -189,6 +258,10 @@ class TestSearchClip:
             res = search_clip(w, x, 3, group_size=8)
             errs = dict(res.grid_errors)
             assert errs[res.p_clp] <= errs[max(errs)] + 1e-12
+            chosen = quantize_matrix(clip(w, res.p_clp), 3, group_size=8)
+            assert res.q.codes.tobytes() == chosen.codes.tobytes()
+            assert (res.q.scales.tobytes(), res.q.zeros.tobytes()) == (
+                chosen.scales.tobytes(), chosen.zeros.tobytes())
 
     def test_tie_breaks_to_larger_threshold(self):
         # all-zero columns through x make every candidate equal
@@ -210,3 +283,4 @@ class TestSearchClip:
         assert isinstance(res, ClipSearchResult)
         assert res.p_clp == 0.0
         assert res.grid_errors == []
+        assert res.q is None
