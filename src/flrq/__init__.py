@@ -16,7 +16,7 @@ from .errors import (
     NumericalError,
     TruncatedError,
 )
-from .linalg import SvdResult, amax, fro_norm, gemv, gemv_t, rank1_subtract, svd_oracle
+from .linalg import amax, fro_norm, gemv, gemv_t, rank1_subtract
 from .quantize import (
     ClipSearchResult,
     QuantizedTensor,

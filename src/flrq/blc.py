@@ -94,7 +94,7 @@ def scaled_flr(
     if (alpha_vec <= 0.0).any():
         raise ValueError("alpha must be strictly positive")
     factors, trace = select_rank(w * alpha_vec, cfg)
-    return LowRankFactors(factors.left, factors.right / alpha_vec, factors.truncated), trace
+    return LowRankFactors(factors.left, factors.right / alpha_vec), trace
 
 
 def layer_error(

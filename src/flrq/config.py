@@ -7,6 +7,7 @@ carries every knob and rejects bad values when it is built.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .quantize import DEFAULT_CLIP_GRID, DEFAULT_GROUP_SIZE, check_args, check_grid
@@ -32,16 +33,18 @@ class FlrqConfig:
         check_grid(self.clip_grid)
         if self.d_fp not in (16, 32):
             raise ValueError(f"factor storage width must be 16 or 32, got {self.d_fp}")
-        if self.x < 0.0:
-            raise ValueError("memory cap x must be >= 0")
-        if self.t < 0.0:
-            raise ValueError("slope threshold must be >= 0")
+        if not self.x >= 0.0:  # written so that NaN fails; inf means no cap
+            raise ValueError(f"memory cap x must be >= 0, got {self.x}")
+        if not self.t >= 0.0:
+            raise ValueError(f"slope threshold must be >= 0, got {self.t}")
         if self.slope_window < 1:
             raise ValueError("slope window must be >= 1")
         if self.it < 0:
             raise ValueError("power-iteration count must be >= 0")
         if self.epochs is not None and self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if not math.isfinite(self.alpha_exponent):
+            raise ValueError(f"alpha exponent must be finite, got {self.alpha_exponent}")
 
     def resolved_epochs(self) -> int:
         if self.epochs is not None:

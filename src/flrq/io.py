@@ -170,8 +170,9 @@ _META_KEYS = (
 )
 
 
-def _code_offset(q: QuantizedTensor) -> int:
-    return 2 ** (q.bit_width - 1) - 1 if q.mode == "symmetric" else 0
+def _code_offset(bit_width: int, mode: str) -> int:
+    """Symmetric codes are stored offset-binary, asymmetric codes raw."""
+    return 2 ** (bit_width - 1) - 1 if mode == "symmetric" else 0
 
 
 def write_bundle(directory, layer: QuantizedLayer, config: dict | None = None) -> None:
@@ -179,7 +180,7 @@ def write_bundle(directory, layer: QuantizedLayer, config: dict | None = None) -
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
     q = layer.q
-    stored = q.codes.astype(np.int64) + _code_offset(q)
+    stored = q.codes.astype(np.int64) + _code_offset(q.bit_width, q.mode)
     write_container_file(
         d / _BUNDLE_FILES["codes"], container_from_packed(pack_codes(stored, q.bit_width))
     )
@@ -249,8 +250,7 @@ def read_bundle(directory) -> tuple[QuantizedLayer, dict]:
     if packed.dtype_code != DTYPE_PACKED:
         raise FormatError("codes container is not packed")
     stored = unpack_codes(packed.payload, bit_width, m * n).reshape(m, n)
-    offset = 2 ** (bit_width - 1) - 1 if mode == "symmetric" else 0
-    codes = (stored - offset).astype(np.int16)
+    codes = (stored - _code_offset(bit_width, mode)).astype(np.int16)
     scales = read_container_file(d / _BUNDLE_FILES["scales"]).to_array()
     zeros_path = d / _BUNDLE_FILES["zeros"]
     zeros = read_container_file(zeros_path).to_array() if zeros_path.exists() else None

@@ -1,4 +1,4 @@
-"""Dense linear algebra kernels, GEMV-centric, plus an exact SVD used for verification.
+"""Dense linear algebra kernels, GEMV-centric, and the BLAS thread cap.
 
 All compute is 64-bit float; 32-bit appears only at the I/O boundary. Every
 kernel is pure, so values can move freely between threads.
@@ -9,14 +9,9 @@ from __future__ import annotations
 import ctypes
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-from .errors import NumericalError
-
-SVD_DIM_LIMIT = 1024
 
 
 @contextmanager
@@ -96,42 +91,3 @@ def amax(a: np.ndarray) -> float:
 
 def fro_norm(a: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.square(a))))
-
-
-@dataclass(frozen=True)
-class SvdResult:
-    """Full thin SVD: A = U diag(s) V^T with s sorted descending."""
-
-    u: np.ndarray  # (m, k)
-    singular_values: np.ndarray  # (k,), descending, non-negative
-    v: np.ndarray  # (n, k)
-
-    @property
-    def rank_limit(self) -> int:
-        return self.singular_values.shape[0]
-
-    def low_rank(self, r: int) -> tuple[np.ndarray, np.ndarray]:
-        """Best rank-r factors (left carries the singular values)."""
-        r = min(r, self.rank_limit)
-        left = self.u[:, :r] * self.singular_values[:r]
-        right = self.v[:, :r].T
-        return left, right
-
-    def truncation_error(self, r: int) -> float:
-        """Frobenius norm of the discarded tail."""
-        return float(np.sqrt(np.sum(np.square(self.singular_values[r:]))))
-
-
-def svd_oracle(a: np.ndarray) -> SvdResult:
-    """Exact thin SVD via LAPACK. Verification tool, desk scale only."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError("svd_oracle expects a 2-D matrix")
-    m, n = a.shape
-    if min(m, n) > SVD_DIM_LIMIT:
-        raise NumericalError(
-            f"svd_oracle guard: min(m, n) = {min(m, n)} exceeds {SVD_DIM_LIMIT}; "
-            "use the sketch path for matrices this large"
-        )
-    u, sigma, vt = np.linalg.svd(a, full_matrices=False)
-    return SvdResult(u=u, singular_values=sigma, v=vt.T)

@@ -153,7 +153,8 @@ def search_clip(
     for rho in sorted(set(grid), reverse=True):
         p = rho * top
         q = quantize_matrix(clip(w, p), d, group_size, mode)
-        err = fro_norm(wx - dequantize(q) @ x)
+        prod = dequantize(q) @ x
+        err = fro_norm(np.subtract(wx, prod, out=prod))  # in place: one (m, tokens) array less
         grid_errors.append((p, err))
         if err < best_err:
             best_err, best_p, best_q = err, p, q

@@ -20,8 +20,6 @@ from .errors import NumericalError
 from .linalg import amax, fro_norm, rank1_subtract
 from .sketch import RESIDUAL_FLOOR, LowRankFactors, Rank1Pair, make_rng, r1_step
 
-STOP_REASONS = ("budget_qk", "memory_cap", "slope", "max_rank")
-
 
 @dataclass(frozen=True)
 class RankStep:

@@ -42,7 +42,6 @@ class LowRankFactors:
 
     left: np.ndarray
     right: np.ndarray
-    truncated: bool = False
 
     @property
     def rank(self) -> int:
@@ -53,12 +52,12 @@ class LowRankFactors:
         return cls(left=np.zeros((m, 0)), right=np.zeros((0, n)))
 
     @classmethod
-    def from_pairs(cls, pairs: list[Rank1Pair], m: int, n: int, truncated: bool = False):
+    def from_pairs(cls, pairs: list[Rank1Pair], m: int, n: int) -> "LowRankFactors":
         if not pairs:
-            return cls(left=np.zeros((m, 0)), right=np.zeros((0, n)), truncated=truncated)
+            return cls.empty(m, n)
         left = np.stack([p.left for p in pairs], axis=1)
         right = np.stack([p.right for p in pairs], axis=0)
-        return cls(left=left, right=right, truncated=truncated)
+        return cls(left=left, right=right)
 
     def reconstruct(self) -> np.ndarray:
         return self.left @ self.right
@@ -102,8 +101,8 @@ def r1_step(a: np.ndarray, cfg: FlrqConfig, rng: np.random.Generator) -> Rank1Pa
 def deflate(a: np.ndarray, r: int, cfg: FlrqConfig) -> LowRankFactors:
     """Greedy rank-r approximation: r extractions, each subtracted in turn.
 
-    Stops early with ``truncated=True`` if the residual becomes numerically
-    zero.
+    Stops early, with fewer than r components, once the residual is
+    numerically zero.
     """
     m, n = a.shape
     if not 1 <= r <= min(m, n):
@@ -114,7 +113,7 @@ def deflate(a: np.ndarray, r: int, cfg: FlrqConfig) -> LowRankFactors:
     pairs: list[Rank1Pair] = []
     for _ in range(r):
         if fro_norm(residual) <= floor:
-            return LowRankFactors.from_pairs(pairs, m, n, truncated=True)
+            break
         pair = r1_step(residual, cfg, rng)
         residual = rank1_subtract(residual, pair.left, pair.right)
         pairs.append(pair)

@@ -10,6 +10,7 @@ structure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,8 @@ class SynthSpec:
             raise ValueError("layer dimensions must be >= 1")
         if self.tokens < 1:
             raise ValueError("token count must be >= 1")
+        if not (math.isfinite(self.nu) and math.isfinite(self.outlier_boost)):
+            raise ValueError("nu and outlier boost must be finite")
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
         if self.family == "student_t" and not self.nu > 2.0:

@@ -13,10 +13,12 @@ import numpy as np
 import pytest
 
 import flrq
+import paper
 from flrq import cli, linalg
-from flrq.cli import ABLATIONS, build_parser, main
+from flrq.cli import build_parser, main
 from flrq.config import FlrqConfig
 from flrq.io import container_from_array, read_bundle, write_container_file
+from paper import ABLATIONS
 
 
 def tree_digest(root: Path) -> str:
@@ -58,12 +60,23 @@ def openblas_thread_count():
     return get
 
 
+EXPERIMENTS = ("rank-sweep", "ablate", "compare-svd")  # commands of experiments/paper.py
+
+
+def run(argv) -> int:
+    """Run a command in this process: flrq's CLI, or the paper driver for an experiment."""
+    return (paper.main if argv[0] in EXPERIMENTS else main)(argv)
+
+
 def run_cli(*argv) -> subprocess.CompletedProcess:
-    """Run the CLI in a fresh interpreter, so an uncaught exception shows as a traceback."""
+    """Run a command in a fresh interpreter, so an uncaught exception shows as a traceback.
+
+    Experiments run as ``python experiments/paper.py`` with only ``src`` on PYTHONPATH.
+    """
     env = dict(os.environ, PYTHONPATH=str(Path(flrq.__file__).parents[1]))
+    entry = [paper.__file__] if argv[0] in EXPERIMENTS else ["-m", "flrq.cli"]
     return subprocess.run(
-        [sys.executable, "-m", "flrq.cli", *map(str, argv)],
-        capture_output=True, text=True, env=env,
+        [sys.executable, *entry, *map(str, argv)], capture_output=True, text=True, env=env,
     )
 
 
@@ -75,6 +88,18 @@ BAD_FLAGS = {
     "clip-grid-empty": ["quantize", "--clip-grid", ","],
     "it-negative": ["quantize", "--it", "-1"],
     "threads-0": ["quantize", "--threads", "0"],
+    # non-finite values: NaN slips past `value < 0`-style checks
+    "x-nan": ["quantize", "--x", "nan"],
+    "t-nan": ["quantize", "--t", "nan"],
+    "alpha-exponent-nan": ["quantize", "--alpha-exponent", "nan"],
+    "gen-synth-outlier-boost-nan": [
+        "gen-synth", "--family", "outlier_channels", "--outlier-boost", "nan",
+    ],
+    "gen-synth-outlier-boost-inf": [
+        "gen-synth", "--family", "outlier_channels", "--outlier-boost", "inf",
+    ],
+    "gen-synth-nu-inf": ["gen-synth", "--family", "student_t", "--nu", "inf"],
+    "ablate-outlier-boost-nan": ["ablate", "--which", "it", "--outlier-boost", "nan"],
     "gen-synth-m-0": ["gen-synth", "--m", "0"],
     "compare-svd-rank-0": ["compare-svd", "--rank", "0"],
     # count flags: none of them can be 0 or negative
@@ -152,7 +177,7 @@ class TestQuantizeCommand:
 
     def test_one_layer_held_per_worker(self, synth_dir, tmp_path, monkeypatch):
         events = []
-        read, quantize_layer = cli._read_layer_inputs, cli.flrq_layer
+        read, quantize_layer = cli.read_layer_inputs, cli.flrq_layer
 
         def traced_read(path):
             events.append("read")
@@ -163,7 +188,7 @@ class TestQuantizeCommand:
             events.append("done")
             return layer
 
-        monkeypatch.setattr(cli, "_read_layer_inputs", traced_read)
+        monkeypatch.setattr(cli, "read_layer_inputs", traced_read)
         monkeypatch.setattr(cli, "flrq_layer", traced_layer)
         rc = main(["quantize", "--in", str(synth_dir), "--out-dir", str(tmp_path / "out"),
                    "--threads", "1"])
@@ -242,7 +267,7 @@ class TestQuantizeCommand:
     def test_flags_are_config_fields(self):
         # A renamed flag must not silently fall back to the config default.
         args = vars(build_parser().parse_args(["quantize", "--in", "layers"]))
-        flags = set(args) - {"command", "out_dir", "in_dir", "threads"}
+        flags = set(args) - {"command", "run", "out_dir", "in_dir", "threads"}
         assert flags == {f.name for f in dataclasses.fields(FlrqConfig)}
 
     def test_missing_input_is_data_error(self, tmp_path):
@@ -270,8 +295,8 @@ class TestRankSweep:
         w += 0.01 * g.standard_normal((48, 64))
         layer = write_layer(tmp_path / "layer", w, g.standard_normal((64, 16)))
         out = tmp_path / "sweep"
-        rc = main(["rank-sweep", "--in", str(layer), "--max-rank", "4",
-                   "--seed", "1", "--out-dir", str(out)])
+        rc = paper.main(["rank-sweep", "--in", str(layer), "--max-rank", "4",
+                         "--seed", "1", "--out-dir", str(out)])
         assert rc == 0
         with open(out / "rank_sweep.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -282,8 +307,8 @@ class TestRankSweep:
 
     def test_max_rank_zero_gives_baseline_row(self, synth_dir, tmp_path):
         out = tmp_path / "sweep"
-        rc = main(["rank-sweep", "--in", str(synth_dir / "layer_000"),
-                   "--max-rank", "0", "--seed", "1", "--out-dir", str(out)])
+        rc = paper.main(["rank-sweep", "--in", str(synth_dir / "layer_000"),
+                         "--max-rank", "0", "--seed", "1", "--out-dir", str(out)])
         assert rc == 0
         with open(out / "rank_sweep.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -292,15 +317,15 @@ class TestRankSweep:
 
     def test_max_rank_clamped_with_warning(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "sweep"
-        rc = main(["rank-sweep", "--in", str(synth_dir / "layer_000"),
-                   "--max-rank", "1000", "--seed", "1", "--out-dir", str(out)])
+        rc = paper.main(["rank-sweep", "--in", str(synth_dir / "layer_000"),
+                         "--max-rank", "1000", "--seed", "1", "--out-dir", str(out)])
         assert rc == 0
         assert "clamping" in capsys.readouterr().err
 
 
 class TestAblate:
     def test_unknown_name_lists_valid(self, tmp_path, capsys):
-        rc = main(["ablate", "--which", "bogus", "--out-dir", str(tmp_path)])
+        rc = paper.main(["ablate", "--which", "bogus", "--out-dir", str(tmp_path)])
         assert rc == 1
         err = capsys.readouterr().err
         for name in ("it", "blc", "x", "fixed-vs-flex"):
@@ -308,8 +333,8 @@ class TestAblate:
 
     def test_it_ablation_extraction_error_monotone(self, tmp_path):
         out = tmp_path / "ab"
-        rc = main(["ablate", "--which", "it", "--layers", "2", "--m", "96",
-                   "--n", "96", "--d", "3", "--seed", "0", "--out-dir", str(out)])
+        rc = paper.main(["ablate", "--which", "it", "--layers", "2", "--m", "96",
+                         "--n", "96", "--d", "3", "--seed", "0", "--out-dir", str(out)])
         assert rc == 0
         rows = json.loads((out / "ablate_it.json").read_text())["rows"]
         by_layer = {}
@@ -322,9 +347,9 @@ class TestAblate:
 
     def test_blc_ablation_two_bit_wins(self, tmp_path):
         out = tmp_path / "ab"
-        rc = main(["ablate", "--which", "blc", "--layers", "10", "--m", "128",
-                   "--n", "128", "--d", "2", "--outlier-boost", "30",
-                   "--outlier-count", "2", "--seed", "0", "--out-dir", str(out)])
+        rc = paper.main(["ablate", "--which", "blc", "--layers", "10", "--m", "128",
+                         "--n", "128", "--d", "2", "--outlier-boost", "30",
+                         "--outlier-count", "2", "--seed", "0", "--out-dir", str(out)])
         assert rc == 0
         rows = json.loads((out / "ablate_blc.json").read_text())["rows"]
         wins = sum(row["improved"] for row in rows)
@@ -332,9 +357,9 @@ class TestAblate:
 
     def test_fixed_vs_flex_memory(self, tmp_path):
         out = tmp_path / "ab"
-        rc = main(["ablate", "--which", "fixed-vs-flex", "--layers", "3",
-                   "--m", "128", "--n", "128", "--d", "4", "--outlier-boost", "30",
-                   "--outlier-count", "2", "--seed", "0", "--out-dir", str(out)])
+        rc = paper.main(["ablate", "--which", "fixed-vs-flex", "--layers", "3",
+                         "--m", "128", "--n", "128", "--d", "4", "--outlier-boost", "30",
+                         "--outlier-count", "2", "--seed", "0", "--out-dir", str(out)])
         assert rc == 0
         rows = json.loads((out / "ablate_fixed_vs_flex.json").read_text())["rows"]
         for row in rows:
@@ -347,8 +372,8 @@ class TestCompareSvd:
         w = np.outer(g.standard_normal(32), g.standard_normal(48))
         layer = write_layer(tmp_path / "layer", w, g.standard_normal((48, 8)))
         out = tmp_path / "cmp"
-        rc = main(["compare-svd", "--in", str(layer), "--rank", "1", "--seeds", "2",
-                   "--seed", "0", "--out-dir", str(out)])
+        rc = paper.main(["compare-svd", "--in", str(layer), "--rank", "1", "--seeds", "2",
+                         "--seed", "0", "--out-dir", str(out)])
         assert rc == 0
         report = json.loads((out / "report.json").read_text())
         scale = np.linalg.norm(w)
@@ -364,9 +389,20 @@ class TestCompareSvd:
             layer / "activations.flrqten",
             container_from_array(np.ones((1030, 2)), f32=True),
         )
-        rc = main(["compare-svd", "--in", str(layer), "--rank", "4",
-                   "--out-dir", str(tmp_path / "cmp")])
+        rc = paper.main(["compare-svd", "--in", str(layer), "--rank", "4",
+                         "--out-dir", str(tmp_path / "cmp")])
         assert rc == 3
+
+
+class TestCommands:
+    def test_flrq_lists_only_the_quantizer(self):
+        proc = run_cli("--help")
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr
+        assert "{gen-synth,quantize}" in proc.stdout
+        assert main(["rank-sweep", "--in", "layers"]) == 1  # now in experiments/paper.py
+
+    def test_paper_driver_lists_the_experiments(self):
+        assert "{rank-sweep,ablate,compare-svd}" in paper.build_parser().format_help()
 
 
 class TestExitCodes:
@@ -443,5 +479,5 @@ class TestByteStable:
         inputs = [] if argv[0] in ("gen-synth", "ablate") else ["--in", str(layer)]
         outs = [tmp_path / f"out{i}" for i in range(2)]
         for out in outs:
-            assert main([*argv, *inputs, "--out-dir", str(out)]) == 0
+            assert run([*argv, *inputs, "--out-dir", str(out)]) == 0
         assert tree_digest(outs[0]) == tree_digest(outs[1])

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from flrq.errors import NumericalError
 from flrq.linalg import (
     amax,
     as_matrix,
@@ -9,7 +8,6 @@ from flrq.linalg import (
     gemv,
     gemv_t,
     rank1_subtract,
-    svd_oracle,
 )
 
 
@@ -144,69 +142,68 @@ class TestAmaxFro:
         assert amax(a) == fro_norm(a)
 
 
+def thin_svd(a):
+    return np.linalg.svd(a, full_matrices=False)
+
+
 class TestSvdOracle:
+    """numpy's LAPACK SVD is the exact reference of the sketch tests, acceptance 02/03 and
+    compare-svd (whose tail norm is ``fro_norm(sigma[r:])``); these pin what they assume."""
+
     def test_diagonal(self):
-        res = svd_oracle(np.diag([3.0, 1.0]))
-        assert np.allclose(res.singular_values, [3.0, 1.0], atol=1e-12)
+        _, s, _ = thin_svd(np.diag([3.0, 1.0]))
+        assert np.allclose(s, [3.0, 1.0], atol=1e-12)
 
     def test_rank1(self):
         rng = np.random.default_rng(4)
         u = rng.standard_normal(9)
         v = rng.standard_normal(5)
-        res = svd_oracle(np.outer(u, v))
+        _, s, _ = thin_svd(np.outer(u, v))
         expected = np.linalg.norm(u) * np.linalg.norm(v)
-        assert res.singular_values[0] == pytest.approx(expected, rel=1e-12)
-        assert res.singular_values[1] < 1e-12 * expected
+        assert s[0] == pytest.approx(expected, rel=1e-12)
+        assert s[1] < 1e-12 * expected
 
     def test_sigma_matches_gram_eigendecomposition(self):
         # Independent route: eigenvalues of A^T A.
         a = np.random.default_rng(5).standard_normal((8, 5))
-        res = svd_oracle(a)
+        _, s, _ = thin_svd(a)
         eig = np.sort(np.linalg.eigvalsh(a.T @ a))[::-1]
-        assert np.allclose(res.singular_values**2, eig, rtol=1e-8, atol=1e-10)
+        assert np.allclose(s**2, eig, rtol=1e-8, atol=1e-10)
 
     def test_reconstruction_tight(self):
         rng = np.random.default_rng(6)
         for shape in [(12, 7), (7, 12), (20, 20)]:
             a = rng.standard_normal(shape)
-            res = svd_oracle(a)
-            recon = res.u @ np.diag(res.singular_values) @ res.v.T
-            assert fro_norm(recon - a) <= 1e-9 * fro_norm(a)
+            u, s, vt = thin_svd(a)
+            assert fro_norm(u @ np.diag(s) @ vt - a) <= 1e-9 * fro_norm(a)
 
     def test_descending_order(self):
-        a = np.random.default_rng(7).standard_normal((15, 11))
-        s = svd_oracle(a).singular_values
+        _, s, _ = thin_svd(np.random.default_rng(7).standard_normal((15, 11)))
         assert np.all(np.diff(s) <= 1e-12)
         assert np.all(s >= 0)
 
     def test_orthonormal_factors(self):
-        a = np.random.default_rng(8).standard_normal((10, 14))
-        res = svd_oracle(a)
-        k = res.singular_values.shape[0]
-        assert np.abs(res.u.T @ res.u - np.eye(k)).max() < 1e-10
-        assert np.abs(res.v.T @ res.v - np.eye(k)).max() < 1e-10
+        u, s, vt = thin_svd(np.random.default_rng(8).standard_normal((10, 14)))
+        k = s.shape[0]
+        assert np.abs(u.T @ u - np.eye(k)).max() < 1e-10
+        assert np.abs(vt @ vt.T - np.eye(k)).max() < 1e-10
 
     def test_eckart_young(self):
-        # Truncated reconstruction error equals the sigma tail for every r.
+        # The best rank-r error equals the sigma tail norm for every r.
         a = np.random.default_rng(9).standard_normal((12, 9))
-        res = svd_oracle(a)
-        for r in range(res.singular_values.shape[0] + 1):
-            left, right = res.low_rank(r)
-            err = fro_norm(a - left @ right)
-            tail = np.sqrt(np.sum(res.singular_values[r:] ** 2))
-            assert err == pytest.approx(tail, rel=1e-8, abs=1e-10)
-
-    def test_size_guard(self):
-        with pytest.raises(NumericalError):
-            svd_oracle(np.zeros((1025, 1025)))
+        u, s, vt = thin_svd(a)
+        for r in range(s.shape[0] + 1):
+            err = fro_norm(a - (u[:, :r] * s[:r]) @ vt[:r])
+            assert err == pytest.approx(fro_norm(s[r:]), rel=1e-8, abs=1e-10)
 
     def test_zero_matrix(self):
-        res = svd_oracle(np.zeros((4, 6)))
-        assert np.all(res.singular_values == 0.0)
-        assert np.abs(res.u.T @ res.u - np.eye(4)).max() < 1e-10
+        u, s, _ = thin_svd(np.zeros((4, 6)))
+        assert np.all(s == 0.0)
+        assert np.abs(u.T @ u - np.eye(4)).max() < 1e-10
 
     def test_input_not_mutated(self):
+        # compare-svd deflates the same matrix after taking its SVD.
         a = np.random.default_rng(10).standard_normal((5, 12))
         before = a.copy()
-        svd_oracle(a)
+        thin_svd(a)
         assert np.array_equal(a, before)

@@ -21,6 +21,19 @@ class TestSynthSpec:
         with pytest.raises(ValueError):
             SynthSpec(m=4, n=4, family="outlier_channels", outlier_boost=1.0)
 
+    @pytest.mark.parametrize(
+        "family, field, value",
+        [
+            ("student_t", "nu", np.inf),
+            ("outlier_channels", "outlier_boost", np.nan),
+            ("outlier_channels", "outlier_boost", np.inf),
+        ],
+        ids=["nu-inf", "boost-nan", "boost-inf"],
+    )
+    def test_rejects_non_finite(self, family, field, value):
+        with pytest.raises(ValueError):
+            SynthSpec(m=8, n=8, family=family, **{field: value})
+
     def test_rejects_count_beyond_n(self):
         with pytest.raises(ValueError):
             SynthSpec(m=4, n=4, family="outlier_channels", outlier_count=5)
