@@ -164,15 +164,20 @@ def cmd_ablate(args) -> int:
     return 0
 
 
+def check_svd_size(shape) -> None:
+    """Refuse the exact SVD when min(m, n) exceeds SVD_DIM_LIMIT."""
+    if min(shape) > SVD_DIM_LIMIT:
+        raise NumericalError(
+            f"exact SVD guard: min(m, n) = {min(shape)} exceeds {SVD_DIM_LIMIT}; "
+            "use the sketch path for matrices this large"
+        )
+
+
 def cmd_compare_svd(args) -> int:
     cfg = cli.flrq_config(args)
     layer_dir = cli.discover_layers(args.in_dir)[0]
     w, _ = cli.read_layer_inputs(layer_dir)
-    if min(w.shape) > SVD_DIM_LIMIT:
-        raise NumericalError(
-            f"exact SVD guard: min(m, n) = {min(w.shape)} exceeds {SVD_DIM_LIMIT}; "
-            "use the sketch path for matrices this large"
-        )
+    check_svd_size(w.shape)
     rank = min(args.rank, min(w.shape))
     t0 = time.perf_counter()
     svd_residual = fro_norm(np.linalg.svd(w, full_matrices=False)[1][rank:])

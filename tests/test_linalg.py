@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from flrq.errors import NumericalError
 from flrq.linalg import (
     amax,
     as_matrix,
@@ -9,6 +10,7 @@ from flrq.linalg import (
     gemv_t,
     rank1_subtract,
 )
+from paper import SVD_DIM_LIMIT, check_svd_size
 
 
 class TestMatrixValidation:
@@ -195,6 +197,16 @@ class TestSvdOracle:
         for r in range(s.shape[0] + 1):
             err = fro_norm(a - (u[:, :r] * s[:r]) @ vt[:r])
             assert err == pytest.approx(fro_norm(s[r:]), rel=1e-8, abs=1e-10)
+
+    def test_size_guard(self):
+        # compare-svd takes the exact SVD only up to SVD_DIM_LIMIT on the short side.
+        assert SVD_DIM_LIMIT == 1024
+        with pytest.raises(NumericalError):
+            check_svd_size((1025, 1025))
+        with pytest.raises(NumericalError):
+            check_svd_size((2048, 1025))
+        check_svd_size((1024, 1024))
+        check_svd_size((4096, 3))
 
     def test_zero_matrix(self):
         u, s, _ = thin_svd(np.zeros((4, 6)))
