@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from flrq import LowRankFactors, NumericalError, amax, cli, deflate, flrq_layer, fro_norm
-from flrq import gen_layer, layer_seed, select_rank
+from flrq import LowRankFactors, NumericalError, amax, calibrate, cli, deflate, flrq_layer
+from flrq import fro_norm, gen_layer, layer_seed, select_rank
 from flrq.io import extra_bits
 from flrq.synth import FAMILIES
 
@@ -85,10 +85,10 @@ def cmd_rank_sweep(args) -> int:
     if max_rank > limit:
         cli.log(f"warning: clamping --max-rank {max_rank} to min(m, n) = {limit}")
         max_rank = limit
-    wx_norm = fro_norm(w @ x)
+    calib = calibrate(w, x)
 
     envelope = amax(w)
-    rows = [(0, envelope, cli.plain_rel_error(w, x, LowRankFactors.empty(*w.shape), cfg, wx_norm))]
+    rows = [(0, envelope, cli.plain_rel_error(w, calib, LowRankFactors.empty(*w.shape), cfg))]
     if max_rank >= 1:
         factors = deflate(w, max_rank, cfg)
         residual = w
@@ -96,7 +96,7 @@ def cmd_rank_sweep(args) -> int:
             residual = residual - np.outer(factors.left[:, r - 1], factors.right[r - 1])
             envelope = min(envelope, amax(residual))
             prefix = LowRankFactors(left=factors.left[:, :r], right=factors.right[:r])
-            rows.append((r, envelope, cli.plain_rel_error(w, x, prefix, cfg, wx_norm)))
+            rows.append((r, envelope, cli.plain_rel_error(w, calib, prefix, cfg)))
         if factors.rank < max_rank:
             cli.log(f"residual exhausted at rank {factors.rank}; stopping sweep early")
 
@@ -107,8 +107,8 @@ def cmd_rank_sweep(args) -> int:
     return 0
 
 
-def ablation_rows(which: str, idx: int, w, x, base) -> list[dict]:
-    """One layer's rows of the ablation ``which``; ``base`` is the layer's config."""
+def ablation_rows(which: str, idx: int, w, calib, base) -> list[dict]:
+    """One layer's rows of the ablation ``which``; ``calib`` and ``base`` are the layer's."""
     m, n = w.shape
     if which == "it":
         # sketch_residual (fixed-rank extraction quality) is the monotone
@@ -120,32 +120,31 @@ def ablation_rows(which: str, idx: int, w, x, base) -> list[dict]:
             probe = deflate(w, min(8, m, n), cfg)
             residual = fro_norm(w - probe.reconstruct())
             rows.append({"layer": idx, "it": it, "sketch_residual": residual,
-                         "rel_error": flrq_layer(w, x, cfg).rel_error})
+                         "rel_error": flrq_layer(w, calib, cfg).rel_error})
         return rows
     if which == "blc":
-        on = flrq_layer(w, x, dataclasses.replace(base, epochs=20)).rel_error
-        off = flrq_layer(w, x, dataclasses.replace(base, epochs=1)).rel_error
+        on = flrq_layer(w, calib, dataclasses.replace(base, epochs=20)).rel_error
+        off = flrq_layer(w, calib, dataclasses.replace(base, epochs=1)).rel_error
         return [{"layer": idx, "blc_on_rel_error": on, "blc_off_rel_error": off,
                  "improved": on <= off}]
     if which == "x":
         rows = []
         for x_cap in (0.1, 0.2, 0.4):
-            layer = flrq_layer(w, x, dataclasses.replace(base, x=x_cap))
+            layer = flrq_layer(w, calib, dataclasses.replace(base, x=x_cap))
             rank = layer.factors.rank
             rows.append({"layer": idx, "x": x_cap, "rank": rank,
                          "extra_bits": extra_bits(16, rank, m, n), "rel_error": layer.rel_error})
         return rows
-    wx_norm = fro_norm(w @ x)  # fixed-vs-flex
-    flex, _ = select_rank(w, base)
+    flex, _ = select_rank(w, base)  # fixed-vs-flex
     fixed = deflate(w, min(32, m, n), base)
     return [{
         "layer": idx,
         "flex_rank": flex.rank,
         "flex_extra_bits": extra_bits(16, flex.rank, m, n),
-        "flex_rel_error": cli.plain_rel_error(w, x, flex, base, wx_norm),
+        "flex_rel_error": cli.plain_rel_error(w, calib, flex, base),
         "fixed_rank": fixed.rank,
         "fixed_extra_bits": extra_bits(16, fixed.rank, m, n),
-        "fixed_rel_error": cli.plain_rel_error(w, x, fixed, base, wx_norm),
+        "fixed_rel_error": cli.plain_rel_error(w, calib, fixed, base),
     }]
 
 
@@ -155,7 +154,7 @@ def cmd_ablate(args) -> int:
     for idx, spec in enumerate(cli.synth_specs(args)):
         w, x = gen_layer(spec)
         base = dataclasses.replace(cfg, seed=layer_seed(args.seed, idx))
-        rows += ablation_rows(args.which, idx, w, x, base)
+        rows += ablation_rows(args.which, idx, w, calibrate(w, x), base)
 
     stem = f"ablate_{args.which.replace('-', '_')}"
     write_outputs(args, f"{stem}.csv", rows[0].keys(), [row.values() for row in rows],

@@ -6,7 +6,7 @@ sketch, clip-search and group-quantize the remainder, then alternate the
 two halves keeping the epoch with the lowest calibration output error.
 """
 
-from .blc import QuantizedLayer, alpha, channel_mean, flrq_layer, layer_error, scaled_flr
+from .blc import QuantizedLayer, alpha, calibrate, channel_mean, flrq_layer, layer_error, scaled_flr
 from .config import FlrqConfig
 from .errors import (
     BadMagicError,

@@ -5,7 +5,8 @@ activations, (2) extracting a flexible-rank correction from the scaled
 weights, (3) clip-searching and quantizing the remainder, then (4)
 alternating: re-extract the correction from the dequantization residual,
 re-search the clip threshold, re-quantize, always keeping the epoch with
-the lowest calibration output error.
+the lowest calibration output error, evaluated as ||(W - W_hat) L||_F with
+L L^T = X X^T (``calibrate``).
 """
 
 from __future__ import annotations
@@ -56,6 +57,24 @@ class QuantizedLayer:
         return dequantize(self.q) + self.factors.reconstruct()
 
 
+@dataclass(frozen=True)
+class Calibration:  # one layer's activations, reduced by ``calibrate``
+    mean: np.ndarray  # channel_mean(X)
+    l: np.ndarray  # the Gram factor: L L^T = X X^T
+    wx_norm: float  # ||W X||_F
+
+
+def gram_factor(x: np.ndarray) -> np.ndarray:
+    """L L^T = X X^T: X when tokens <= n, else R^T of qr(X^T) (n x n); gram_factor(L) is L."""
+    return x if x.shape[1] <= x.shape[0] else np.ascontiguousarray(np.linalg.qr(x.T, mode="r").T)
+
+
+def calibrate(w: np.ndarray, x: np.ndarray) -> Calibration:
+    """Reduce the activations x (n x tokens) of weights w once; x is not needed after."""
+    l = gram_factor(x)
+    return Calibration(channel_mean(x), l, fro_norm(w @ l))
+
+
 def channel_mean(x: np.ndarray) -> np.ndarray:
     """Per-channel mean of column-normalized absolute activations.
 
@@ -69,7 +88,8 @@ def channel_mean(x: np.ndarray) -> np.ndarray:
     live = norms > 0.0
     if not live.any():
         raise NumericalError("all calibration tokens are zero")
-    normalized = np.abs(x[:, live]) / norms[live]
+    normalized = x[:, live]  # the one copy of x; its F order fixes mean's summation order
+    np.divide(np.abs(normalized, out=normalized), norms[live], out=normalized)
     return np.maximum(normalized.mean(axis=1), CHANNEL_MEAN_EPS)
 
 
@@ -100,7 +120,7 @@ def scaled_flr(
 def layer_error(
     w: np.ndarray, q: QuantizedTensor, factors: LowRankFactors, x: np.ndarray
 ) -> float:
-    """||W X - (dequant(q) + left @ right) X||_F."""
+    """||(W - dequant(q) - left @ right) L||_F, with L = gram_factor(x); x may be L itself."""
     if w.shape[1] != x.shape[0]:
         raise ValueError(f"activations {x.shape} do not conform to weights {w.shape}")
     if q.shape != w.shape:
@@ -108,38 +128,34 @@ def layer_error(
     if factors.left.shape[0] != w.shape[0] or factors.right.shape[1] != w.shape[1]:
         raise ValueError("factor shapes do not match the weights")
     approx = dequantize(q) + factors.reconstruct()
-    return fro_norm(w @ x - approx @ x)
+    return fro_norm(np.subtract(w, approx, out=approx) @ gram_factor(x))
 
 
 def _clip_and_quantize(
-    w_rest: np.ndarray, x: np.ndarray, cfg: FlrqConfig
+    w_rest: np.ndarray, l: np.ndarray, cfg: FlrqConfig
 ) -> tuple[QuantizedTensor, float]:
-    found = search_clip(w_rest, x, cfg.d, cfg.group_size, cfg.clip_grid, cfg.mode)
+    found = search_clip(w_rest, l, cfg.d, cfg.group_size, cfg.clip_grid, cfg.mode)
     if found.q is None:  # an all-zero remainder: nothing to clip
         return quantize_matrix(w_rest, cfg.d, cfg.group_size, cfg.mode), found.p_clp
     return found.q, found.p_clp
 
 
-def flrq_layer(w: np.ndarray, x: np.ndarray, cfg: FlrqConfig) -> QuantizedLayer:
-    """Quantize one layer (m x n weights, n x tokens activations) with the full pipeline."""
-    if w.shape[1] != x.shape[0]:
-        raise ValueError(f"calibration {x.shape} does not conform to weights {w.shape}")
+def flrq_layer(w: np.ndarray, calib: Calibration, cfg: FlrqConfig) -> QuantizedLayer:
+    """Quantize one layer (m x n weights; calib = calibrate(w, x)) with the full pipeline."""
     epochs = cfg.resolved_epochs()
-    mean = channel_mean(x)
-    floored = int(np.count_nonzero(mean <= CHANNEL_MEAN_EPS))
+    floored = int(np.count_nonzero(calib.mean <= CHANNEL_MEAN_EPS))
     warnings: list[str] = []
     if floored:
         warnings.append(f"{floored} zero-activation channel(s) floored at {CHANNEL_MEAN_EPS}")
-    alpha_vec = alpha(mean, cfg.alpha_exponent)
+    alpha_vec = alpha(calib.mean, cfg.alpha_exponent)
 
     factors, rank_trace = scaled_flr(w, alpha_vec, cfg)
-    w_q, p_clp = _clip_and_quantize(w - factors.reconstruct(), x, cfg)
+    w_q, p_clp = _clip_and_quantize(w - factors.reconstruct(), calib.l, cfg)
 
-    wx_norm = fro_norm(w @ x)
     trace: list[EpochRecord] = []
     best: QuantizedLayer | None = None
     for epoch in range(1, epochs + 1):
-        err = layer_error(w, w_q, factors, x)
+        err = layer_error(w, w_q, factors, calib.l)
         trace.append(EpochRecord(epoch=epoch, error=err, p_clp=p_clp, rank=factors.rank))
         if best is None or err < best.best_error:
             best = QuantizedLayer(
@@ -149,7 +165,7 @@ def flrq_layer(w: np.ndarray, x: np.ndarray, cfg: FlrqConfig) -> QuantizedLayer:
                 blc_trace=trace,
                 best_epoch=epoch,
                 best_error=err,
-                wx_norm=wx_norm,
+                wx_norm=calib.wx_norm,
                 p_clp=p_clp,
                 rank_trace=rank_trace,
                 warnings=warnings,
@@ -157,6 +173,6 @@ def flrq_layer(w: np.ndarray, x: np.ndarray, cfg: FlrqConfig) -> QuantizedLayer:
         if epoch == epochs:
             break
         factors, rank_trace = scaled_flr(w - dequantize(w_q), alpha_vec, cfg)
-        w_q, p_clp = _clip_and_quantize(w - factors.reconstruct(), x, cfg)
+        w_q, p_clp = _clip_and_quantize(w - factors.reconstruct(), calib.l, cfg)
     best.blc_trace = trace
     return best

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as flrq_io
-from .blc import QuantizedLayer, flrq_layer, layer_error
+from .blc import Calibration, QuantizedLayer, calibrate, flrq_layer, layer_error
 from .config import FlrqConfig
 from .errors import FlrqError, FormatError, NumericalError
 from .linalg import as_matrix, blas_threads
@@ -141,11 +141,11 @@ def config_echo(args, **resolved) -> dict:
     """The command's arguments minus paths, threads and its handler, then ``resolved``.
 
     Keys follow the parser's argument order, which the report bytes depend on.
+    JSON has no infinity, so a legal --x inf or --t inf is echoed as "inf".
     """
     skip = ("out_dir", "threads", "in_dir", "run")
-    echo = {k: v for k, v in vars(args).items() if k not in skip}
-    echo.update(resolved)
-    return echo
+    return {k: str(v) if v == float("inf") else v
+            for k, v in {**vars(args), **resolved}.items() if k not in skip}
 
 
 def _fields_of(cls, args) -> dict:
@@ -165,11 +165,10 @@ def synth_specs(args) -> list[SynthSpec]:
     return [dataclasses.replace(base, seed=layer_seed(args.seed, i)) for i in range(args.layers)]
 
 
-def plain_rel_error(w, x, factors: LowRankFactors, cfg: FlrqConfig, wx_norm) -> float:
+def plain_rel_error(w, calib: Calibration, factors: LowRankFactors, cfg: FlrqConfig) -> float:
     """Relative output error of plainly quantizing W - LR and adding LR back."""
     q = quantize_matrix(w - factors.reconstruct(), cfg.d, cfg.group_size, cfg.mode)
-    err = layer_error(w, q, factors, x)
-    return err / wx_norm if wx_norm > 0 else 0.0
+    return layer_error(w, q, factors, calib.l) / calib.wx_norm if calib.wx_norm > 0 else 0.0
 
 
 def cmd_gen_synth(args) -> int:
@@ -191,8 +190,9 @@ def cmd_quantize(args) -> int:
     workers = min(args.threads, len(layers))
 
     def run_one(idx: int, w, x) -> tuple[int, tuple[QuantizedLayer, dict]]:
-        layer = flrq_layer(w, x, dataclasses.replace(cfg, seed=layer_seed(args.seed, idx)))
-        rtn = plain_rel_error(w, x, LowRankFactors.empty(*w.shape), cfg, layer.wx_norm)
+        calib = calibrate(w, x)  # the layer's one pass over x, shared with the RTN baseline
+        layer = flrq_layer(w, calib, dataclasses.replace(cfg, seed=layer_seed(args.seed, idx)))
+        rtn = plain_rel_error(w, calib, LowRankFactors.empty(*w.shape), cfg)
         return idx, (layer, {"rtn_rel_error": rtn})
 
     # A layer is read when a worker is free for it, so at most `workers` layers'

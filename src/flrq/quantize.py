@@ -130,31 +130,31 @@ class ClipSearchResult:
 
 def search_clip(
     w: np.ndarray,
-    x: np.ndarray,
+    l: np.ndarray,
     d: int,
     group_size: int = DEFAULT_GROUP_SIZE,
     grid: tuple[float, ...] = DEFAULT_CLIP_GRID,
     mode: str = "asymmetric",
 ) -> ClipSearchResult:
-    """Grid-search the clip threshold minimizing ||W X - dequant(quant(clip(W))) X||_F.
+    """Grid-search the clip threshold minimizing ||(W - dequant(quant(clip(W)))) L||_F.
 
+    L is the layer's Gram factor (``blc.gram_factor``), so this is the output error through X.
     Candidates are ratio * amax(W); ties break toward the larger threshold.
     """
     check_grid(grid)
-    if w.shape[1] != x.shape[0]:
-        raise ValueError(f"activation shape {x.shape} does not conform to weights {w.shape}")
+    if w.shape[1] != l.shape[0]:
+        raise ValueError(f"activation shape {l.shape} does not conform to weights {w.shape}")
     top = amax(w)
     if top == 0.0:
         # Nothing to clip; record an empty search.
         return ClipSearchResult(p_clp=0.0, grid_errors=[])
-    wx = w @ x
     best_p, best_q, best_err = None, None, np.inf
     grid_errors: list[tuple[float, float]] = []
     for rho in sorted(set(grid), reverse=True):
         p = rho * top
         q = quantize_matrix(clip(w, p), d, group_size, mode)
-        prod = dequantize(q) @ x
-        err = fro_norm(np.subtract(wx, prod, out=prod))  # in place: one (m, tokens) array less
+        diff = dequantize(q)
+        err = fro_norm(np.subtract(w, diff, out=diff) @ l)
         grid_errors.append((p, err))
         if err < best_err:
             best_err, best_p, best_q = err, p, q

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import paper
-from flrq.blc import flrq_layer
+from flrq.blc import calibrate, flrq_layer
 from flrq.cli import main
 from flrq.config import FlrqConfig
 from flrq.errors import BadMagicError, BadVersionError, TruncatedError
@@ -214,8 +214,9 @@ def test_07_blc_monotonicity_and_2bit_rescue(announce):
     on_errs, off_errs = [], []
     for s in range(10):
         w, x = outlier_workload(1000 + s)
-        on = flrq_layer(w, x, FlrqConfig(d=2, seed=s, epochs=20))
-        off = flrq_layer(w, x, FlrqConfig(d=2, seed=s, epochs=1))
+        calib = calibrate(w, x)
+        on = flrq_layer(w, calib, FlrqConfig(d=2, seed=s, epochs=20))
+        off = flrq_layer(w, calib, FlrqConfig(d=2, seed=s, epochs=1))
         best_so_far = np.minimum.accumulate([r.error for r in on.blc_trace])
         mono_ok &= bool(np.all(np.diff(best_so_far) <= 1e-15))
         improved += on.best_error < on.blc_trace[0].error
@@ -298,7 +299,7 @@ def test_10_container_io(announce, tmp_path):
     spec = SynthSpec(m=32, n=64, family="outlier_channels", seed=3, tokens=16,
                      outlier_count=1, outlier_boost=15.0)
     w, x = gen_layer(spec)
-    layer = flrq_layer(w, x, FlrqConfig(d=2, x=1.0, seed=3, epochs=2))
+    layer = flrq_layer(w, calibrate(w, x), FlrqConfig(d=2, x=1.0, seed=3, epochs=2))
     write_bundle(tmp_path / "bundle", layer, {"d": 2})
     back, _ = read_bundle(tmp_path / "bundle")
     bundle_ok = (

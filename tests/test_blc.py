@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from flrq.blc import alpha, channel_mean, flrq_layer, layer_error, scaled_flr
+from flrq.blc import alpha, calibrate, channel_mean, flrq_layer, gram_factor, layer_error
+from flrq.blc import CHANNEL_MEAN_EPS, scaled_flr
 from flrq.config import FlrqConfig
 from flrq.errors import NumericalError
-from flrq.linalg import fro_norm
+from flrq.linalg import blas_threads, fro_norm
 from flrq.quantize import dequantize, quantize_matrix
 from flrq.rankselect import select_rank
 from flrq.sketch import LowRankFactors
@@ -36,6 +37,50 @@ class TestChannelMean:
         x = np.array([[1.0], [0.0]])
         out = channel_mean(x)
         assert out[1] == pytest.approx(1e-8)
+
+    @pytest.mark.parametrize("zero_tokens", [False, True])
+    def test_in_place_bytes_match_the_plain_formula(self, zero_tokens):
+        x = np.random.default_rng(9).standard_normal((48, 300))
+        if zero_tokens:
+            x[:, [0, 17, 299]] = 0.0
+        norms = np.linalg.norm(x, axis=0)
+        live = norms > 0.0
+        plain = np.maximum((np.abs(x[:, live]) / norms[live]).mean(axis=1), CHANNEL_MEAN_EPS)
+        assert np.array_equal(channel_mean(x), plain)
+
+
+class TestGramFactor:
+    @pytest.mark.parametrize("tokens", [16, 40, 200])  # below, at and above n = 40
+    def test_gram_matrix_preserved(self, tokens):
+        x = np.random.default_rng(tokens).standard_normal((40, tokens))
+        l = gram_factor(x)
+        assert l.shape == (40, min(40, tokens)) and l.flags.c_contiguous
+        assert np.allclose(l @ l.T, x @ x.T, rtol=1e-12, atol=1e-10 * tokens)
+        assert (l is x) == (tokens <= 40)
+
+    def test_idempotent_bytes(self):
+        l = gram_factor(np.random.default_rng(1).standard_normal((32, 100)))
+        assert gram_factor(l).tobytes() == l.tobytes()
+
+    def test_layer_error_same_through_x_or_factor(self):
+        g = np.random.default_rng(2)
+        w, x = g.standard_normal((24, 32)), g.standard_normal((32, 150))
+        q = quantize_matrix(w, 3, group_size=8)
+        factors = LowRankFactors(g.standard_normal((24, 2)), g.standard_normal((2, 32)))
+        assert layer_error(w, q, factors, x) == layer_error(w, q, factors, gram_factor(x))
+
+    def test_calibrate_rejects_nonconforming_shapes(self):
+        with pytest.raises(ValueError):
+            calibrate(np.ones((2, 4)), np.ones((5, 3)))
+
+    def test_bytes_independent_of_blas_threads(self):
+        # blas_threads(1) allows every core, blas_threads(2) half of them.
+        x = np.random.default_rng(3).standard_normal((256, 2048))
+        factors = []
+        for workers in (1, 2):
+            with blas_threads(workers):
+                factors.append(gram_factor(x).tobytes())
+        assert factors[0] == factors[1]
 
 
 class TestAlpha:
@@ -139,7 +184,7 @@ class TestFlrqLayer:
     def test_single_epoch_trace(self):
         w, x = outlier_layer(50, m=64, n=64)
         cfg = FlrqConfig(d=4, seed=1, epochs=1)
-        layer = flrq_layer(w, x, cfg)
+        layer = flrq_layer(w, calibrate(w, x), cfg)
         assert len(layer.blc_trace) == 1
         assert layer.best_epoch == 1
 
@@ -155,7 +200,7 @@ class TestFlrqLayer:
     def test_two_bit_alternation_improves(self):
         w, x = outlier_layer(51)
         cfg = FlrqConfig(d=2, seed=2, epochs=20)
-        layer = flrq_layer(w, x, cfg)
+        layer = flrq_layer(w, calibrate(w, x), cfg)
         assert layer.best_error < layer.blc_trace[0].error
 
     def test_four_bit_nearly_converged_at_first_epoch(self):
@@ -164,14 +209,14 @@ class TestFlrqLayer:
         gains = []
         for s in range(5):
             w, x = outlier_layer(1000 + s)
-            l4 = flrq_layer(w, x, FlrqConfig(d=4, seed=s, epochs=5))
+            l4 = flrq_layer(w, calibrate(w, x), FlrqConfig(d=4, seed=s, epochs=5))
             gains.append(1.0 - l4.best_error / l4.blc_trace[0].error)
         assert np.mean(gains) <= 0.10
 
     def test_best_so_far_non_increasing(self):
         w, x = outlier_layer(53, m=128, n=128)
         cfg = FlrqConfig(d=2, seed=4, epochs=12)
-        layer = flrq_layer(w, x, cfg)
+        layer = flrq_layer(w, calibrate(w, x), cfg)
         best_so_far = np.minimum.accumulate([r.error for r in layer.blc_trace])
         assert np.all(np.diff(best_so_far) <= 0 + 1e-15)
         assert layer.best_error == best_so_far[-1]
@@ -179,7 +224,7 @@ class TestFlrqLayer:
     def test_snapshot_is_best_epoch_not_last(self):
         w, x = outlier_layer(54, m=128, n=128)
         cfg = FlrqConfig(d=2, seed=5, epochs=10)
-        layer = flrq_layer(w, x, cfg)
+        layer = flrq_layer(w, calibrate(w, x), cfg)
         best = min(r.error for r in layer.blc_trace)
         assert layer.best_error == best
         assert layer.blc_trace[layer.best_epoch - 1].error == best
@@ -191,8 +236,9 @@ class TestFlrqLayer:
         on_err, off_err, plain_err = [], [], []
         for s in range(10):
             w, x = outlier_layer(60 + s)
-            on = flrq_layer(w, x, FlrqConfig(d=2, seed=s, epochs=20))
-            off = flrq_layer(w, x, FlrqConfig(d=2, seed=s, epochs=1))
+            calib = calibrate(w, x)
+            on = flrq_layer(w, calib, FlrqConfig(d=2, seed=s, epochs=20))
+            off = flrq_layer(w, calib, FlrqConfig(d=2, seed=s, epochs=1))
             q = quantize_matrix(w, 2)
             plain = layer_error(w, q, LowRankFactors.empty(*w.shape), x)
             on_err.append(on.rel_error)
@@ -205,7 +251,7 @@ class TestFlrqLayer:
         # composition of scaled rank selection and quantization.
         w, x = outlier_layer(55, m=96, n=96)
         cfg = FlrqConfig(d=4, seed=6, epochs=1, clip_grid=(1.0,))
-        layer = flrq_layer(w, x, cfg)
+        layer = flrq_layer(w, calibrate(w, x), cfg)
         factors, _ = scaled_flr(w, alpha(channel_mean(x)), cfg)
         q = quantize_matrix(w - factors.reconstruct(), 4, cfg.group_size, cfg.mode)
         assert np.array_equal(layer.q.codes, q.codes)
@@ -219,5 +265,5 @@ class TestFlrqLayer:
         x = g.standard_normal((16, 8))
         x[3, :] = 0.0  # dead channel
         w = g.standard_normal((8, 16))
-        layer = flrq_layer(w, x, FlrqConfig(d=4, seed=8))
+        layer = flrq_layer(w, calibrate(w, x), FlrqConfig(d=4, seed=8))
         assert any("floored" in msg for msg in layer.warnings)

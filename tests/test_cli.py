@@ -264,6 +264,24 @@ class TestQuantizeCommand:
                 digests.add(tree_digest(out))
         assert len(digests) == 1
 
+    @pytest.mark.parametrize("flag, value", [("--x", "inf"), ("--x", "1e309"), ("--t", "inf")])
+    def test_infinite_flag_echo_is_strict_json(self, synth_dir, tmp_path, flag, value):
+        out = tmp_path / "out"
+        assert main(["quantize", "--in", str(synth_dir), "--out-dir", str(out), flag, value]) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+        assert report["config"][flag[2:]] == "inf"
+        metas = sorted(out.glob("layer_*/meta.json"))
+        assert len(metas) == 2
+        for path in metas:
+            # Only the echo is checked: rank_trace writes a slope of +inf (window not yet
+            # full) as bare Infinity in every meta.json, whatever the flags.
+            config = json.loads(path.read_text())["config"]
+            assert json.loads(json.dumps(config), parse_constant=reject)[flag[2:]] == "inf"
+
     def test_flags_are_config_fields(self):
         # A renamed flag must not silently fall back to the config default.
         args = vars(build_parser().parse_args(["quantize", "--in", "layers"]))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flrq.blc import flrq_layer
+from flrq.blc import calibrate, flrq_layer
 from flrq.config import FlrqConfig
 from flrq.errors import BadMagicError, BadVersionError, FormatError, TruncatedError
 from flrq.io import (
@@ -178,7 +178,7 @@ def make_layer(seed=0, d=3, mode="asymmetric"):
     spec = SynthSpec(m=32, n=64, family="outlier_channels", seed=seed, tokens=16,
                      outlier_count=1, outlier_boost=20.0)
     w, x = gen_layer(spec)
-    return flrq_layer(w, x, FlrqConfig(d=d, x=1.0, seed=seed, epochs=2, mode=mode))
+    return flrq_layer(w, calibrate(w, x), FlrqConfig(d=d, x=1.0, seed=seed, epochs=2, mode=mode))
 
 
 class TestBundles:
