@@ -15,12 +15,13 @@ import dataclasses
 import json
 import sys
 import time
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from flrq import LowRankFactors, NumericalError, amax, calibrate, cli, deflate, flrq_layer
-from flrq import fro_norm, gen_layer, layer_seed, select_rank
+from flrq import LowRankFactors, NumericalError, amax, calibrate, cli, components, deflate
+from flrq import flrq_layer, fro_norm, gen_layer, layer_seed, select_rank
 from flrq.io import extra_bits
 from flrq.synth import FAMILIES
 
@@ -41,7 +42,6 @@ def build_parser() -> cli.Parser:
     r.add_argument("--it", type=int, default=2)
     r.add_argument("--d", type=int, default=4, choices=(2, 3, 4))
     r.add_argument("--group-size", type=int, default=128)
-    r.add_argument("--mode", choices=("symmetric", "asymmetric"), default="asymmetric")
 
     a = sub.add_parser("ablate", help="run one of the trend ablations")
     a.set_defaults(run=cmd_ablate)
@@ -89,16 +89,14 @@ def cmd_rank_sweep(args) -> int:
 
     envelope = amax(w)
     rows = [(0, envelope, cli.plain_rel_error(w, calib, LowRankFactors.empty(*w.shape), cfg))]
-    if max_rank >= 1:
-        factors = deflate(w, max_rank, cfg)
-        residual = w
-        for r in range(1, factors.rank + 1):
-            residual = residual - np.outer(factors.left[:, r - 1], factors.right[r - 1])
-            envelope = min(envelope, amax(residual))
-            prefix = LowRankFactors(left=factors.left[:, :r], right=factors.right[:r])
-            rows.append((r, envelope, cli.plain_rel_error(w, calib, prefix, cfg)))
-        if factors.rank < max_rank:
-            cli.log(f"residual exhausted at rank {factors.rank}; stopping sweep early")
+    pairs = []
+    for pair, residual in islice(components(w, cfg), max_rank):
+        pairs.append(pair)
+        envelope = min(envelope, amax(residual))
+        prefix = LowRankFactors.from_pairs(pairs, *w.shape)
+        rows.append((len(pairs), envelope, cli.plain_rel_error(w, calib, prefix, cfg)))
+    if len(pairs) < max_rank:
+        cli.log(f"residual exhausted at rank {len(pairs)}; stopping sweep early")
 
     echo = cli.config_echo(args, max_rank=max_rank, layer=layer_dir.name)
     write_outputs(args, "rank_sweep.csv", ["r", "amax", "rel_error"], rows,

@@ -25,8 +25,8 @@ from .quantize import (
     quantize_matrix,
     search_clip,
 )
-from .rankselect import RankTrace, qk, select_rank, slope
-from .sketch import LowRankFactors, Rank1Pair, deflate, layer_seed, make_rng, r1_step
+from .rankselect import RankTrace, components, deflate, qk, select_rank, slope
+from .sketch import LowRankFactors, Rank1Pair, layer_seed, make_rng, r1_step
 from .synth import SynthSpec, gen_layer
 
 __version__ = "0.1.0"

@@ -40,7 +40,6 @@ class QuantizedLayer:
 
     q: QuantizedTensor
     factors: LowRankFactors
-    alpha: np.ndarray
     blc_trace: list[EpochRecord]
     best_epoch: int
     best_error: float
@@ -134,9 +133,9 @@ def layer_error(
 def _clip_and_quantize(
     w_rest: np.ndarray, l: np.ndarray, cfg: FlrqConfig
 ) -> tuple[QuantizedTensor, float]:
-    found = search_clip(w_rest, l, cfg.d, cfg.group_size, cfg.clip_grid, cfg.mode)
+    found = search_clip(w_rest, l, cfg.d, cfg.group_size, cfg.clip_grid)
     if found.q is None:  # an all-zero remainder: nothing to clip
-        return quantize_matrix(w_rest, cfg.d, cfg.group_size, cfg.mode), found.p_clp
+        return quantize_matrix(w_rest, cfg.d, cfg.group_size), found.p_clp
     return found.q, found.p_clp
 
 
@@ -149,19 +148,19 @@ def flrq_layer(w: np.ndarray, calib: Calibration, cfg: FlrqConfig) -> QuantizedL
         warnings.append(f"{floored} zero-activation channel(s) floored at {CHANNEL_MEAN_EPS}")
     alpha_vec = alpha(calib.mean, cfg.alpha_exponent)
 
-    factors, rank_trace = scaled_flr(w, alpha_vec, cfg)
-    w_q, p_clp = _clip_and_quantize(w - factors.reconstruct(), calib.l, cfg)
-
     trace: list[EpochRecord] = []
     best: QuantizedLayer | None = None
+    w_q = None
     for epoch in range(1, epochs + 1):
+        # Epoch 1 extracts from W itself, later epochs from the dequantization residual.
+        factors, rank_trace = scaled_flr(w if w_q is None else w - dequantize(w_q), alpha_vec, cfg)
+        w_q, p_clp = _clip_and_quantize(w - factors.reconstruct(), calib.l, cfg)
         err = layer_error(w, w_q, factors, calib.l)
         trace.append(EpochRecord(epoch=epoch, error=err, p_clp=p_clp, rank=factors.rank))
         if best is None or err < best.best_error:
             best = QuantizedLayer(
                 q=w_q,
                 factors=factors,
-                alpha=alpha_vec,
                 blc_trace=trace,
                 best_epoch=epoch,
                 best_error=err,
@@ -170,9 +169,4 @@ def flrq_layer(w: np.ndarray, calib: Calibration, cfg: FlrqConfig) -> QuantizedL
                 rank_trace=rank_trace,
                 warnings=warnings,
             )
-        if epoch == epochs:
-            break
-        factors, rank_trace = scaled_flr(w - dequantize(w_q), alpha_vec, cfg)
-        w_q, p_clp = _clip_and_quantize(w - factors.reconstruct(), calib.l, cfg)
-    best.blc_trace = trace
     return best

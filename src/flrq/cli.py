@@ -99,7 +99,6 @@ def build_parser() -> Parser:
     q.add_argument("--epochs", type=int, default=None)
     q.add_argument("--alpha-exponent", type=float, default=2.5)
     q.add_argument("--clip-grid", type=_parse_grid, default=DEFAULT_CLIP_GRID)
-    q.add_argument("--mode", choices=("symmetric", "asymmetric"), default="asymmetric")
     return p
 
 
@@ -144,7 +143,7 @@ def config_echo(args, **resolved) -> dict:
     JSON has no infinity, so a legal --x inf or --t inf is echoed as "inf".
     """
     skip = ("out_dir", "threads", "in_dir", "run")
-    return {k: str(v) if v == float("inf") else v
+    return {k: flrq_io.inf_to_json(v)
             for k, v in {**vars(args), **resolved}.items() if k not in skip}
 
 
@@ -167,7 +166,7 @@ def synth_specs(args) -> list[SynthSpec]:
 
 def plain_rel_error(w, calib: Calibration, factors: LowRankFactors, cfg: FlrqConfig) -> float:
     """Relative output error of plainly quantizing W - LR and adding LR back."""
-    q = quantize_matrix(w - factors.reconstruct(), cfg.d, cfg.group_size, cfg.mode)
+    q = quantize_matrix(w - factors.reconstruct(), cfg.d, cfg.group_size)
     return layer_error(w, q, factors, calib.l) / calib.wx_norm if calib.wx_norm > 0 else 0.0
 
 

@@ -25,11 +25,10 @@ class FlrqConfig:
     epochs: int | None = None  # None: 20 at 2-bit, 1 at 3/4-bit
     alpha_exponent: float = 2.5
     clip_grid: tuple[float, ...] = DEFAULT_CLIP_GRID
-    mode: str = "asymmetric"
     group_size: int = DEFAULT_GROUP_SIZE
 
     def __post_init__(self):
-        check_args(self.d, self.group_size, self.mode)
+        check_args(self.d, self.group_size)
         check_grid(self.clip_grid)
         if self.d_fp not in (16, 32):
             raise ValueError(f"factor storage width must be 16 or 32, got {self.d_fp}")

@@ -12,9 +12,10 @@ Container layout (all little-endian, no padding):
 Packed-code containers are 1-D byte tensors; the logical shape and bit
 width live in the bundle metadata. Codes are packed as an LSB-first
 bitstream of d-bit fields (so 4-bit codes go low nibble first, 2-bit codes
-four to a byte from bit 0, 3-bit codes eight per 3-byte block). Symmetric
-codes are stored offset-binary (code + 2^(d-1) - 1); asymmetric codes are
-stored raw.
+four to a byte from bit 0, 3-bit codes eight per 3-byte block).
+
+A layer bundle is a directory of codes, scales, zeros, left and right
+containers plus meta.json, which is strict JSON: +inf is written as "inf".
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from .blc import EpochRecord, QuantizedLayer
 from .errors import BadMagicError, BadVersionError, FormatError, TruncatedError
-from .quantize import BIT_WIDTHS, MODES, QuantizedTensor
+from .quantize import BIT_WIDTHS, QuantizedTensor
 from .rankselect import RankStep, RankTrace
 from .sketch import LowRankFactors
 
@@ -155,24 +156,17 @@ def unpack_codes(data: bytes, d: int, count: int) -> np.ndarray:
 
 # --- layer bundles -----------------------------------------------------------
 
-_BUNDLE_FILES = {
-    "codes": "codes.flrqten",
-    "scales": "scales.flrqten",
-    "zeros": "zeros.flrqten",
-    "left": "left.flrqten",
-    "right": "right.flrqten",
-    "alpha": "alpha.flrqten",
-}
+_ARRAYS = ("scales", "zeros", "left", "right")  # f64 containers <name>.flrqten, besides codes
 _META_FILE = "meta.json"
 _META_KEYS = (
-    "d", "group_size", "mode", "shape", "p_clp", "best_epoch", "best_error", "wx_norm",
+    "d", "group_size", "shape", "p_clp", "best_epoch", "best_error", "wx_norm",
     "blc_trace", "rank_trace",
 )
 
 
-def _code_offset(bit_width: int, mode: str) -> int:
-    """Symmetric codes are stored offset-binary, asymmetric codes raw."""
-    return 2 ** (bit_width - 1) - 1 if mode == "symmetric" else 0
+def inf_to_json(v):
+    """``v``, with +inf as the string "inf": strict JSON has no infinity."""
+    return "inf" if v == math.inf else v
 
 
 def write_bundle(directory, layer: QuantizedLayer, config: dict | None = None) -> None:
@@ -180,20 +174,15 @@ def write_bundle(directory, layer: QuantizedLayer, config: dict | None = None) -
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
     q = layer.q
-    stored = q.codes.astype(np.int64) + _code_offset(q.bit_width, q.mode)
-    write_container_file(
-        d / _BUNDLE_FILES["codes"], container_from_packed(pack_codes(stored, q.bit_width))
-    )
-    write_container_file(d / _BUNDLE_FILES["scales"], container_from_array(q.scales))
-    if q.zeros is not None:
-        write_container_file(d / _BUNDLE_FILES["zeros"], container_from_array(q.zeros))
-    write_container_file(d / _BUNDLE_FILES["left"], container_from_array(layer.factors.left))
-    write_container_file(d / _BUNDLE_FILES["right"], container_from_array(layer.factors.right))
-    write_container_file(d / _BUNDLE_FILES["alpha"], container_from_array(layer.alpha))
+    packed = container_from_packed(pack_codes(q.codes, q.bit_width))
+    write_container_file(d / "codes.flrqten", packed)
+    for name, a in zip(_ARRAYS, (q.scales, q.zeros, layer.factors.left, layer.factors.right)):
+        write_container_file(d / f"{name}.flrqten", container_from_array(a))
+    rank_trace = asdict(layer.rank_trace)
+    rank_trace["steps"] = [{k: inf_to_json(v) for k, v in s.items()} for s in rank_trace["steps"]]
     meta = {
         "d": q.bit_width,
         "group_size": q.group_size,
-        "mode": q.mode,
         "shape": list(q.shape),
         "rank": layer.factors.rank,
         "p_clp": layer.p_clp,
@@ -202,7 +191,7 @@ def write_bundle(directory, layer: QuantizedLayer, config: dict | None = None) -
         "wx_norm": layer.wx_norm,
         "warnings": layer.warnings,
         "blc_trace": [asdict(r) for r in layer.blc_trace],
-        "rank_trace": asdict(layer.rank_trace),
+        "rank_trace": rank_trace,
         "config": config if config is not None else {},
     }
     (d / _META_FILE).write_text(json.dumps(meta, indent=2) + "\n")
@@ -228,8 +217,6 @@ def _read_meta(path: Path) -> dict:
         raise FormatError(f"{path}: shape {shape!r} is not two positive integers")
     if type(meta["d"]) is not int or meta["d"] not in BIT_WIDTHS:
         raise FormatError(f"{path}: bit width {meta['d']!r} is not one of {BIT_WIDTHS}")
-    if meta["mode"] not in MODES:
-        raise FormatError(f"{path}: mode {meta['mode']!r} is not one of {MODES}")
     if not _is_count(meta["group_size"]):
         raise FormatError(f"{path}: group size {meta['group_size']!r} is not a positive integer")
     return meta
@@ -238,31 +225,24 @@ def _read_meta(path: Path) -> dict:
 def read_bundle(directory) -> tuple[QuantizedLayer, dict]:
     """Read a layer bundle back; returns the layer and its metadata record."""
     d = Path(directory)
+    files = [_META_FILE, "codes.flrqten", *(f"{name}.flrqten" for name in _ARRAYS)]
+    missing = [f for f in files if not (d / f).exists()]
+    if missing:
+        raise FormatError(f"bundle {d} is missing {', '.join(missing)}")
     meta_path = d / _META_FILE
-    if not meta_path.exists():
-        raise FormatError(f"bundle {d} has no {_META_FILE}")
     meta = _read_meta(meta_path)
     m, n = meta["shape"]
-    bit_width = meta["d"]
-    mode = meta["mode"]
-    group_size = meta["group_size"]
-    packed = read_container_file(d / _BUNDLE_FILES["codes"])
+    packed = read_container_file(d / "codes.flrqten")
     if packed.dtype_code != DTYPE_PACKED:
         raise FormatError("codes container is not packed")
-    stored = unpack_codes(packed.payload, bit_width, m * n).reshape(m, n)
-    codes = (stored - _code_offset(bit_width, mode)).astype(np.int16)
-    scales = read_container_file(d / _BUNDLE_FILES["scales"]).to_array()
-    zeros_path = d / _BUNDLE_FILES["zeros"]
-    zeros = read_container_file(zeros_path).to_array() if zeros_path.exists() else None
-    if mode == "asymmetric" and zeros is None:
-        raise FormatError("asymmetric bundle is missing its zeros container")
-    groups = (m, -(-n // group_size))
+    codes = unpack_codes(packed.payload, meta["d"], m * n).reshape(m, n)
+    scales, zeros, left, right = (
+        read_container_file(d / f"{name}.flrqten").to_array() for name in _ARRAYS
+    )
+    groups = (m, -(-n // meta["group_size"]))
     for name, arr in (("scales", scales), ("zeros", zeros)):
-        if arr is not None and arr.shape != groups:
+        if arr.shape != groups:
             raise FormatError(f"bundle {name} shape {arr.shape} does not match {groups}")
-    left = read_container_file(d / _BUNDLE_FILES["left"]).to_array()
-    right = read_container_file(d / _BUNDLE_FILES["right"]).to_array()
-    alpha = read_container_file(d / _BUNDLE_FILES["alpha"]).to_array()
     if (left.ndim, right.ndim) != (2, 2) or (
         left.shape[1] != right.shape[0] or left.shape[0] != m or right.shape[1] != n
     ):
@@ -273,21 +253,21 @@ def read_bundle(directory) -> tuple[QuantizedLayer, dict]:
         codes=codes,
         scales=scales,
         zeros=zeros,
-        bit_width=bit_width,
-        group_size=group_size,
-        mode=mode,
+        bit_width=meta["d"],
+        group_size=meta["group_size"],
         shape=(m, n),
     )
     try:
         trace = [EpochRecord(**r) for r in meta["blc_trace"]]
         rt = meta["rank_trace"]
-        rank_trace = RankTrace(**{**rt, "steps": [RankStep(**s) for s in rt["steps"]]})
-    except (KeyError, TypeError, ValueError) as exc:
+        steps = [RankStep(**{k: math.inf if v == "inf" else v for k, v in s.items()})
+                 for s in rt["steps"]]
+        rank_trace = RankTrace(**{**rt, "steps": steps})
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{meta_path}: malformed trace ({exc!r})") from None
     layer = QuantizedLayer(
         q=q,
         factors=LowRankFactors(left=left, right=right),
-        alpha=alpha,
         blc_trace=trace,
         best_epoch=meta["best_epoch"],
         best_error=meta["best_error"],
@@ -319,7 +299,7 @@ def emit_report(layers, config: dict, extras: list[dict] | None = None) -> str:
     rows = []
     for idx, layer in enumerate(layers):
         m, n = layer.q.shape
-        meta_bits = d_fp * (1 + (1 if layer.q.mode == "asymmetric" else 0)) / layer.q.group_size
+        meta_bits = d_fp * 2 / layer.q.group_size  # a scale and a zero per group
         xb = extra_bits(d_fp, layer.factors.rank, m, n)
         row = {
             "index": idx,

@@ -1,10 +1,10 @@
 """Group-wise integer quantization, clipping, and clip-threshold grid search.
 
 Weights are grouped along the input dimension (contiguous runs of
-``group_size`` within each row). Symmetric mode maps a group to codes in
-[-(2^(d-1)-1), 2^(d-1)-1] with step amax/(2^(d-1)-1); asymmetric mode maps
-to [0, 2^d-1] with step (max-min)/(2^d-1) and a float zero-point. Rounding
-is half-to-even so repeated requantization stays unbiased.
+``group_size`` within each row). Each group maps to codes in [0, 2^d-1]
+with step (max-min)/(2^d-1) and an integer-valued zero-point, so a value v
+is stored as round(v / step) + zero. Rounding is half-to-even so repeated
+requantization stays unbiased.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import numpy as np
 from .linalg import amax, fro_norm
 
 BIT_WIDTHS = (2, 3, 4)
-MODES = ("symmetric", "asymmetric")
 
 DEFAULT_GROUP_SIZE = 128
 DEFAULT_CLIP_GRID = (1.0, 0.98, 0.95, 0.92, 0.90, 0.85, 0.80, 0.70)
@@ -24,24 +23,21 @@ DEFAULT_CLIP_GRID = (1.0, 0.98, 0.95, 0.92, 0.90, 0.85, 0.80, 0.70)
 
 @dataclass
 class QuantizedTensor:
-    """Integer codes plus per-group scales (and zero-points in asymmetric mode)."""
+    """Integer codes plus per-group scales and zero-points."""
 
     codes: np.ndarray  # (m, n) int16
     scales: np.ndarray  # (m, ceil(n / group_size))
-    zeros: np.ndarray | None  # same shape as scales, asymmetric only
+    zeros: np.ndarray  # same shape as scales
     bit_width: int
     group_size: int
-    mode: str
     shape: tuple[int, int]
 
 
-def check_args(d: int, group_size: int, mode: str) -> None:
+def check_args(d: int, group_size: int) -> None:
     if d not in BIT_WIDTHS:
         raise ValueError(f"bit width must be one of {BIT_WIDTHS}, got {d}")
     if group_size < 1:
         raise ValueError("group_size must be >= 1")
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
 def check_grid(grid: tuple[float, ...]) -> None:
@@ -59,14 +55,9 @@ def _grouped(a: np.ndarray, group_size: int) -> np.ndarray:
     return a.reshape(a.shape[0], a.shape[1] // group_size, group_size)
 
 
-def quantize_matrix(
-    r: np.ndarray,
-    d: int,
-    group_size: int = DEFAULT_GROUP_SIZE,
-    mode: str = "asymmetric",
-) -> QuantizedTensor:
+def quantize_matrix(r: np.ndarray, d: int, group_size: int = DEFAULT_GROUP_SIZE) -> QuantizedTensor:
     """Quantize a dense matrix group by group."""
-    check_args(d, group_size, mode)
+    check_args(d, group_size)
     r = np.asarray(r, dtype=np.float64)
     m, n = r.shape
     starts = np.arange(0, n, group_size)  # reduceat: no padding, faster than max(axis=2)
@@ -74,32 +65,25 @@ def quantize_matrix(
     if not (np.isfinite(gmax).all() and np.isfinite(gmin).all()):
         raise ValueError("cannot quantize non-finite values")
 
-    if mode == "symmetric":
-        lo, hi = 1 - 2 ** (d - 1), 2 ** (d - 1) - 1
-        scales = (np.maximum(gmax, -gmin) + 0.0) / hi  # max |value|; + 0.0 turns -0.0 into 0.0
-    else:
-        lo, hi = 0, 2**d - 1
-        span = gmax - gmin
-        # A constant nonzero group gets |value| / levels: scale 0 only means all zero.
-        scales = np.where(span == 0.0, np.abs(gmax) / hi, span / hi)
+    hi = 2**d - 1
+    span = gmax - gmin
+    # A constant nonzero group gets |value| / levels: scale 0 only means all zero.
+    scales = np.where(span == 0.0, np.abs(gmax) / hi, span / hi)
     # A group with scale 0 is divided by 1 instead: all its values round to code 0.
     live = scales > 0.0
     divisor = np.where(live, scales, 1.0)
     q = np.divide(_grouped(r, group_size), divisor[:, :, None])  # a view of r is never written
     np.round(q, out=q)
-    zeros = None
-    if mode == "asymmetric":
-        zeros = np.where(live, np.round(-gmin / divisor), 0.0)
-        q += zeros[:, :, None]
+    zeros = np.where(live, np.round(-gmin / divisor), 0.0)
+    q += zeros[:, :, None]
     # q holds small integers here, so clipping after the cast clips the same values.
-    codes = np.clip(q.astype(np.int16), lo, hi).reshape(m, q.shape[1] * group_size)[:, :n]
+    codes = np.clip(q.astype(np.int16), 0, hi).reshape(m, q.shape[1] * group_size)[:, :n]
     return QuantizedTensor(
         codes=np.ascontiguousarray(codes),
         scales=scales,
         zeros=zeros,
         bit_width=d,
         group_size=group_size,
-        mode=mode,
         shape=(m, n),
     )
 
@@ -108,8 +92,7 @@ def dequantize(q: QuantizedTensor) -> np.ndarray:
     """Reconstruct the dense matrix from codes and group parameters."""
     m, n = q.shape
     out = _grouped(q.codes, q.group_size).astype(np.float64)
-    if q.mode == "asymmetric":
-        out -= q.zeros[:, :, None]
+    out -= q.zeros[:, :, None]
     out *= q.scales[:, :, None]
     return np.ascontiguousarray(out.reshape(m, out.shape[1] * q.group_size)[:, :n])
 
@@ -134,7 +117,6 @@ def search_clip(
     d: int,
     group_size: int = DEFAULT_GROUP_SIZE,
     grid: tuple[float, ...] = DEFAULT_CLIP_GRID,
-    mode: str = "asymmetric",
 ) -> ClipSearchResult:
     """Grid-search the clip threshold minimizing ||(W - dequant(quant(clip(W)))) L||_F.
 
@@ -152,7 +134,7 @@ def search_clip(
     grid_errors: list[tuple[float, float]] = []
     for rho in sorted(set(grid), reverse=True):
         p = rho * top
-        q = quantize_matrix(clip(w, p), d, group_size, mode)
+        q = quantize_matrix(clip(w, p), d, group_size)
         diff = dequantize(q)
         err = fro_norm(np.subtract(w, diff, out=diff) @ l)
         grid_errors.append((p, err))

@@ -11,14 +11,19 @@ observed values, which keeps the decision sequence monotone.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from .config import FlrqConfig
 from .errors import NumericalError
 from .linalg import amax, fro_norm, rank1_subtract
-from .sketch import RESIDUAL_FLOOR, LowRankFactors, Rank1Pair, make_rng, r1_step
+from .sketch import LowRankFactors, Rank1Pair, make_rng, r1_step
+
+# Residual mass below this (relative to the input) counts as numerically zero.
+RESIDUAL_FLOOR = 1e-13
 
 
 @dataclass(frozen=True)
@@ -72,6 +77,36 @@ def slope(amax_history, window: int) -> float:
     return (hist[-1 - window] - hist[-1]) / (window * a0)
 
 
+def components(a: np.ndarray, cfg: FlrqConfig) -> Iterator[tuple[Rank1Pair, np.ndarray]]:
+    """Rank-1 pairs of ``a`` in extraction order, each with the residual left after it.
+
+    Lazy: a pair is extracted only when the caller asks for it, so a caller
+    that stops early never pays for the next extraction. Ends after min(m, n)
+    pairs, or before an extraction once the residual is numerically zero.
+    """
+    rng = make_rng(cfg.seed)
+    floor = RESIDUAL_FLOOR * fro_norm(a)
+    residual = a
+    for _ in range(min(a.shape)):
+        if fro_norm(residual) <= floor:
+            return
+        pair = r1_step(residual, cfg, rng)
+        residual = rank1_subtract(residual, pair.left, pair.right)
+        yield pair, residual
+
+
+def deflate(a: np.ndarray, r: int, cfg: FlrqConfig) -> LowRankFactors:
+    """Greedy rank-r approximation: the first r pairs of ``components(a, cfg)``.
+
+    Stops early, with fewer than r components, once the residual is
+    numerically zero.
+    """
+    m, n = a.shape
+    if not 1 <= r <= min(m, n):
+        raise ValueError(f"rank must be in [1, {min(m, n)}], got {r}")
+    return LowRankFactors.from_pairs([pair for pair, _ in islice(components(a, cfg), r)], m, n)
+
+
 def select_rank(w: np.ndarray, cfg: FlrqConfig) -> tuple[LowRankFactors, RankTrace]:
     """Run the flexible-rank loop on one layer.
 
@@ -83,37 +118,25 @@ def select_rank(w: np.ndarray, cfg: FlrqConfig) -> tuple[LowRankFactors, RankTra
     """
     m, n = w.shape
     w0 = amax(w)
-    rng = make_rng(cfg.seed)
-    floor = RESIDUAL_FLOOR * fro_norm(w)
-    residual = w.copy()
     envelope = w0
     history = [w0]
     pairs: list[Rank1Pair] = []
-    trace = RankTrace()
-    max_rank = min(m, n)
-    stop = None
-    for r in range(1, max_rank + 1):
-        if fro_norm(residual) <= floor:
-            stop = "max_rank"  # residual exhausted: nothing left to extract
-            break
-        pair = r1_step(residual, cfg, rng)
-        candidate = rank1_subtract(residual, pair.left, pair.right)
+    trace = RankTrace(stop_reason="max_rank")  # kept if no pair is left to extract
+    for r, (pair, candidate) in enumerate(components(w, cfg), start=1):
         envelope = min(envelope, amax(candidate))
         history.append(envelope)
         q, k = qk(cfg.d, cfg.d_fp, m, n, r, w0, envelope)
         s = slope(history, cfg.slope_window)
         trace.steps.append(RankStep(r=r, amax=envelope, q=q, k=k, slope=s))
         if k >= q:
-            stop = "budget_qk"
+            trace.stop_reason = "budget_qk"
             break
         if k > 1.0 + cfg.x:
-            stop = "memory_cap"
+            trace.stop_reason = "memory_cap"
             break
         if s < cfg.t:
-            stop = "slope"
+            trace.stop_reason = "slope"
             break
-        residual = candidate
         pairs.append(pair)
-    trace.stop_reason = stop if stop is not None else "max_rank"
     trace.selected_rank = len(pairs)
     return LowRankFactors.from_pairs(pairs, m, n), trace

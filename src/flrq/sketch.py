@@ -1,9 +1,10 @@
-"""Rank-1 sketch extraction and greedy deflation.
+"""Rank-1 sketch extraction.
 
 A single extraction draws a Gaussian probe s, runs `it` rounds of power
 iteration using only matrix-vector products, and returns a rank-1 pair
-(left carries the magnitude, right is unit norm). Deflating repeatedly
-builds a rank-r approximation without ever forming a full decomposition.
+(left carries the magnitude, right is unit norm). Extracting repeatedly
+from the running residual (``rankselect.components``) builds a rank-r
+approximation without ever forming a full decomposition.
 
 Randomness is a Philox counter-based stream, so results are bit-stable
 for a fixed seed. Stream splitting across layers is by convention
@@ -19,12 +20,9 @@ import numpy as np
 
 from .config import FlrqConfig
 from .errors import NumericalError
-from .linalg import fro_norm, gemv, gemv_t, rank1_subtract
+from .linalg import fro_norm, gemv, gemv_t
 
 MAX_PROBE_REDRAWS = 3
-
-# Residual mass below this (relative to the input) counts as numerically zero.
-RESIDUAL_FLOOR = 1e-13
 
 
 @dataclass(frozen=True)
@@ -96,25 +94,3 @@ def r1_step(a: np.ndarray, cfg: FlrqConfig, rng: np.random.Generator) -> Rank1Pa
     left = (k_norm / p_norm_sq) * p
     right = k / k_norm
     return Rank1Pair(left=left, right=right)
-
-
-def deflate(a: np.ndarray, r: int, cfg: FlrqConfig) -> LowRankFactors:
-    """Greedy rank-r approximation: r extractions, each subtracted in turn.
-
-    Stops early, with fewer than r components, once the residual is
-    numerically zero.
-    """
-    m, n = a.shape
-    if not 1 <= r <= min(m, n):
-        raise ValueError(f"rank must be in [1, {min(m, n)}], got {r}")
-    rng = make_rng(cfg.seed)
-    floor = RESIDUAL_FLOOR * fro_norm(a)
-    residual = a.copy()
-    pairs: list[Rank1Pair] = []
-    for _ in range(r):
-        if fro_norm(residual) <= floor:
-            break
-        pair = r1_step(residual, cfg, rng)
-        residual = rank1_subtract(residual, pair.left, pair.right)
-        pairs.append(pair)
-    return LowRankFactors.from_pairs(pairs, m, n)

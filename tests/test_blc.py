@@ -141,10 +141,9 @@ class TestScaledFlr:
 
 class TestLayerError:
     def test_exact_lattice_decomposition(self):
-        step = 0.5
-        codes = np.array([[-7, 2, 7, 0]], dtype=float)
-        w = codes * step
-        q = quantize_matrix(w, 4, group_size=4, mode="symmetric")
+        # a span of 15 steps at 4 bits: every entry is a lattice point
+        w = np.array([[-7, 2, 8, 0]], dtype=float) * 0.5
+        q = quantize_matrix(w, 4, group_size=4)
         x = np.eye(4)
         assert layer_error(w, q, LowRankFactors.empty(1, 4), x) <= 1e-12
 
@@ -253,7 +252,7 @@ class TestFlrqLayer:
         cfg = FlrqConfig(d=4, seed=6, epochs=1, clip_grid=(1.0,))
         layer = flrq_layer(w, calibrate(w, x), cfg)
         factors, _ = scaled_flr(w, alpha(channel_mean(x)), cfg)
-        q = quantize_matrix(w - factors.reconstruct(), 4, cfg.group_size, cfg.mode)
+        q = quantize_matrix(w - factors.reconstruct(), 4, cfg.group_size)
         assert np.array_equal(layer.q.codes, q.codes)
         assert np.array_equal(layer.q.scales, q.scales)
         assert np.array_equal(layer.q.zeros, q.zeros)

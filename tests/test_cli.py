@@ -277,10 +277,11 @@ class TestQuantizeCommand:
         metas = sorted(out.glob("layer_*/meta.json"))
         assert len(metas) == 2
         for path in metas:
-            # Only the echo is checked: rank_trace writes a slope of +inf (window not yet
-            # full) as bare Infinity in every meta.json, whatever the flags.
-            config = json.loads(path.read_text())["config"]
-            assert json.loads(json.dumps(config), parse_constant=reject)[flag[2:]] == "inf"
+            meta = json.loads(path.read_text(), parse_constant=reject)
+            assert meta["config"][flag[2:]] == "inf"
+            # the slope is +inf until the window fills, and reads back as a float
+            assert meta["rank_trace"]["steps"][0]["slope"] == "inf"
+            assert read_bundle(path.parent)[0].rank_trace.steps[0].slope == float("inf")
 
     def test_flags_are_config_fields(self):
         # A renamed flag must not silently fall back to the config default.

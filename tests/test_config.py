@@ -17,7 +17,6 @@ BAD_VALUES = {
     "clip-grid-empty": {"clip_grid": ()},
     "clip-grid-above-1": {"clip_grid": (1.0, 1.5)},
     "clip-grid-zero": {"clip_grid": (0.0,)},
-    "mode": {"mode": "weird"},
     "group-size-0": {"group_size": 0},
     "alpha-exponent-nan": {"alpha_exponent": float("nan")},
     "alpha-exponent-inf": {"alpha_exponent": float("inf")},

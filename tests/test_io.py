@@ -174,24 +174,43 @@ class TestPacking:
             unpack_codes(b"\x00\x00", 2, 1)
 
 
-def make_layer(seed=0, d=3, mode="asymmetric"):
+def make_layer(seed=0, d=3):
     spec = SynthSpec(m=32, n=64, family="outlier_channels", seed=seed, tokens=16,
                      outlier_count=1, outlier_boost=20.0)
     w, x = gen_layer(spec)
-    return flrq_layer(w, calibrate(w, x), FlrqConfig(d=d, x=1.0, seed=seed, epochs=2, mode=mode))
+    return flrq_layer(w, calibrate(w, x), FlrqConfig(d=d, x=1.0, seed=seed, epochs=2))
+
+
+BUNDLE_FILES = ("codes", "scales", "zeros", "left", "right")
 
 
 class TestBundles:
-    @pytest.mark.parametrize("mode", ["symmetric", "asymmetric"])
-    def test_roundtrip_dequantizes_identically(self, tmp_path, mode):
-        layer = make_layer(d=2, mode=mode)
-        write_bundle(tmp_path / "b", layer, {"d": 2})
-        back, meta = read_bundle(tmp_path / "b")
+    @pytest.mark.parametrize("d", [2], ids=["asymmetric"])
+    def test_roundtrip_dequantizes_identically(self, tmp_path, d):
+        layer = make_layer(d=d)
+        write_bundle(tmp_path / "b", layer, {"d": d})
+        back, _ = read_bundle(tmp_path / "b")
         assert np.array_equal(back.q.codes, layer.q.codes)
         assert dequantize(back.q).tobytes() == dequantize(layer.q).tobytes()
         assert back.reconstruct().tobytes() == layer.reconstruct().tobytes()
-        assert np.array_equal(back.alpha, layer.alpha)
-        assert meta["mode"] == mode
+        assert sorted(p.name for p in (tmp_path / "b").iterdir()) == sorted(
+            ["meta.json", *(f"{name}.flrqten" for name in BUNDLE_FILES)])
+
+    @pytest.mark.parametrize("name", BUNDLE_FILES)
+    def test_missing_container_is_format_error(self, tmp_path, name):
+        write_bundle(tmp_path / "b", make_layer(d=4))
+        (tmp_path / "b" / f"{name}.flrqten").unlink()
+        with pytest.raises(FormatError, match=f"{name}.flrqten"):
+            read_bundle(tmp_path / "b")
+
+    def test_symmetric_bundle_rejected(self, tmp_path):
+        # The retired symmetric format stored offset-binary codes and no zero-points.
+        write_bundle(tmp_path / "b", make_layer(d=4))
+        meta_path = tmp_path / "b" / "meta.json"
+        meta_path.write_text(json.dumps({**json.loads(meta_path.read_text()), "mode": "symmetric"}))
+        (tmp_path / "b" / "zeros.flrqten").unlink()
+        with pytest.raises(FormatError, match="zeros.flrqten"):
+            read_bundle(tmp_path / "b")
 
     def test_metadata_roundtrip(self, tmp_path):
         layer = make_layer(d=4)
@@ -212,7 +231,6 @@ class TestBundles:
     @pytest.mark.parametrize(
         "tamper",
         [
-            lambda meta: meta.update(mode="weird"),
             lambda meta: meta.update(group_size=0),
             lambda meta: meta.update(group_size=7),  # disagrees with the scales' shape
             lambda meta: meta.update(d=5),
@@ -224,7 +242,7 @@ class TestBundles:
             lambda meta: meta.update(blc_trace=5),
             lambda meta: meta.pop("rank_trace"),
         ],
-        ids=["mode", "group-size-0", "group-size-7", "d-5", "shape-1d", "shape-negative",
+        ids=["group-size-0", "group-size-7", "d-5", "shape-1d", "shape-negative",
              "missing-key", "bad-json", "blc-trace-missing-key", "blc-trace-not-a-list",
              "no-rank-trace"],
     )

@@ -13,7 +13,7 @@ from flrq.quantize import (
 )
 
 
-def reference_quantize(w, d, group_size, mode):
+def reference_quantize(w, d, group_size):
     """The module docstring's rules as a plain loop: (codes, scales, zeros, dequantized)."""
     m, n = w.shape
     groups = -(-n // group_size)
@@ -23,21 +23,17 @@ def reference_quantize(w, d, group_size, mode):
         for g in range(groups):
             cols = range(g * group_size, min(n, (g + 1) * group_size))
             vals = [w[i, j] for j in cols]
-            if mode == "symmetric":
-                lo, hi = -(2 ** (d - 1) - 1), 2 ** (d - 1) - 1
-                scale, zero = max(abs(v) for v in vals) / hi, 0.0
-            else:
-                lo, hi = 0, 2**d - 1
-                span = max(vals) - min(vals)
-                # a constant group takes |value| / levels, so scale 0 means all zero
-                scale = (span if span != 0.0 else abs(max(vals))) / hi
-                zero = np.round(-min(vals) / scale) if scale > 0.0 else 0.0
+            hi = 2**d - 1
+            span = max(vals) - min(vals)
+            # a constant group takes |value| / levels, so scale 0 means all zero
+            scale = (span if span != 0.0 else abs(max(vals))) / hi
+            zero = np.round(-min(vals) / scale) if scale > 0.0 else 0.0
             scales[i, g], zeros[i, g] = scale, zero
             for j, v in zip(cols, vals):
-                code = min(max(np.round(v / scale) + zero, lo), hi) if scale > 0.0 else 0
+                code = min(max(np.round(v / scale) + zero, 0), hi) if scale > 0.0 else 0
                 codes[i, j] = code
                 deq[i, j] = (np.float64(code) - zero) * scale
-    return codes, scales, None if mode == "symmetric" else zeros, deq
+    return codes, scales, zeros, deq
 
 
 @st.composite
@@ -69,18 +65,15 @@ def group_matrices(draw):
 
 
 class TestQuantizeMatrix:
-    @given(case=group_matrices(), d=st.sampled_from([2, 3, 4]),
-           mode=st.sampled_from(["symmetric", "asymmetric"]))
-    def test_matches_per_group_loop(self, case, d, mode):
+    @given(case=group_matrices(), d=st.sampled_from([2, 3, 4]))
+    def test_matches_per_group_loop(self, case, d):
         w, group_size = case
-        codes, scales, zeros, deq = reference_quantize(w, d, group_size, mode)
-        q = quantize_matrix(w, d, group_size=group_size, mode=mode)
+        codes, scales, zeros, deq = reference_quantize(w, d, group_size)
+        q = quantize_matrix(w, d, group_size=group_size)
         assert q.codes.dtype == np.int16 and q.codes.flags.c_contiguous
         assert q.codes.tobytes() == codes.tobytes()
         assert q.scales.tobytes() == scales.tobytes()
-        assert (q.zeros is None) == (zeros is None)
-        if zeros is not None:
-            assert q.zeros.tobytes() == zeros.tobytes()
+        assert q.zeros.tobytes() == zeros.tobytes()
         assert dequantize(q).tobytes() == deq.tobytes()
 
     @given(
@@ -89,37 +82,25 @@ class TestQuantizeMatrix:
         n=st.integers(1, 70),
         group_size=st.integers(1, 32),
         d=st.sampled_from([2, 3, 4]),
-        mode=st.sampled_from(["symmetric", "asymmetric"]),
         exponent=st.integers(-8, 8),
     )
-    def test_dequantize_within_half_step(self, seed, m, n, group_size, d, mode, exponent):
+    def test_dequantize_within_half_step(self, seed, m, n, group_size, d, exponent):
         w = np.random.default_rng(seed).standard_normal((m, n)) * 10.0**exponent
-        q = quantize_matrix(w, d, group_size=group_size, mode=mode)
+        q = quantize_matrix(w, d, group_size=group_size)
         step = np.repeat(q.scales, group_size, axis=1)[:, :n]
         assert (np.abs(dequantize(q) - w) <= step / 2 + 1e-12 * amax(w)).all()
 
-    def test_hand_case_symmetric_4bit(self):
-        r = np.array([[-3.0, 1.0, 2.9]])
-        q = quantize_matrix(r, 4, group_size=3, mode="symmetric")
-        assert q.codes.tolist() == [[-7, 2, 7]]
-        assert q.scales[0, 0] == pytest.approx(3.0 / 7.0, rel=1e-15)
-        deq = dequantize(q)
-        assert deq[0, 0] == pytest.approx(-3.0, abs=1e-12)
-        assert deq[0, 1] == pytest.approx(6.0 / 7.0, rel=1e-12)
-        assert deq[0, 2] == pytest.approx(3.0, abs=1e-12)
-
     def test_all_zero_group(self):
-        for mode in ("symmetric", "asymmetric"):
-            q = quantize_matrix(np.zeros((2, 8)), 3, group_size=4, mode=mode)
-            assert np.all(q.codes == 0)
-            assert np.all(q.scales == 0.0)
-            assert np.all(dequantize(q) == 0.0)
+        q = quantize_matrix(np.zeros((2, 8)), 3, group_size=4)
+        assert np.all(q.codes == 0)
+        assert np.all(q.scales == 0.0)
+        assert np.all(dequantize(q) == 0.0)
 
     def test_lattice_points_roundtrip_exactly(self):
-        step = 0.25
-        codes = np.array([[-7, -3, 0, 2, 7]], dtype=float)
-        w = codes * step
-        q = quantize_matrix(w, 4, group_size=5, mode="symmetric")
+        # a span of 15 steps at 4 bits: scale 0.25, zero 7
+        w = np.array([[-7, -3, 0, 2, 8]], dtype=float) * 0.25
+        q = quantize_matrix(w, 4, group_size=5)
+        assert q.codes.tolist() == [[0, 4, 7, 9, 15]]
         assert np.array_equal(dequantize(q), w)
 
     def test_rejects_nonfinite(self):
@@ -133,7 +114,7 @@ class TestQuantizeMatrix:
     def test_constant_nonzero_group_asymmetric(self):
         # scale = 0 must only ever mean an all-zero group
         w = np.full((1, 4), 3.7)
-        q = quantize_matrix(w, 2, group_size=4, mode="asymmetric")
+        q = quantize_matrix(w, 2, group_size=4)
         assert q.scales[0, 0] > 0
         assert np.allclose(dequantize(q), w, atol=1e-12)
 
@@ -145,33 +126,18 @@ class TestQuantizeMatrix:
         rng = np.random.default_rng(1)
         w = rng.standard_normal((4, 64)) * 10
         for d in (2, 3, 4):
-            qs = quantize_matrix(w, d, group_size=16, mode="symmetric")
-            assert qs.codes.min() >= -(2 ** (d - 1) - 1)
-            assert qs.codes.max() <= 2 ** (d - 1) - 1
-            qa = quantize_matrix(w, d, group_size=16, mode="asymmetric")
-            assert qa.codes.min() >= 0
-            assert qa.codes.max() <= 2**d - 1
-
-    @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_symmetric_code_lattice_is_distinct(self, d):
-        # every representable code dequantizes to its own lattice point
-        half = 2 ** (d - 1) - 1
-        codes = np.arange(-half, half + 1, dtype=float)
-        w = codes[None, :] * 0.37
-        q = quantize_matrix(w, d, group_size=codes.size, mode="symmetric")
-        assert np.array_equal(q.codes[0], codes)
-        deq = dequantize(q)[0]
-        assert np.unique(deq).size == codes.size
+            q = quantize_matrix(w, d, group_size=16)
+            assert q.codes.min() >= 0
+            assert q.codes.max() <= 2**d - 1
 
 
 class TestDequantizeRoundTrip:
-    @pytest.mark.parametrize("d", [2, 3, 4])
-    @pytest.mark.parametrize("mode", ["symmetric", "asymmetric"])
-    def test_elementwise_bound(self, d, mode):
+    @pytest.mark.parametrize("d", [2, 3, 4], ids=lambda d: f"asymmetric-{d}")
+    def test_elementwise_bound(self, d):
         rng = np.random.default_rng(2)
         for _ in range(20):
             w = rng.standard_normal((8, 128)) * rng.uniform(0.1, 10)
-            q = quantize_matrix(w, d, group_size=32, mode=mode)
+            q = quantize_matrix(w, d, group_size=32)
             err = np.abs(w - dequantize(q))
             step = np.repeat(q.scales, 32, axis=1)
             assert np.all(err <= step / 2 + 1e-12)
@@ -180,21 +146,13 @@ class TestDequantizeRoundTrip:
         q = quantize_matrix(np.zeros((3, 5)), 2, group_size=5)
         assert np.all(dequantize(q) == 0.0)
 
-    def test_extreme_codes_hit_amax_symmetric(self):
-        w = np.array([[-4.0, 0.0, 4.0]])
-        q = quantize_matrix(w, 3, group_size=3, mode="symmetric")
-        deq = dequantize(q)
-        assert deq[0, 0] == pytest.approx(-4.0, abs=1e-12)
-        assert deq[0, 2] == pytest.approx(4.0, abs=1e-12)
-
 
 class TestMaxQuantError:
     def test_bounds_actual_error(self):
         rng = np.random.default_rng(3)
         w = rng.standard_normal((6, 64))
-        for mode in ("symmetric", "asymmetric"):
-            q = quantize_matrix(w, 3, group_size=16, mode=mode)
-            assert np.abs(w - dequantize(q)).max() <= q.scales.max() / 2.0 + 1e-12
+        q = quantize_matrix(w, 3, group_size=16)
+        assert np.abs(w - dequantize(q)).max() <= q.scales.max() / 2.0 + 1e-12
 
 
 class TestClip:
@@ -226,10 +184,9 @@ class TestClip:
 
 class TestSearchClip:
     def test_lattice_exact_picks_full_range(self):
-        step = 0.5
-        w = np.array([[-7, 1, 3, 7]], dtype=float) * step
+        w = np.array([[-7, 1, 3, 8]], dtype=float) * 0.5  # 15 steps of 0.5 at 4 bits
         x = np.eye(4)
-        res = search_clip(w, x, 4, group_size=4, mode="symmetric")
+        res = search_clip(w, x, 4, group_size=4)
         assert res.p_clp == pytest.approx(amax(w))
         best = min(err for _, err in res.grid_errors)
         assert best <= 1e-10

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from flrq import rankselect
 from flrq.config import FlrqConfig
 from flrq.errors import NumericalError
 from flrq.linalg import amax, rank1_subtract
-from flrq.rankselect import qk, select_rank, slope
+from flrq.rankselect import components, qk, select_rank, slope
 from flrq.sketch import make_rng, r1_step
 
 
@@ -143,6 +144,35 @@ class TestSelectRank:
         w = np.random.default_rng(8).standard_normal((16, 16))
         _, trace = select_rank(w, FlrqConfig(d=4, seed=2))
         assert trace.stop_reason in ("budget_qk", "memory_cap", "slope", "max_rank")
+
+
+class TestComponents:
+    CASES = {
+        "slope": (rank1_dominant(128, 128, 3), FlrqConfig(d=4, slope_window=1, seed=5)),
+        "memory-cap": (rank1_dominant(64, 64, 100), FlrqConfig(d=4, seed=0)),
+        "budget": (np.random.default_rng(8).standard_normal((16, 16)), FlrqConfig(d=2, seed=2)),
+        "exhausted": (np.outer(np.arange(1.0, 65.0), np.ones(64)), FlrqConfig(d=4, seed=1)),
+        "zero": (np.zeros((8, 8)), FlrqConfig(seed=0)),
+    }
+
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_select_rank_never_extracts_ahead(self, monkeypatch, case):
+        # One r1_step call per trace step: the stopping pair is the last one extracted.
+        w, cfg = case
+        calls = []
+        step = rankselect.r1_step
+        monkeypatch.setattr(rankselect, "r1_step", lambda *a: calls.append(1) or step(*a))
+        _, trace = select_rank(w, cfg)
+        assert len(calls) == len(trace.steps)
+
+    def test_yields_min_dim_pairs_with_running_residuals(self):
+        w = np.random.default_rng(9).standard_normal((12, 20))
+        residual, count = w, 0
+        for pair, after in components(w, FlrqConfig(seed=3)):
+            residual = rank1_subtract(residual, pair.left, pair.right)
+            assert after.tobytes() == residual.tobytes()
+            count += 1
+        assert count == 12
 
 
 class TestLoopOracle:

@@ -4,7 +4,8 @@ import pytest
 from flrq.config import FlrqConfig
 from flrq.errors import NumericalError
 from flrq.linalg import fro_norm
-from flrq.sketch import deflate, layer_seed, make_rng, r1_step
+from flrq.rankselect import deflate
+from flrq.sketch import layer_seed, make_rng, r1_step
 
 
 def gaussian(shape, seed):
