@@ -23,6 +23,7 @@ import numpy as np
 from flrq import LowRankFactors, NumericalError, amax, calibrate, cli, components, deflate
 from flrq import flrq_layer, fro_norm, gen_layer, layer_seed, select_rank
 from flrq.io import extra_bits
+from flrq.rankselect import D_FP
 from flrq.synth import FAMILIES
 
 ABLATIONS = ("it", "blc", "x", "fixed-vs-flex")
@@ -41,7 +42,6 @@ def build_parser() -> cli.Parser:
     r.add_argument("--max-rank", type=int, default=32)
     r.add_argument("--it", type=int, default=2)
     r.add_argument("--d", type=int, default=4, choices=(2, 3, 4))
-    r.add_argument("--group-size", type=int, default=128)
 
     a = sub.add_parser("ablate", help="run one of the trend ablations")
     a.set_defaults(run=cmd_ablate)
@@ -131,17 +131,17 @@ def ablation_rows(which: str, idx: int, w, calib, base) -> list[dict]:
             layer = flrq_layer(w, calib, dataclasses.replace(base, x=x_cap))
             rank = layer.factors.rank
             rows.append({"layer": idx, "x": x_cap, "rank": rank,
-                         "extra_bits": extra_bits(16, rank, m, n), "rel_error": layer.rel_error})
+                         "extra_bits": extra_bits(D_FP, rank, m, n), "rel_error": layer.rel_error})
         return rows
     flex, _ = select_rank(w, base)  # fixed-vs-flex
     fixed = deflate(w, min(32, m, n), base)
     return [{
         "layer": idx,
         "flex_rank": flex.rank,
-        "flex_extra_bits": extra_bits(16, flex.rank, m, n),
+        "flex_extra_bits": extra_bits(D_FP, flex.rank, m, n),
         "flex_rel_error": cli.plain_rel_error(w, calib, flex, base),
         "fixed_rank": fixed.rank,
-        "fixed_extra_bits": extra_bits(16, fixed.rank, m, n),
+        "fixed_extra_bits": extra_bits(D_FP, fixed.rank, m, n),
         "fixed_rel_error": cli.plain_rel_error(w, calib, fixed, base),
     }]
 

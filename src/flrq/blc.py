@@ -133,9 +133,9 @@ def layer_error(
 def _clip_and_quantize(
     w_rest: np.ndarray, l: np.ndarray, cfg: FlrqConfig
 ) -> tuple[QuantizedTensor, float]:
-    found = search_clip(w_rest, l, cfg.d, cfg.group_size, cfg.clip_grid)
+    found = search_clip(w_rest, l, cfg.d)
     if found.q is None:  # an all-zero remainder: nothing to clip
-        return quantize_matrix(w_rest, cfg.d, cfg.group_size), found.p_clp
+        return quantize_matrix(w_rest, cfg.d), found.p_clp
     return found.q, found.p_clp
 
 
@@ -146,7 +146,7 @@ def flrq_layer(w: np.ndarray, calib: Calibration, cfg: FlrqConfig) -> QuantizedL
     warnings: list[str] = []
     if floored:
         warnings.append(f"{floored} zero-activation channel(s) floored at {CHANNEL_MEAN_EPS}")
-    alpha_vec = alpha(calib.mean, cfg.alpha_exponent)
+    alpha_vec = alpha(calib.mean)
 
     trace: list[EpochRecord] = []
     best: QuantizedLayer | None = None

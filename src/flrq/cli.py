@@ -24,7 +24,7 @@ from .blc import Calibration, QuantizedLayer, calibrate, flrq_layer, layer_error
 from .config import FlrqConfig
 from .errors import FlrqError, FormatError, NumericalError
 from .linalg import as_matrix, blas_threads
-from .quantize import DEFAULT_CLIP_GRID, quantize_matrix
+from .quantize import CLIP_GRID, quantize_matrix
 from .sketch import LowRankFactors, layer_seed
 from .synth import FAMILIES, SynthSpec, gen_layer
 
@@ -37,7 +37,13 @@ class UsageError(Exception):
 
 
 class Parser(argparse.ArgumentParser):
-    """An argument parser whose errors reach ``main`` as usage errors (exit 1)."""
+    """An argument parser whose errors reach ``main`` as usage errors (exit 1).
+
+    Flags must be spelled out, or a retired ``--t`` would be taken as ``--threads``.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise UsageError(message)
@@ -45,13 +51,6 @@ class Parser(argparse.ArgumentParser):
 
 def log(msg: str) -> None:
     print(f"[flrq] {msg}", file=sys.stderr)
-
-
-def _parse_grid(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise UsageError(f"bad clip grid {text!r}: {exc}") from None
 
 
 def count(text: str) -> int:
@@ -81,7 +80,6 @@ def build_parser() -> Parser:
     g.add_argument("--nu", type=float, default=3.0)
     g.add_argument("--outlier-count", type=int, default=4)
     g.add_argument("--outlier-boost", type=float, default=10.0)
-    g.add_argument("--f32", action="store_true", help="store weights/activations as f32")
 
     q = sub.add_parser("quantize", help="quantize a directory of layers")
     q.set_defaults(run=cmd_quantize)
@@ -90,15 +88,9 @@ def build_parser() -> Parser:
                    help="worker threads, one layer each (never changes output bytes)")
     q.add_argument("--in", dest="in_dir", type=Path, required=True)
     q.add_argument("--d", type=int, default=4, choices=(2, 3, 4))
-    q.add_argument("--d-fp", type=int, default=16, choices=(16, 32))
-    q.add_argument("--group-size", type=int, default=128)
     q.add_argument("--x", type=float, default=0.2)
-    q.add_argument("--t", type=float, default=1e-3)
-    q.add_argument("--slope-window", type=int, default=4)
     q.add_argument("--it", type=int, default=2)
     q.add_argument("--epochs", type=int, default=None)
-    q.add_argument("--alpha-exponent", type=float, default=2.5)
-    q.add_argument("--clip-grid", type=_parse_grid, default=DEFAULT_CLIP_GRID)
     return p
 
 
@@ -140,7 +132,7 @@ def config_echo(args, **resolved) -> dict:
     """The command's arguments minus paths, threads and its handler, then ``resolved``.
 
     Keys follow the parser's argument order, which the report bytes depend on.
-    JSON has no infinity, so a legal --x inf or --t inf is echoed as "inf".
+    JSON has no infinity, so a legal --x inf is echoed as "inf".
     """
     skip = ("out_dir", "threads", "in_dir", "run")
     return {k: flrq_io.inf_to_json(v)
@@ -166,7 +158,7 @@ def synth_specs(args) -> list[SynthSpec]:
 
 def plain_rel_error(w, calib: Calibration, factors: LowRankFactors, cfg: FlrqConfig) -> float:
     """Relative output error of plainly quantizing W - LR and adding LR back."""
-    q = quantize_matrix(w - factors.reconstruct(), cfg.d, cfg.group_size)
+    q = quantize_matrix(w - factors.reconstruct(), cfg.d)
     return layer_error(w, q, factors, calib.l) / calib.wx_norm if calib.wx_norm > 0 else 0.0
 
 
@@ -175,7 +167,7 @@ def cmd_gen_synth(args) -> int:
         layer_dir = args.out_dir / f"layer_{idx:03d}"
         layer_dir.mkdir(parents=True, exist_ok=True)
         for name, a in zip((WEIGHTS_FILE, ACTIVATIONS_FILE), gen_layer(spec)):
-            container = flrq_io.container_from_array(a, f32=args.f32)
+            container = flrq_io.container_from_array(a)
             flrq_io.write_container_file(layer_dir / name, container)
         (layer_dir / "synth.json").write_text(json.dumps(dataclasses.asdict(spec), indent=2) + "\n")
     log(f"wrote {args.layers} synthetic layer(s) to {args.out_dir}")
@@ -185,7 +177,7 @@ def cmd_gen_synth(args) -> int:
 def cmd_quantize(args) -> int:
     cfg = flrq_config(args)
     layers = discover_layers(args.in_dir)
-    echo = config_echo(args, layers=[p.name for p in layers])
+    echo = config_echo(args, clip_grid=CLIP_GRID, layers=[p.name for p in layers])
     workers = min(args.threads, len(layers))
 
     def run_one(idx: int, w, x) -> tuple[int, tuple[QuantizedLayer, dict]]:

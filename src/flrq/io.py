@@ -31,7 +31,7 @@ import numpy as np
 from .blc import EpochRecord, QuantizedLayer
 from .errors import BadMagicError, BadVersionError, FormatError, TruncatedError
 from .quantize import BIT_WIDTHS, QuantizedTensor
-from .rankselect import RankStep, RankTrace
+from .rankselect import D_FP, RankStep, RankTrace
 from .sketch import LowRankFactors
 
 MAGIC = b"FLRQTEN\0"
@@ -201,6 +201,19 @@ def _is_count(v) -> bool:
     return type(v) is int and v >= 1
 
 
+def _typed(v, name: str, types=(int, float)):
+    """``v`` if its type is one of ``types`` and it is not NaN (a bool is neither int nor float)."""
+    if type(v) not in types or v != v:
+        raise ValueError(f"{name} {v!r} is not {' or '.join(t.__name__ for t in types)}")
+    return v
+
+
+def _record(cls, r: dict, ints: tuple[str, ...], inf_ok: bool = False):
+    """``cls(**r)``: the fields in ``ints`` must be ints, the rest numbers (or "inf" if allowed)."""
+    return cls(**{k: _typed(v, k, (int,)) if k in ints else math.inf if inf_ok and v == "inf"
+                  else _typed(v, k) for k, v in r.items()})
+
+
 def _read_meta(path: Path) -> dict:
     """Parse a bundle's metadata and check the fields that shape its arrays."""
     try:
@@ -258,24 +271,21 @@ def read_bundle(directory) -> tuple[QuantizedLayer, dict]:
         shape=(m, n),
     )
     try:
-        trace = [EpochRecord(**r) for r in meta["blc_trace"]]
+        trace = [_record(EpochRecord, r, ints=("epoch", "rank")) for r in meta["blc_trace"]]
         rt = meta["rank_trace"]
-        steps = [RankStep(**{k: math.inf if v == "inf" else v for k, v in s.items()})
-                 for s in rt["steps"]]
+        steps = [_record(RankStep, s, ints=("r",), inf_ok=True) for s in rt["steps"]]
         rank_trace = RankTrace(**{**rt, "steps": steps})
+        layer = QuantizedLayer(
+            q=q,
+            factors=LowRankFactors(left=left, right=right),
+            blc_trace=trace,
+            best_epoch=_typed(meta["best_epoch"], "best_epoch", (int,)),
+            rank_trace=rank_trace,
+            warnings=list(meta.get("warnings", [])),
+            **{k: _typed(meta[k], k) for k in ("best_error", "wx_norm", "p_clp")},
+        )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{meta_path}: malformed trace ({exc!r})") from None
-    layer = QuantizedLayer(
-        q=q,
-        factors=LowRankFactors(left=left, right=right),
-        blc_trace=trace,
-        best_epoch=meta["best_epoch"],
-        best_error=meta["best_error"],
-        wx_norm=meta["wx_norm"],
-        p_clp=meta["p_clp"],
-        rank_trace=rank_trace,
-        warnings=list(meta.get("warnings", [])),
-    )
+        raise FormatError(f"{meta_path}: malformed metadata ({exc!r})") from None
     return layer, meta
 
 
@@ -291,16 +301,16 @@ def emit_report(layers, config: dict, extras: list[dict] | None = None) -> str:
     """Render the canonical JSON report for a set of quantized layers.
 
     Keys are emitted in a fixed order and floats use their shortest repr, so
-    identical inputs produce byte-identical text; ``total_time`` is always
-    null for the same reason. ``extras`` optionally merges additional
-    per-layer columns (e.g. baseline errors) into the rows.
+    identical inputs produce byte-identical text; wall time is never recorded.
+    Factors, scales and zeros are charged at ``D_FP`` bits. ``extras``
+    optionally merges additional per-layer columns (e.g. baseline errors)
+    into the rows.
     """
-    d_fp = int(config.get("d_fp", 16))
     rows = []
     for idx, layer in enumerate(layers):
         m, n = layer.q.shape
-        meta_bits = d_fp * 2 / layer.q.group_size  # a scale and a zero per group
-        xb = extra_bits(d_fp, layer.factors.rank, m, n)
+        meta_bits = D_FP * 2 / layer.q.group_size  # a scale and a zero per group
+        xb = extra_bits(D_FP, layer.factors.rank, m, n)
         row = {
             "index": idx,
             "rank": layer.factors.rank,
@@ -315,13 +325,7 @@ def emit_report(layers, config: dict, extras: list[dict] | None = None) -> str:
         if extras is not None:
             row.update(extras[idx])
         rows.append(row)
-    if rows:
-        aggregate = {
-            "avg_rank": float(np.mean([r["rank"] for r in rows])),
-            "avg_extra_bits": float(np.mean([r["extra_bits"] for r in rows])),
-            "total_time": None,
-        }
-    else:
-        aggregate = {"avg_rank": None, "avg_extra_bits": None, "total_time": None}
+    aggregate = {f"avg_{key}": float(np.mean([r[key] for r in rows])) if rows else None
+                 for key in ("rank", "extra_bits")}
     report = {"config": config, "layers": rows, "aggregate": aggregate}
     return json.dumps(report, indent=2) + "\n"

@@ -1,7 +1,8 @@
 """Group-wise integer quantization, clipping, and clip-threshold grid search.
 
 Weights are grouped along the input dimension (contiguous runs of
-``group_size`` within each row). Each group maps to codes in [0, 2^d-1]
+``group_size`` within each row; ``GROUP_SIZE`` = 128 in the pipeline, the
+common weight-only format). Each group maps to codes in [0, 2^d-1]
 with step (max-min)/(2^d-1) and an integer-valued zero-point, so a value v
 is stored as round(v / step) + zero. Rounding is half-to-even so repeated
 requantization stays unbiased.
@@ -17,8 +18,8 @@ from .linalg import amax, fro_norm
 
 BIT_WIDTHS = (2, 3, 4)
 
-DEFAULT_GROUP_SIZE = 128
-DEFAULT_CLIP_GRID = (1.0, 0.98, 0.95, 0.92, 0.90, 0.85, 0.80, 0.70)
+GROUP_SIZE = 128
+CLIP_GRID = (1.0, 0.98, 0.95, 0.92, 0.90, 0.85, 0.80, 0.70)  # clip ratios, unique and descending
 
 
 @dataclass
@@ -40,14 +41,6 @@ def check_args(d: int, group_size: int) -> None:
         raise ValueError("group_size must be >= 1")
 
 
-def check_grid(grid: tuple[float, ...]) -> None:
-    if len(grid) == 0:
-        raise ValueError("clip grid is empty")
-    for rho in grid:
-        if not 0.0 < rho <= 1.0:
-            raise ValueError(f"clip ratios must lie in (0, 1], got {rho}")
-
-
 def _grouped(a: np.ndarray, group_size: int) -> np.ndarray:
     """``a`` as (m, groups, group_size): a view, or an edge-padded copy when n is ragged."""
     if a.shape[1] % group_size:
@@ -55,7 +48,7 @@ def _grouped(a: np.ndarray, group_size: int) -> np.ndarray:
     return a.reshape(a.shape[0], a.shape[1] // group_size, group_size)
 
 
-def quantize_matrix(r: np.ndarray, d: int, group_size: int = DEFAULT_GROUP_SIZE) -> QuantizedTensor:
+def quantize_matrix(r: np.ndarray, d: int, group_size: int = GROUP_SIZE) -> QuantizedTensor:
     """Quantize a dense matrix group by group."""
     check_args(d, group_size)
     r = np.asarray(r, dtype=np.float64)
@@ -112,18 +105,14 @@ class ClipSearchResult:
 
 
 def search_clip(
-    w: np.ndarray,
-    l: np.ndarray,
-    d: int,
-    group_size: int = DEFAULT_GROUP_SIZE,
-    grid: tuple[float, ...] = DEFAULT_CLIP_GRID,
+    w: np.ndarray, l: np.ndarray, d: int, group_size: int = GROUP_SIZE
 ) -> ClipSearchResult:
     """Grid-search the clip threshold minimizing ||(W - dequant(quant(clip(W)))) L||_F.
 
     L is the layer's Gram factor (``blc.gram_factor``), so this is the output error through X.
-    Candidates are ratio * amax(W); ties break toward the larger threshold.
+    Candidates are ratio * amax(W) for each ratio of CLIP_GRID; ties break toward the
+    larger threshold.
     """
-    check_grid(grid)
     if w.shape[1] != l.shape[0]:
         raise ValueError(f"activation shape {l.shape} does not conform to weights {w.shape}")
     top = amax(w)
@@ -132,7 +121,7 @@ def search_clip(
         return ClipSearchResult(p_clp=0.0, grid_errors=[])
     best_p, best_q, best_err = None, None, np.inf
     grid_errors: list[tuple[float, float]] = []
-    for rho in sorted(set(grid), reverse=True):
+    for rho in CLIP_GRID:
         p = rho * top
         q = quantize_matrix(clip(w, p), d, group_size)
         diff = dequantize(q)

@@ -2,10 +2,12 @@
 
 The loop extracts rank-1 components from the running residual and keeps
 them while the effective-bit gain q from the shrinking amax outpaces the
-storage growth k of the factors, subject to a hard memory cap and a
-flatness test on the amax curve. Because the sketch is randomized, the
-amax used for q (and recorded in the trace) is the running minimum of the
-observed values, which keeps the decision sequence monotone.
+storage growth k of the factors (charged at D_FP bits per entry), subject
+to a hard memory cap (``FlrqConfig.x``) and a flatness test on the amax
+curve (its slope over SLOPE_WINDOW steps falls below SLOPE_T). Because the
+sketch is randomized, the amax used for q (and recorded in the trace) is
+the running minimum of the observed values, which keeps the decision
+sequence monotone.
 """
 
 from __future__ import annotations
@@ -24,6 +26,10 @@ from .sketch import LowRankFactors, Rank1Pair, make_rng, r1_step
 
 # Residual mass below this (relative to the input) counts as numerically zero.
 RESIDUAL_FLOOR = 1e-13
+
+D_FP = 16  # bits charged per factor entry (and by the report per scale and zero)
+SLOPE_T = 1e-3  # the loop stops once the windowed amax slope falls below this
+SLOPE_WINDOW = 4
 
 
 @dataclass(frozen=True)
@@ -111,7 +117,7 @@ def select_rank(w: np.ndarray, cfg: FlrqConfig) -> tuple[LowRankFactors, RankTra
     """Run the flexible-rank loop on one layer.
 
     Extracts rank-1 pairs from the residual; a pair is kept only if, with it
-    included, k < q, k <= 1 + x, and the amax slope is still >= t. The pair
+    included, k < q, k <= 1 + x, and the amax slope is still >= SLOPE_T. The pair
     that triggers a stop is discarded, so rank 0 is a valid outcome. A zero
     matrix is already at the residual floor: it stops before any extraction
     with reason ``max_rank``.
@@ -125,8 +131,8 @@ def select_rank(w: np.ndarray, cfg: FlrqConfig) -> tuple[LowRankFactors, RankTra
     for r, (pair, candidate) in enumerate(components(w, cfg), start=1):
         envelope = min(envelope, amax(candidate))
         history.append(envelope)
-        q, k = qk(cfg.d, cfg.d_fp, m, n, r, w0, envelope)
-        s = slope(history, cfg.slope_window)
+        q, k = qk(cfg.d, D_FP, m, n, r, w0, envelope)
+        s = slope(history, SLOPE_WINDOW)
         trace.steps.append(RankStep(r=r, amax=envelope, q=q, k=k, slope=s))
         if k >= q:
             trace.stop_reason = "budget_qk"
@@ -134,7 +140,7 @@ def select_rank(w: np.ndarray, cfg: FlrqConfig) -> tuple[LowRankFactors, RankTra
         if k > 1.0 + cfg.x:
             trace.stop_reason = "memory_cap"
             break
-        if s < cfg.t:
+        if s < SLOPE_T:
             trace.stop_reason = "slope"
             break
         pairs.append(pair)

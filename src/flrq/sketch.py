@@ -70,20 +70,26 @@ def layer_seed(global_seed: int, layer_index: int) -> int:
     return (global_seed ^ layer_index) & 0xFFFFFFFFFFFFFFFF
 
 
+def _rescaled(v: np.ndarray) -> np.ndarray:
+    """``v`` times the power of two that puts its amax in [0.5, 1): exact, and 0 stays 0."""
+    return np.ldexp(v, -np.frexp(np.abs(v).max())[1])
+
+
 def r1_step(a: np.ndarray, cfg: FlrqConfig, rng: np.random.Generator) -> Rank1Pair:
     """Extract one rank-1 pair from ``a`` using 2*it + 2 matrix-vector products.
 
     The probe p = (A A^T)^it A s is built by alternating gemv/gemv_t calls;
-    k = A^T p then gives left = (|k| / |p|^2) p and right = k / |k|.
+    k = A^T p then gives left = (|k| / |p|^2) p and right = k / |k|. Both are degree 0
+    in p, so p is rescaled exactly after every product: the pair of 2^e A is (2^e left, right).
     """
     n = a.shape[1]
     if fro_norm(a) == 0.0:
         raise NumericalError("nothing to sketch: matrix is zero")
     for _ in range(MAX_PROBE_REDRAWS + 1):
         s = rng.standard_normal(n)
-        p = gemv(a, s)
+        p = _rescaled(gemv(a, s))
         for _ in range(cfg.it):
-            p = gemv(a, gemv_t(a, p))
+            p = _rescaled(gemv(a, _rescaled(gemv_t(a, p))))
         p_norm_sq = float(p @ p)
         if p_norm_sq > 0.0:
             break

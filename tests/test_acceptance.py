@@ -29,7 +29,7 @@ from flrq.io import (
 )
 from flrq.linalg import fro_norm
 from flrq.quantize import dequantize, quantize_matrix
-from flrq.rankselect import deflate, qk, select_rank
+from flrq.rankselect import D_FP, deflate, qk, select_rank
 from flrq.sketch import r1_step, make_rng
 from flrq.synth import SynthSpec, gen_layer
 
@@ -190,14 +190,14 @@ def test_06_flexible_rank_behavior(announce):
         cfg = FlrqConfig(d=4, seed=s)
         factors, _ = select_rank(w, cfg)
         ranks_dominant.append(factors.rank)
-        _, k = qk(cfg.d, cfg.d_fp, 64, 64, factors.rank, 1.0, 1.0)
+        _, k = qk(cfg.d, D_FP, 64, 64, factors.rank, 1.0, 1.0)
         caps_ok &= k <= 1 + cfg.x + 1e-12
     for s in range(20):
         w = np.random.default_rng(950 + s).standard_normal((64, 64))
         cfg = FlrqConfig(d=4, seed=s)
         factors, _ = select_rank(w, cfg)
         ranks_gauss.append(factors.rank)
-        _, k = qk(cfg.d, cfg.d_fp, 64, 64, factors.rank, 1.0, 1.0)
+        _, k = qk(cfg.d, D_FP, 64, 64, factors.rank, 1.0, 1.0)
         caps_ok &= k <= 1 + cfg.x + 1e-12
     elapsed = time.perf_counter() - t0
     ok = all(r == 1 for r in ranks_dominant) and all(r <= 8 for r in ranks_gauss) and caps_ok

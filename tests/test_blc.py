@@ -6,7 +6,7 @@ from flrq.blc import CHANNEL_MEAN_EPS, scaled_flr
 from flrq.config import FlrqConfig
 from flrq.errors import NumericalError
 from flrq.linalg import blas_threads, fro_norm
-from flrq.quantize import dequantize, quantize_matrix
+from flrq.quantize import dequantize, quantize_matrix, search_clip
 from flrq.rankselect import select_rank
 from flrq.sketch import LowRankFactors
 from flrq.synth import SynthSpec, gen_layer
@@ -246,18 +246,38 @@ class TestFlrqLayer:
         assert np.mean(on_err) <= np.mean(off_err) <= np.mean(plain_err)
 
     def test_alpha_neutral_path_is_bit_exact(self):
-        # one epoch, no clipping: the pipeline must equal the manual
-        # composition of scaled rank selection and quantization.
+        # one epoch: the pipeline must equal the manual composition of
+        # scaled rank selection and the clip search.
         w, x = outlier_layer(55, m=96, n=96)
-        cfg = FlrqConfig(d=4, seed=6, epochs=1, clip_grid=(1.0,))
-        layer = flrq_layer(w, calibrate(w, x), cfg)
+        cfg = FlrqConfig(d=4, seed=6, epochs=1)
+        calib = calibrate(w, x)
+        layer = flrq_layer(w, calib, cfg)
         factors, _ = scaled_flr(w, alpha(channel_mean(x)), cfg)
-        q = quantize_matrix(w - factors.reconstruct(), 4, cfg.group_size)
+        q = search_clip(w - factors.reconstruct(), calib.l, 4).q
         assert np.array_equal(layer.q.codes, q.codes)
         assert np.array_equal(layer.q.scales, q.scales)
         assert np.array_equal(layer.q.zeros, q.zeros)
         assert np.array_equal(layer.factors.left, factors.left)
         assert np.array_equal(layer.factors.right, factors.right)
+
+    @pytest.mark.parametrize("d", [2, 4])
+    @pytest.mark.parametrize("k", [-100, 100])
+    def test_scale_equivariant(self, d, k):
+        # W * 2^k gives the same codes, zeros, right factors and relative error,
+        # with scales and left factors exactly 2^k times W's.
+        w, x = gen_layer(SynthSpec(m=128, n=96, family="outlier_channels", seed=3, tokens=200,
+                                   outlier_count=2, outlier_boost=30.0))
+        cfg = FlrqConfig(d=d, seed=3)
+        base = flrq_layer(w, calibrate(w, x), cfg)
+        assert base.factors.rank >= 1
+        ws = np.ldexp(w, k)
+        got = flrq_layer(ws, calibrate(ws, x), cfg)
+        for a, b in ((got.q.codes, base.q.codes), (got.q.zeros, base.q.zeros),
+                     (got.factors.right, base.factors.right),
+                     (got.q.scales, np.ldexp(base.q.scales, k)),
+                     (got.factors.left, np.ldexp(base.factors.left, k))):
+            assert a.tobytes() == b.tobytes()
+        assert got.rel_error == base.rel_error
 
     def test_floored_channel_warning_recorded(self):
         g = np.random.default_rng(7)

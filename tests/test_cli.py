@@ -14,7 +14,7 @@ import pytest
 
 import flrq
 import paper
-from flrq import cli, linalg
+from flrq import blc, cli, linalg, quantize
 from flrq.cli import build_parser, main
 from flrq.config import FlrqConfig
 from flrq.io import container_from_array, read_bundle, write_container_file
@@ -80,18 +80,26 @@ def run_cli(*argv) -> subprocess.CompletedProcess:
     )
 
 
-BAD_FLAGS = {
+# Removed flags: each must be rejected by name, not ignored or read as a prefix of another flag.
+RETIRED_FLAGS = {
     "group-size-0": ["quantize", "--group-size", "0"],
-    "epochs-0": ["quantize", "--epochs", "0"],
-    "x-negative": ["quantize", "--x", "-1"],
     "clip-grid-above-1": ["quantize", "--clip-grid", "1.5"],
     "clip-grid-empty": ["quantize", "--clip-grid", ","],
+    "t-nan": ["quantize", "--t", "nan"],
+    "alpha-exponent-nan": ["quantize", "--alpha-exponent", "nan"],
+    "d-fp-32": ["quantize", "--d-fp", "32"],
+    "slope-window-1": ["quantize", "--slope-window", "1"],
+    "rank-sweep-group-size": ["rank-sweep", "--group-size", "64"],
+    "gen-synth-f32": ["gen-synth", "--f32"],
+}
+BAD_FLAGS = {
+    **RETIRED_FLAGS,
+    "epochs-0": ["quantize", "--epochs", "0"],
+    "x-negative": ["quantize", "--x", "-1"],
     "it-negative": ["quantize", "--it", "-1"],
     "threads-0": ["quantize", "--threads", "0"],
     # non-finite values: NaN slips past `value < 0`-style checks
     "x-nan": ["quantize", "--x", "nan"],
-    "t-nan": ["quantize", "--t", "nan"],
-    "alpha-exponent-nan": ["quantize", "--alpha-exponent", "nan"],
     "gen-synth-outlier-boost-nan": [
         "gen-synth", "--family", "outlier_channels", "--outlier-boost", "nan",
     ],
@@ -146,6 +154,32 @@ class TestQuantizeCommand:
             assert row["rank"] <= 8
         assert report["config"]["seed"] == 11
         assert (out / "layer_000" / "meta.json").exists()
+
+    def test_report_carries_the_benchmark_contract(self, synth_dir, tmp_path, monkeypatch):
+        # benchmark/run.py checks its traced counters against these report fields.
+        searches, candidates = [], []
+        search, quantize_matrix = blc.search_clip, quantize.quantize_matrix
+
+        def traced_search(*args):
+            found = search(*args)
+            searches.append(len(found.grid_errors))
+            return found
+
+        monkeypatch.setattr(blc, "search_clip", traced_search)
+        monkeypatch.setattr(quantize, "quantize_matrix",
+                            lambda *args: candidates.append(1) or quantize_matrix(*args))
+        out = tmp_path / "out"
+        assert main(["quantize", "--in", str(synth_dir), "--out-dir", str(out), "--d", "2",
+                     "--epochs", "3"]) == 0
+        config = json.loads((out / "report.json").read_text())["config"]
+        assert (config["it"], config["layers"]) == (2, ["layer_000", "layer_001"])
+        assert config["clip_grid"] == list(quantize.CLIP_GRID)
+        grid_len = len(set(config["clip_grid"]))
+        epochs = sum(len(json.loads((out / name / "meta.json").read_text())["blc_trace"])
+                     for name in config["layers"])
+        assert epochs == 6
+        assert searches == [grid_len] * epochs
+        assert len(candidates) == grid_len * epochs
 
     def test_gaussian_layer_beats_plain_rtn(self, tmp_path):
         src = tmp_path / "gauss"
@@ -264,7 +298,7 @@ class TestQuantizeCommand:
                 digests.add(tree_digest(out))
         assert len(digests) == 1
 
-    @pytest.mark.parametrize("flag, value", [("--x", "inf"), ("--x", "1e309"), ("--t", "inf")])
+    @pytest.mark.parametrize("flag, value", [("--x", "inf"), ("--x", "1e309")])
     def test_infinite_flag_echo_is_strict_json(self, synth_dir, tmp_path, flag, value):
         out = tmp_path / "out"
         assert main(["quantize", "--in", str(synth_dir), "--out-dir", str(out), flag, value]) == 0
@@ -273,12 +307,12 @@ class TestQuantizeCommand:
             raise ValueError(f"{constant} is not JSON")
 
         report = json.loads((out / "report.json").read_text(), parse_constant=reject)
-        assert report["config"][flag[2:]] == "inf"
+        assert report["config"]["x"] == "inf"
         metas = sorted(out.glob("layer_*/meta.json"))
         assert len(metas) == 2
         for path in metas:
             meta = json.loads(path.read_text(), parse_constant=reject)
-            assert meta["config"][flag[2:]] == "inf"
+            assert meta["config"]["x"] == "inf"
             # the slope is +inf until the window fills, and reads back as a float
             assert meta["rank_trace"]["steps"][0]["slope"] == "inf"
             assert read_bundle(path.parent)[0].rank_trace.steps[0].slope == float("inf")
@@ -465,6 +499,8 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("[flrq] usage error:")
+        if argv in RETIRED_FLAGS.values():
+            assert f"unrecognized arguments: {argv[1]}" in lines[0]
 
     def test_bad_later_layer_writes_nothing(self, tmp_path):
         g = np.random.default_rng(1)

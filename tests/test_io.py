@@ -1,4 +1,6 @@
+import functools
 import json
+import operator
 import struct
 
 import numpy as np
@@ -183,6 +185,22 @@ def make_layer(seed=0, d=3):
 
 BUNDLE_FILES = ("codes", "scales", "zeros", "left", "right")
 
+# One wrong-typed value per numeric metadata field: its path in meta.json and the value.
+MISTYPED = {
+    "best-error": (("best_error",), "oops"),
+    "wx-norm": (("wx_norm",), True),
+    "p-clp": (("p_clp",), None),
+    "best-epoch": (("best_epoch",), 1.0),
+    "epoch-epoch": (("blc_trace", 0, "epoch"), "1"),
+    "epoch-error": (("blc_trace", 0, "error"), [1]),
+    "epoch-p-clp": (("blc_trace", 0, "p_clp"), "inf"),
+    "epoch-rank": (("blc_trace", 0, "rank"), False),
+    "step-amax": (("rank_trace", "steps", 0, "amax"), "garbage"),
+    "step-q": (("rank_trace", "steps", 0, "q"), float("nan")),
+    "step-k": (("rank_trace", "steps", 0, "k"), "-inf"),
+    "step-slope": (("rank_trace", "steps", 0, "slope"), {"inf": 1}),
+}
+
 
 class TestBundles:
     @pytest.mark.parametrize("d", [2], ids=["asymmetric"])
@@ -258,6 +276,17 @@ class TestBundles:
         with pytest.raises(FormatError):
             read_bundle(tmp_path / "b")
 
+    @pytest.mark.parametrize("path, value", MISTYPED.values(), ids=MISTYPED.keys())
+    def test_mistyped_value_rejected(self, tmp_path, path, value):
+        write_bundle(tmp_path / "b", make_layer(d=4))
+        meta_path = tmp_path / "b" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        *parents, key = path
+        functools.reduce(operator.getitem, parents, meta)[key] = value
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(FormatError, match=key):
+            read_bundle(tmp_path / "b")
+
 
 class TestReport:
     def test_zero_layers_valid_json(self):
@@ -265,14 +294,14 @@ class TestReport:
 
         report = json.loads(emit_report([], {"d": 4}))
         assert report["aggregate"]["avg_rank"] is None
-        assert report["aggregate"]["avg_extra_bits"] is None
+        assert report["aggregate"] == {"avg_rank": None, "avg_extra_bits": None}
         assert report["layers"] == []
 
     def test_rank_zero_layer_has_zero_extra_bits(self):
         import json
 
         layer = make_layer(seed=1, d=4)
-        report = json.loads(emit_report([layer], {"d": 4, "d_fp": 16}))
+        report = json.loads(emit_report([layer], {"d": 4}))
         row = report["layers"][0]
         assert row["extra_bits"] == pytest.approx(
             extra_bits(16, layer.factors.rank, *layer.q.shape)
@@ -288,13 +317,13 @@ class TestReport:
         import json
 
         layer = make_layer(seed=2, d=3)
-        report = json.loads(emit_report([layer], {"d": 3, "d_fp": 16}))
+        report = json.loads(emit_report([layer], {"d": 3}))
         row = report["layers"][0]
-        overhead = 16 * 2 / layer.q.group_size  # scale + zero at d_fp bits
+        overhead = 16 * 2 / layer.q.group_size  # scale + zero at 16 bits
         assert row["extra_bits_with_meta"] == pytest.approx(row["extra_bits"] + overhead)
 
     def test_byte_identical_for_identical_inputs(self):
         layer = make_layer(seed=3, d=2)
-        a = emit_report([layer], {"d": 2, "d_fp": 16})
-        b = emit_report([layer], {"d": 2, "d_fp": 16})
+        a = emit_report([layer], {"d": 2})
+        b = emit_report([layer], {"d": 2})
         assert a == b

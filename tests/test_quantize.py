@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from flrq.linalg import amax
 from flrq.quantize import (
+    CLIP_GRID,
     ClipSearchResult,
     clip,
     dequantize,
@@ -202,11 +203,6 @@ class TestSearchClip:
         assert res.p_clp < amax(w)
         assert min(errs.values()) < full_range_err
 
-    def test_singleton_grid(self):
-        w = np.random.default_rng(5).standard_normal((4, 16))
-        res = search_clip(w, np.eye(16), 4, group_size=8, grid=(1.0,))
-        assert res.p_clp == pytest.approx(amax(w))
-
     def test_never_worse_than_full_range(self):
         rng = np.random.default_rng(6)
         for s in range(10):
@@ -224,16 +220,14 @@ class TestSearchClip:
         # all-zero columns through x make every candidate equal
         w = np.array([[1.0, -1.0]])
         x = np.zeros((2, 3))
-        res = search_clip(w, x, 4, group_size=2, grid=(0.5, 1.0))
-        assert res.p_clp == pytest.approx(1.0)
+        res = search_clip(w, x, 4, group_size=2)
+        assert res.p_clp == 1.0
+        assert len(res.grid_errors) == len(CLIP_GRID)
 
-    def test_empty_grid_errors(self):
-        with pytest.raises(ValueError):
-            search_clip(np.ones((2, 2)), np.ones((2, 2)), 4, grid=())
-
-    def test_bad_ratio_errors(self):
-        with pytest.raises(ValueError):
-            search_clip(np.ones((2, 2)), np.ones((2, 2)), 4, grid=(1.5,))
+    def test_grid_is_unique_descending_ratios(self):
+        # search_clip tries the grid in order, so the tie-break needs it descending.
+        assert list(CLIP_GRID) == sorted(set(CLIP_GRID), reverse=True)
+        assert all(0.0 < rho <= 1.0 for rho in CLIP_GRID)
 
     def test_zero_matrix_returns_empty_search(self):
         res = search_clip(np.zeros((2, 4)), np.ones((4, 2)), 4)

@@ -9,7 +9,7 @@ from flrq import rankselect
 from flrq.config import FlrqConfig
 from flrq.errors import NumericalError
 from flrq.linalg import amax, rank1_subtract
-from flrq.rankselect import components, qk, select_rank, slope
+from flrq.rankselect import D_FP, SLOPE_T, SLOPE_WINDOW, components, qk, select_rank, slope
 from flrq.sketch import make_rng, r1_step
 
 
@@ -93,13 +93,12 @@ class TestSelectRank:
             assert factors.rank == 1
             assert trace.stop_reason in ("memory_cap", "slope")
 
-    def test_rank1_dominant_slope_stop_with_window_one(self):
-        # Wider layer so the memory cap does not fire first; the flat amax
-        # after the dominant pair is what ends the loop.
-        w = rank1_dominant(128, 128, 3)
-        cfg = FlrqConfig(d=4, slope_window=1, seed=5)
-        factors, trace = select_rank(w, cfg)
-        assert factors.rank == 1
+    def test_rank1_dominant_slope_stop(self):
+        # Wide enough that the memory cap does not fire first: the amax is flat
+        # after the dominant pair, and the first full slope window ends the loop.
+        w = rank1_dominant(256, 256, 3)
+        factors, trace = select_rank(w, FlrqConfig(d=4, seed=5))
+        assert factors.rank == SLOPE_WINDOW
         assert trace.stop_reason == "slope"
 
     def test_gaussian_selects_small_rank(self):
@@ -118,7 +117,7 @@ class TestSelectRank:
             w = rank1_dominant(48, 80, 300 + s, scale=5)
             cfg = FlrqConfig(d=2, x=0.5, seed=s)
             factors, _ = select_rank(w, cfg)
-            _, k = qk(cfg.d, cfg.d_fp, 48, 80, factors.rank, 1.0, 1.0)
+            _, k = qk(cfg.d, D_FP, 48, 80, factors.rank, 1.0, 1.0)
             assert k <= 1.0 + cfg.x + 1e-12
 
     def test_zero_matrix_is_rank_zero(self):
@@ -129,7 +128,7 @@ class TestSelectRank:
 
     def test_trace_amax_non_increasing(self):
         w = np.random.default_rng(6).standard_normal((64, 96))
-        _, trace = select_rank(w, FlrqConfig(d=2, x=2.0, t=0.0, seed=7))
+        _, trace = select_rank(w, FlrqConfig(d=2, x=2.0, seed=7))
         vals = [s.amax for s in trace.steps]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
@@ -148,7 +147,7 @@ class TestSelectRank:
 
 class TestComponents:
     CASES = {
-        "slope": (rank1_dominant(128, 128, 3), FlrqConfig(d=4, slope_window=1, seed=5)),
+        "slope": (rank1_dominant(256, 256, 3), FlrqConfig(d=4, seed=5)),
         "memory-cap": (rank1_dominant(64, 64, 100), FlrqConfig(d=4, seed=0)),
         "budget": (np.random.default_rng(8).standard_normal((16, 16)), FlrqConfig(d=2, seed=2)),
         "exhausted": (np.outer(np.arange(1.0, 65.0), np.ones(64)), FlrqConfig(d=4, seed=1)),
@@ -196,14 +195,12 @@ class TestLoopOracle:
                 envelope = min(envelope, amax(candidate))
                 history.append(envelope)
                 q = (cfg.d + math.log2(w0 / envelope)) / cfg.d if envelope > 0 else math.inf
-                k = 1 + cfg.d_fp * r * sum(w.shape) / (cfg.d * w.shape[0] * w.shape[1])
-                if len(history) < cfg.slope_window + 1:
+                k = 1 + D_FP * r * sum(w.shape) / (cfg.d * w.shape[0] * w.shape[1])
+                if len(history) < SLOPE_WINDOW + 1:
                     s_now = math.inf
                 else:
-                    s_now = (history[-1 - cfg.slope_window] - history[-1]) / (
-                        cfg.slope_window * w0
-                    )
-                if k >= q or k > 1 + cfg.x or s_now < cfg.t:
+                    s_now = (history[-1 - SLOPE_WINDOW] - history[-1]) / (SLOPE_WINDOW * w0)
+                if k >= q or k > 1 + cfg.x or s_now < SLOPE_T:
                     break
                 residual = candidate
                 kept = r

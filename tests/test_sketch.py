@@ -32,6 +32,14 @@ class TestR1Step:
         pair = r1_step(a, FlrqConfig(it=8, seed=3), make_rng(3))
         assert np.linalg.norm(pair.left) == pytest.approx(3.0, rel=1e-3)
 
+    def test_tiny_matrix_probe_does_not_underflow(self):
+        # p = (A A^T)^2 A s scales as A^5, so p . p underflows for A near 1e-42.
+        a = gaussian((128, 128), 4)
+        base = r1_step(a, FlrqConfig(seed=1), make_rng(1))
+        pair = r1_step(np.ldexp(a, -140), FlrqConfig(seed=1), make_rng(1))
+        assert pair.right.tobytes() == base.right.tobytes()
+        assert pair.left.tobytes() == np.ldexp(base.left, -140).tobytes()
+
     def test_zero_matrix_errors(self):
         with pytest.raises(NumericalError):
             r1_step(np.zeros((4, 4)), FlrqConfig(seed=0), make_rng(0))
