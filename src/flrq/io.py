@@ -31,7 +31,7 @@ import numpy as np
 from .blc import EpochRecord, QuantizedLayer
 from .errors import BadMagicError, BadVersionError, FormatError, TruncatedError
 from .quantize import BIT_WIDTHS, QuantizedTensor
-from .rankselect import D_FP, RankStep, RankTrace
+from .rankselect import D_FP, STOP_REASONS, RankStep, RankTrace
 from .sketch import LowRankFactors
 
 MAGIC = b"FLRQTEN\0"
@@ -274,14 +274,20 @@ def read_bundle(directory) -> tuple[QuantizedLayer, dict]:
         trace = [_record(EpochRecord, r, ints=("epoch", "rank")) for r in meta["blc_trace"]]
         rt = meta["rank_trace"]
         steps = [_record(RankStep, s, ints=("r",), inf_ok=True) for s in rt["steps"]]
-        rank_trace = RankTrace(**{**rt, "steps": steps})
+        if rt["stop_reason"] not in STOP_REASONS:
+            raise ValueError(f"stop_reason {rt['stop_reason']!r} is not one of {STOP_REASONS}")
+        selected = _typed(rt["selected_rank"], "selected_rank", (int,))
+        rank_trace = RankTrace(**{**rt, "steps": steps, "selected_rank": selected})
+        warnings = meta.get("warnings", [])
+        if type(warnings) is not list or not all(type(w) is str for w in warnings):
+            raise ValueError(f"warnings {warnings!r} is not a list of strings")
         layer = QuantizedLayer(
             q=q,
             factors=LowRankFactors(left=left, right=right),
             blc_trace=trace,
             best_epoch=_typed(meta["best_epoch"], "best_epoch", (int,)),
             rank_trace=rank_trace,
-            warnings=list(meta.get("warnings", [])),
+            warnings=warnings,
             **{k: _typed(meta[k], k) for k in ("best_error", "wx_norm", "p_clp")},
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

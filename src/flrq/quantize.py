@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import amax, fro_norm
-
 BIT_WIDTHS = (2, 3, 4)
 
 GROUP_SIZE = 128
@@ -111,22 +109,35 @@ def search_clip(
 
     L is the layer's Gram factor (``blc.gram_factor``), so this is the output error through X.
     Candidates are ratio * amax(W) for each ratio of CLIP_GRID; ties break toward the
-    larger threshold.
+    larger threshold. The first ratio quantizes every row; a later threshold p redoes only
+    the rows with an entry above p, and the rest keep the first's codes and row errors.
+    Quantization is row-local, so q equals quantize_matrix(clip(W, p_clp)) byte for byte.
     """
     if w.shape[1] != l.shape[0]:
         raise ValueError(f"activation shape {l.shape} does not conform to weights {w.shape}")
-    top = amax(w)
+    rowmax = np.abs(w).max(axis=1)
+    top = float(rowmax.max())
     if top == 0.0:
         # Nothing to clip; record an empty search.
         return ClipSearchResult(p_clp=0.0, grid_errors=[])
-    best_p, best_q, best_err = None, None, np.inf
+    base, base_err = None, None
+    best_p, best_rows, best_q, best_err = None, None, None, np.inf
     grid_errors: list[tuple[float, float]] = []
     for rho in CLIP_GRID:
         p = rho * top
-        q = quantize_matrix(clip(w, p), d, group_size)
+        rows = slice(None) if base is None else np.flatnonzero(rowmax > p)
+        w_rows = w[rows]
+        q = quantize_matrix(clip(w_rows, p), d, group_size)
         diff = dequantize(q)
-        err = fro_norm(np.subtract(w, diff, out=diff) @ l)
+        row_err = np.square(np.subtract(w_rows, diff, out=diff) @ l).sum(axis=1)
+        if base is None:
+            base, base_err = q, row_err
+        errs = base_err.copy()
+        errs[rows] = row_err
+        err = float(np.sqrt(errs.sum()))
         grid_errors.append((p, err))
         if err < best_err:
-            best_err, best_p, best_q = err, p, q
-    return ClipSearchResult(p_clp=best_p, grid_errors=grid_errors, q=best_q)
+            best_err, best_p, best_rows, best_q = err, p, rows, q
+    for name in ("codes", "scales", "zeros"):
+        getattr(base, name)[best_rows] = getattr(best_q, name)
+    return ClipSearchResult(p_clp=best_p, grid_errors=grid_errors, q=base)

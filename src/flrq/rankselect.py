@@ -41,9 +41,12 @@ class RankStep:
     slope: float
 
 
+STOP_REASONS = ("max_rank", "budget_qk", "memory_cap", "slope")  # each rule select_rank ends on
+
+
 @dataclass
 class RankTrace:
-    stop_reason: str = ""
+    stop_reason: str = ""  # select_rank sets one of STOP_REASONS
     selected_rank: int = 0
     steps: list[RankStep] = field(default_factory=list)
 

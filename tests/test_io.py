@@ -185,7 +185,7 @@ def make_layer(seed=0, d=3):
 
 BUNDLE_FILES = ("codes", "scales", "zeros", "left", "right")
 
-# One wrong-typed value per numeric metadata field: its path in meta.json and the value.
+# One wrong-typed value per typed metadata field: its path in meta.json and the value.
 MISTYPED = {
     "best-error": (("best_error",), "oops"),
     "wx-norm": (("wx_norm",), True),
@@ -199,6 +199,10 @@ MISTYPED = {
     "step-q": (("rank_trace", "steps", 0, "q"), float("nan")),
     "step-k": (("rank_trace", "steps", 0, "k"), "-inf"),
     "step-slope": (("rank_trace", "steps", 0, "slope"), {"inf": 1}),
+    "selected-rank": (("rank_trace", "selected_rank"), "two"),
+    "stop-reason": (("rank_trace", "stop_reason"), 7),
+    "warnings": (("warnings",), "oops"),
+    "warnings-item": (("warnings",), ["fine", 3]),
 }
 
 

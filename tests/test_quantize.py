@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from flrq.linalg import amax
+from flrq.blc import gram_factor
+from flrq.linalg import amax, fro_norm
 from flrq.quantize import (
     CLIP_GRID,
+    GROUP_SIZE,
     ClipSearchResult,
     clip,
     dequantize,
@@ -183,7 +187,63 @@ class TestClip:
             clip(np.ones((2, 2)), -1.0)
 
 
+def reference_search_clip(w, l, d):
+    """The full-matrix grid search: every candidate quantizes and multiplies all of W."""
+    top = amax(w)
+    best_p, best_q, best_err = None, None, np.inf
+    grid_errors = []
+    for rho in CLIP_GRID:
+        p = rho * top
+        q = quantize_matrix(clip(w, p), d)
+        err = fro_norm((w - dequantize(q)) @ l)
+        grid_errors.append((p, err))
+        if err < best_err:
+            best_err, best_p, best_q = err, p, q
+    return best_p, best_q, grid_errors
+
+
+# Row maxima as fractions of amax(W): "one" has no other row above 0.98 amax, so the
+# 0.98 threshold redoes only the amax row; "all" has every row above 0.70 amax, so the
+# last threshold redoes every row; "free" leaves the Gaussian rows as drawn.
+ROW_PEAKS = {"one": (0.05, 0.97), "all": (0.71, 1.0), "free": None}
+
+
+@st.composite
+def clip_layers(draw):
+    """(W, L, d): W is m x n, L = gram_factor(X) for an n x tokens X (triangular if tokens > n)."""
+    m, n = draw(st.integers(1, 9)), draw(st.integers(1, 2 * GROUP_SIZE + 40))
+    tokens = draw(st.integers(1, 2 * n + 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.standard_normal((m, n))
+    peaks = ROW_PEAKS[draw(st.sampled_from(sorted(ROW_PEAKS)))]
+    if peaks is not None:
+        target = rng.uniform(*peaks, size=m)
+        target[rng.integers(m)] = 1.0  # one row holds amax(W)
+        w *= (target / np.abs(w).max(axis=1))[:, None]
+    w *= 10.0 ** draw(st.integers(-3, 3))
+    return w, gram_factor(rng.standard_normal((n, tokens))), draw(st.sampled_from([2, 3, 4]))
+
+
 class TestSearchClip:
+    @given(case=clip_layers())
+    @example(case=(np.array([[3.0, -1.0, 0.5]]), np.eye(3), 2))  # a single row
+    @example(case=(  # n % GROUP_SIZE = 72, tokens > n: L is triangular
+        np.random.default_rng(1).standard_normal((5, 200)),
+        gram_factor(np.random.default_rng(2).standard_normal((200, 500))),
+        3,
+    ))
+    def test_matches_full_matrix_search(self, case):
+        w, l, d = case
+        p_clp, q, grid_errors = reference_search_clip(w, l, d)
+        res = search_clip(w, l, d)
+        assert res.p_clp == p_clp
+        assert res.q.codes.tobytes() == q.codes.tobytes()
+        assert res.q.scales.tobytes() == q.scales.tobytes()
+        assert res.q.zeros.tobytes() == q.zeros.tobytes()
+        assert [p for p, _ in res.grid_errors] == [p for p, _ in grid_errors]
+        for (_, got), (_, want) in zip(res.grid_errors, grid_errors):
+            assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0)
+
     def test_lattice_exact_picks_full_range(self):
         w = np.array([[-7, 1, 3, 8]], dtype=float) * 0.5  # 15 steps of 0.5 at 4 bits
         x = np.eye(4)
@@ -225,7 +285,8 @@ class TestSearchClip:
         assert len(res.grid_errors) == len(CLIP_GRID)
 
     def test_grid_is_unique_descending_ratios(self):
-        # search_clip tries the grid in order, so the tie-break needs it descending.
+        # search_clip tries the grid in order, so the tie-break needs it descending, and it
+        # quantizes every row only for the first ratio, so that ratio must be the largest.
         assert list(CLIP_GRID) == sorted(set(CLIP_GRID), reverse=True)
         assert all(0.0 < rho <= 1.0 for rho in CLIP_GRID)
 

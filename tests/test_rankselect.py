@@ -9,8 +9,11 @@ from flrq import rankselect
 from flrq.config import FlrqConfig
 from flrq.errors import NumericalError
 from flrq.linalg import amax, rank1_subtract
-from flrq.rankselect import D_FP, SLOPE_T, SLOPE_WINDOW, components, qk, select_rank, slope
+from flrq.rankselect import (
+    D_FP, SLOPE_T, SLOPE_WINDOW, STOP_REASONS, components, qk, select_rank, slope,
+)
 from flrq.sketch import make_rng, r1_step
+from flrq.synth import SynthSpec, gen_layer
 
 
 def rank1_dominant(m, n, seed, scale=10.0, noise=0.01):
@@ -127,8 +130,13 @@ class TestSelectRank:
         assert trace.steps == []
 
     def test_trace_amax_non_increasing(self):
-        w = np.random.default_rng(6).standard_normal((64, 96))
+        # Two strong outlier channels keep q above k for several steps (a Gaussian
+        # layer stops on budget_qk after one, leaving nothing to compare).
+        spec = SynthSpec(m=64, n=96, family="outlier_channels", seed=6,
+                         outlier_count=2, outlier_boost=30.0)
+        w, _ = gen_layer(spec)
         _, trace = select_rank(w, FlrqConfig(d=2, x=2.0, seed=7))
+        assert len(trace.steps) >= 3
         vals = [s.amax for s in trace.steps]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
@@ -163,6 +171,7 @@ class TestComponents:
         monkeypatch.setattr(rankselect, "r1_step", lambda *a: calls.append(1) or step(*a))
         _, trace = select_rank(w, cfg)
         assert len(calls) == len(trace.steps)
+        assert trace.stop_reason in STOP_REASONS  # what read_bundle accepts
 
     def test_yields_min_dim_pairs_with_running_residuals(self):
         w = np.random.default_rng(9).standard_normal((12, 20))
