@@ -1,10 +1,11 @@
 """Command-line frontend.
 
 Subcommands: gen-synth (make synthetic layers) and quantize (full pipeline).
-Every command is deterministic for a fixed --seed; quantize's --threads only
-changes wall time. Exit codes: 0 ok, 1 usage, 2 data/format, 3 numerical
-failure. The paper's experiments (experiments/paper.py) reuse the parser,
-layer reader, config helpers and exit-code mapping defined here.
+Each is deterministic for a fixed --seed, --threads and BLAS thread count;
+at some shapes quantize's bytes depend on those counts (README). Exit codes:
+0 ok, 1 usage, 2 data/format, 3 numerical failure. The paper's experiments
+(experiments/paper.py) reuse the parser, layer reader, config helpers and
+exit-code mapping defined here.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .blc import Calibration, QuantizedLayer, calibrate, flrq_layer, layer_error
 from .config import FlrqConfig
 from .errors import FlrqError, FormatError, NumericalError
 from .linalg import as_matrix, blas_threads
-from .quantize import CLIP_GRID, quantize_matrix
+from .quantize import BIT_WIDTHS, CLIP_GRID, quantize_matrix
 from .sketch import LowRankFactors, layer_seed
 from .synth import FAMILIES, SynthSpec, gen_layer
 
@@ -85,9 +86,9 @@ def build_parser() -> Parser:
     q.set_defaults(run=cmd_quantize)
     common(q)
     q.add_argument("--threads", type=count, default=1,
-                   help="worker threads, one layer each (never changes output bytes)")
+                   help="worker threads, one layer each (output bytes can depend on it at some shapes)")
     q.add_argument("--in", dest="in_dir", type=Path, required=True)
-    q.add_argument("--d", type=int, default=4, choices=(2, 3, 4))
+    q.add_argument("--d", type=int, default=4, choices=BIT_WIDTHS)
     q.add_argument("--x", type=float, default=0.2)
     q.add_argument("--it", type=int, default=2)
     q.add_argument("--epochs", type=int, default=None)

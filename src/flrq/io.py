@@ -23,8 +23,11 @@ from __future__ import annotations
 import json
 import math
 import struct
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
+from itertools import chain
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -125,8 +128,8 @@ def read_container_file(path) -> TensorContainer:
 
 def pack_codes(codes, d: int) -> bytes:
     """Pack unsigned d-bit codes into an LSB-first bitstream."""
-    if d not in (2, 3, 4):
-        raise ValueError(f"bit width must be 2, 3 or 4, got {d}")
+    if d not in BIT_WIDTHS:
+        raise ValueError(f"bit width must be one of {BIT_WIDTHS}, got {d}")
     arr = np.asarray(codes).reshape(-1)
     if arr.size == 0:
         return b""
@@ -138,8 +141,8 @@ def pack_codes(codes, d: int) -> bytes:
 
 def unpack_codes(data: bytes, d: int, count: int) -> np.ndarray:
     """Inverse of pack_codes; ``count`` disambiguates the trailing pad bits."""
-    if d not in (2, 3, 4):
-        raise ValueError(f"bit width must be 2, 3 or 4, got {d}")
+    if d not in BIT_WIDTHS:
+        raise ValueError(f"bit width must be one of {BIT_WIDTHS}, got {d}")
     expected = (count * d + 7) // 8
     if len(data) != expected:
         raise FormatError(f"packed stream has {len(data)} bytes, expected {expected}")
@@ -158,10 +161,40 @@ def unpack_codes(data: bytes, d: int, count: int) -> np.ndarray:
 
 _ARRAYS = ("scales", "zeros", "left", "right")  # f64 containers <name>.flrqten, besides codes
 _META_FILE = "meta.json"
-_META_KEYS = (
-    "d", "group_size", "shape", "p_clp", "best_epoch", "best_error", "wx_norm",
-    "blc_trace", "rank_trace",
-)
+
+
+# A kind is a leaf (what it is, a test), [kind] for a list, or {field: kind} for a record.
+_INT = ("an integer >= 0", lambda v: type(v) is int and v >= 0)
+_COUNT = ("an integer >= 1", lambda v: type(v) is int and v >= 1)
+_NUMBER = ("a finite number >= 0", lambda v: type(v) in (int, float) and 0 <= v < math.inf)
+_STEP_NUMBER = ('"inf" or a finite number >= 0', lambda v: v == "inf" or _NUMBER[1](v))
+
+
+def _one_of(options: tuple) -> tuple:
+    return f"one of {options}", lambda v: any(type(v) is type(o) and v == o for o in options)
+
+
+def _kind_of(cls, number: tuple) -> dict:
+    """The kind of a serialized ``cls``: int fields are ``_INT``, float fields ``number``."""
+    return {k: {int: _INT, float: number}[t] for k, t in get_type_hints(cls).items()}
+
+
+# meta.json's fields, in the order write_bundle writes them.
+META = {
+    "d": _one_of(BIT_WIDTHS),
+    "group_size": _COUNT,
+    "shape": ("two integers >= 1", lambda v: type(v) is list and len(v) == 2 and all(map(_COUNT[1], v))),
+    "rank": _INT,
+    "p_clp": _NUMBER,
+    "best_epoch": _INT,
+    "best_error": _NUMBER,
+    "wx_norm": _NUMBER,
+    "warnings": [("a string", lambda v: type(v) is str)],
+    "blc_trace": [_kind_of(EpochRecord, _NUMBER)],
+    "rank_trace": {"stop_reason": _one_of(STOP_REASONS), "selected_rank": _INT,
+                   "steps": [_kind_of(RankStep, _STEP_NUMBER)]},
+    "config": ("an object", lambda v: type(v) is dict),  # the quantize flags echoed as they are
+}
 
 
 def inf_to_json(v):
@@ -174,65 +207,54 @@ def write_bundle(directory, layer: QuantizedLayer, config: dict | None = None) -
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
     q = layer.q
-    packed = container_from_packed(pack_codes(q.codes, q.bit_width))
-    write_container_file(d / "codes.flrqten", packed)
+    write_container_file(d / "codes.flrqten", container_from_packed(pack_codes(q.codes, q.bit_width)))
     for name, a in zip(_ARRAYS, (q.scales, q.zeros, layer.factors.left, layer.factors.right)):
         write_container_file(d / f"{name}.flrqten", container_from_array(a))
     rank_trace = asdict(layer.rank_trace)
     rank_trace["steps"] = [{k: inf_to_json(v) for k, v in s.items()} for s in rank_trace["steps"]]
-    meta = {
-        "d": q.bit_width,
-        "group_size": q.group_size,
-        "shape": list(q.shape),
-        "rank": layer.factors.rank,
-        "p_clp": layer.p_clp,
-        "best_epoch": layer.best_epoch,
-        "best_error": layer.best_error,
-        "wx_norm": layer.wx_norm,
-        "warnings": layer.warnings,
-        "blc_trace": [asdict(r) for r in layer.blc_trace],
-        "rank_trace": rank_trace,
-        "config": config if config is not None else {},
-    }
+    values = {"d": q.bit_width, "group_size": q.group_size, "shape": list(q.shape),
+              "rank": layer.factors.rank, "blc_trace": [asdict(r) for r in layer.blc_trace],
+              "rank_trace": rank_trace, "config": config if config is not None else {}}
+    # Every other field is the layer attribute of the same name.
+    meta = {k: values[k] if k in values else getattr(layer, k) for k in META}
     (d / _META_FILE).write_text(json.dumps(meta, indent=2) + "\n")
 
 
-def _is_count(v) -> bool:
-    return type(v) is int and v >= 1
+def _mistyped(v, kind, path: str = "") -> Iterator[str]:
+    """A message for each part of the JSON value ``v`` (at ``path``) that is not of ``kind``."""
+    at = path or "the top level"
+    if isinstance(kind, tuple):
+        if not kind[1](v):
+            yield f"{at} {v!r:.40} is not {kind[0]}"
+    elif type(v) is not type(kind):
+        yield f"{at} {v!r:.40} is not {'a list' if type(kind) is list else 'an object'}"
+    elif type(kind) is list:
+        for i, item in enumerate(v):
+            yield from _mistyped(item, kind[0], f"{path}[{i}]")
+    else:
+        yield from (f"{path}.{k}".lstrip(".") + " is missing" for k in kind if k not in v)
+        yield from (f"{at} has unknown field {k!r:.40}" for k in v if k not in kind)
+        for k in kind:
+            yield from _mistyped(v[k], kind[k], f"{path}.{k}".lstrip("."))
 
 
-def _typed(v, name: str, types=(int, float)):
-    """``v`` if its type is one of ``types`` and it is not NaN (a bool is neither int nor float)."""
-    if type(v) not in types or v != v:
-        raise ValueError(f"{name} {v!r} is not {' or '.join(t.__name__ for t in types)}")
-    return v
-
-
-def _record(cls, r: dict, ints: tuple[str, ...], inf_ok: bool = False):
-    """``cls(**r)``: the fields in ``ints`` must be ints, the rest numbers (or "inf" if allowed)."""
-    return cls(**{k: _typed(v, k, (int,)) if k in ints else math.inf if inf_ok and v == "inf"
-                  else _typed(v, k) for k, v in r.items()})
-
-
-def _read_meta(path: Path) -> dict:
-    """Parse a bundle's metadata and check the fields that shape its arrays."""
-    try:
-        meta = json.loads(path.read_text())
-    except ValueError as exc:
-        raise FormatError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(meta, dict):
-        raise FormatError(f"{path}: expected a JSON object")
-    missing = [k for k in _META_KEYS if k not in meta]
-    if missing:
-        raise FormatError(f"{path}: missing keys {missing}")
-    shape = meta["shape"]
-    if not (isinstance(shape, list) and len(shape) == 2 and all(map(_is_count, shape))):
-        raise FormatError(f"{path}: shape {shape!r} is not two positive integers")
-    if type(meta["d"]) is not int or meta["d"] not in BIT_WIDTHS:
-        raise FormatError(f"{path}: bit width {meta['d']!r} is not one of {BIT_WIDTHS}")
-    if not _is_count(meta["group_size"]):
-        raise FormatError(f"{path}: group size {meta['group_size']!r} is not a positive integer")
-    return meta
+def _contradictions(meta: dict) -> Iterator[str]:
+    """A message for each rule between well-typed fields that ``meta`` breaks."""
+    trace, rt, best = meta["blc_trace"], meta["rank_trace"], meta["best_epoch"]
+    for path, recs, key in (("blc_trace", trace, "epoch"), ("rank_trace.steps", rt["steps"], "r")):
+        yield from (f"{path}[{i}].{key} is {r[key]}, expected {i + 1}"
+                    for i, r in enumerate(recs) if r[key] != i + 1)
+    if not 1 <= best <= len(trace):
+        yield f"best_epoch {best} is not an epoch of blc_trace (1..{len(trace)})"
+        return
+    for key, field in (("best_error", "error"), ("p_clp", "p_clp"), ("rank", "rank")):
+        if meta[key] != trace[best - 1][field]:
+            yield f"{key} {meta[key]!r} differs from blc_trace[{best - 1}].{field}"
+    if rt["selected_rank"] != meta["rank"]:
+        yield f"rank_trace.selected_rank {rt['selected_rank']} is not rank {meta['rank']}"
+    tried = rt["selected_rank"] + (rt["stop_reason"] != "max_rank")  # the stopping step is kept
+    if len(rt["steps"]) != tried:
+        yield f"rank_trace.steps has {len(rt['steps'])} entries, expected {tried}"
 
 
 def read_bundle(directory) -> tuple[QuantizedLayer, dict]:
@@ -243,55 +265,35 @@ def read_bundle(directory) -> tuple[QuantizedLayer, dict]:
     if missing:
         raise FormatError(f"bundle {d} is missing {', '.join(missing)}")
     meta_path = d / _META_FILE
-    meta = _read_meta(meta_path)
-    m, n = meta["shape"]
+    try:
+        meta = json.loads(meta_path.read_text())
+    except (RecursionError, ValueError) as exc:
+        raise FormatError(f"{meta_path}: not valid JSON ({exc})") from None
+    for problem in chain(_mistyped(meta, META), _contradictions(meta)):  # stop at the first
+        raise FormatError(f"{meta_path}: {problem}")
+    (m, n), rank = meta["shape"], meta["rank"]
     packed = read_container_file(d / "codes.flrqten")
     if packed.dtype_code != DTYPE_PACKED:
         raise FormatError("codes container is not packed")
     codes = unpack_codes(packed.payload, meta["d"], m * n).reshape(m, n)
-    scales, zeros, left, right = (
-        read_container_file(d / f"{name}.flrqten").to_array() for name in _ARRAYS
-    )
     groups = (m, -(-n // meta["group_size"]))
-    for name, arr in (("scales", scales), ("zeros", zeros)):
-        if arr.shape != groups:
-            raise FormatError(f"bundle {name} shape {arr.shape} does not match {groups}")
-    if (left.ndim, right.ndim) != (2, 2) or (
-        left.shape[1] != right.shape[0] or left.shape[0] != m or right.shape[1] != n
-    ):
-        raise FormatError(
-            f"bundle factor shapes {left.shape} x {right.shape} do not match layer {m}x{n}"
-        )
-    q = QuantizedTensor(
-        codes=codes,
-        scales=scales,
-        zeros=zeros,
-        bit_width=meta["d"],
-        group_size=meta["group_size"],
-        shape=(m, n),
+    arrays = {name: read_container_file(d / f"{name}.flrqten").to_array() for name in _ARRAYS}
+    for (name, a), shape in zip(arrays.items(), (groups, groups, (m, rank), (rank, n))):
+        if a.shape != shape:
+            raise FormatError(f"bundle {name}.flrqten shape {a.shape} is not {shape}")
+        if not np.isfinite(a).all():
+            raise FormatError(f"bundle {name}.flrqten holds a non-finite value")
+    if (arrays["zeros"] != np.round(arrays["zeros"])).any():
+        raise FormatError("bundle zeros.flrqten holds a zero-point that is not an integer")
+    rt = meta["rank_trace"]
+    steps = [RankStep(**{k: math.inf if v == "inf" else v for k, v in s.items()}) for s in rt["steps"]]
+    layer = QuantizedLayer(
+        q=QuantizedTensor(codes, arrays["scales"], arrays["zeros"], meta["d"], meta["group_size"], (m, n)),
+        factors=LowRankFactors(left=arrays["left"], right=arrays["right"]),
+        blc_trace=[EpochRecord(**r) for r in meta["blc_trace"]],
+        rank_trace=RankTrace(rt["stop_reason"], rt["selected_rank"], steps),
+        **{k: meta[k] for k in ("best_epoch", "best_error", "wx_norm", "p_clp", "warnings")},
     )
-    try:
-        trace = [_record(EpochRecord, r, ints=("epoch", "rank")) for r in meta["blc_trace"]]
-        rt = meta["rank_trace"]
-        steps = [_record(RankStep, s, ints=("r",), inf_ok=True) for s in rt["steps"]]
-        if rt["stop_reason"] not in STOP_REASONS:
-            raise ValueError(f"stop_reason {rt['stop_reason']!r} is not one of {STOP_REASONS}")
-        selected = _typed(rt["selected_rank"], "selected_rank", (int,))
-        rank_trace = RankTrace(**{**rt, "steps": steps, "selected_rank": selected})
-        warnings = meta.get("warnings", [])
-        if type(warnings) is not list or not all(type(w) is str for w in warnings):
-            raise ValueError(f"warnings {warnings!r} is not a list of strings")
-        layer = QuantizedLayer(
-            q=q,
-            factors=LowRankFactors(left=left, right=right),
-            blc_trace=trace,
-            best_epoch=_typed(meta["best_epoch"], "best_epoch", (int,)),
-            rank_trace=rank_trace,
-            warnings=warnings,
-            **{k: _typed(meta[k], k) for k in ("best_error", "wx_norm", "p_clp")},
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{meta_path}: malformed metadata ({exc!r})") from None
     return layer, meta
 
 

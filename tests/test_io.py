@@ -1,11 +1,13 @@
 import functools
 import json
 import operator
+import re
+import shutil
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flrq.blc import calibrate, flrq_layer
@@ -205,6 +207,59 @@ MISTYPED = {
     "warnings-item": (("warnings",), ["fine", 3]),
 }
 
+DELETE = object()  # as an edit's value: remove the key
+
+# One edit that contradicts another field of a valid rank-4, two-epoch bundle (best epoch 2):
+# its path in meta.json, the value, and the field path the error must name.
+CONTRADICTIONS = {
+    "rank-99": (("rank",), 99, "rank 99 differs from blc_trace[1].rank"),
+    "rank-removed": (("rank",), DELETE, "rank is missing"),
+    "best-epoch-7": (("best_epoch",), 7, "best_epoch 7 is not an epoch of blc_trace"),
+    "blc-trace-empty": (("blc_trace",), [], "best_epoch 2 is not an epoch of blc_trace (1..0)"),
+    "best-error-high": (("best_error",), 1.0, "best_error 1.0 differs from blc_trace[1].error"),
+    "best-error-negative": (("best_error",), -1.0, "best_error -1.0 is not a finite number"),
+    "p-clp": (("p_clp",), 1.0, "p_clp 1.0 differs from blc_trace[1].p_clp"),
+    "selected-rank": (("rank_trace", "selected_rank"), 3, "rank_trace.selected_rank 3 is not rank"),
+    "steps-empty": (("rank_trace", "steps"), [], "rank_trace.steps has 0 entries"),
+    "epoch-renumbered": (("blc_trace", 0, "epoch"), 2, "blc_trace[0].epoch is 2, expected 1"),
+    "step-renumbered": (("rank_trace", "steps", 1, "r"), 1, "rank_trace.steps[1].r is 1, expected 2"),
+    "wx-norm-negative": (("wx_norm",), -3, "wx_norm -3 is not a finite number"),
+    "wx-norm-inf": (("wx_norm",), float("inf"), "wx_norm inf is not a finite number"),
+}
+
+# The values a single-leaf edit may take.
+EDIT_POOL = (1, -1, 0, 99, 1.0, -1.0, "inf", "x", None, True, [], {})
+
+
+def edit_meta(bundle, path, value) -> str:
+    """Set (or, for DELETE, remove) the meta.json entry at ``path``; returns the new text."""
+    meta_path = bundle / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    *parents, key = path
+    parent = functools.reduce(operator.getitem, parents, meta)
+    if value is DELETE:
+        del parent[key]
+    else:
+        parent[key] = value
+    text = json.dumps(meta, indent=2) + "\n"  # as write_bundle writes it
+    meta_path.write_text(text)
+    return text
+
+
+def meta_paths(v, path=()):
+    """The path of every value nested in the JSON value ``v``."""
+    items = v.items() if type(v) is dict else enumerate(v) if type(v) is list else ()
+    for k, sub in items:
+        yield (*path, k)
+        yield from meta_paths(sub, (*path, k))
+
+
+@pytest.fixture(scope="module")
+def valid_bundle(tmp_path_factory):
+    bundle = tmp_path_factory.mktemp("valid") / "b"
+    write_bundle(bundle, make_layer(d=4), {"d": 4, "x": 1.0})
+    return bundle
+
 
 class TestBundles:
     @pytest.mark.parametrize("d", [2], ids=["asymmetric"])
@@ -259,20 +314,21 @@ class TestBundles:
             lambda meta: meta.update(shape=[32 * 64]),
             lambda meta: meta.update(shape=[-32, -64]),
             lambda meta: meta.pop("best_error"),
-            None,  # not JSON at all
+            "{not json",
+            "[" * 100_000,  # nested too deep for the parser
             lambda meta: meta["blc_trace"][0].pop("error"),
             lambda meta: meta.update(blc_trace=5),
             lambda meta: meta.pop("rank_trace"),
         ],
         ids=["group-size-0", "group-size-7", "d-5", "shape-1d", "shape-negative",
-             "missing-key", "bad-json", "blc-trace-missing-key", "blc-trace-not-a-list",
+             "missing-key", "bad-json", "deep-json", "blc-trace-missing-key", "blc-trace-not-a-list",
              "no-rank-trace"],
     )
     def test_tampered_metadata_rejected(self, tmp_path, tamper):
         write_bundle(tmp_path / "b", make_layer(d=4))
         meta_path = tmp_path / "b" / "meta.json"
-        if tamper is None:
-            meta_path.write_text("{not json")
+        if isinstance(tamper, str):
+            meta_path.write_text(tamper)
         else:
             meta = json.loads(meta_path.read_text())
             tamper(meta)
@@ -283,12 +339,55 @@ class TestBundles:
     @pytest.mark.parametrize("path, value", MISTYPED.values(), ids=MISTYPED.keys())
     def test_mistyped_value_rejected(self, tmp_path, path, value):
         write_bundle(tmp_path / "b", make_layer(d=4))
-        meta_path = tmp_path / "b" / "meta.json"
-        meta = json.loads(meta_path.read_text())
-        *parents, key = path
-        functools.reduce(operator.getitem, parents, meta)[key] = value
-        meta_path.write_text(json.dumps(meta))
-        with pytest.raises(FormatError, match=key):
+        edit_meta(tmp_path / "b", path, value)
+        with pytest.raises(FormatError, match=path[-1]):
+            read_bundle(tmp_path / "b")
+
+    @pytest.mark.parametrize("path, value, field", CONTRADICTIONS.values(),
+                             ids=CONTRADICTIONS.keys())
+    def test_contradiction_rejected(self, tmp_path, path, value, field):
+        write_bundle(tmp_path / "b", make_layer(d=4))
+        edit_meta(tmp_path / "b", path, value)
+        with pytest.raises(FormatError, match=re.escape(field)) as exc:
+            read_bundle(tmp_path / "b")
+        assert "\n" not in str(exc.value)
+
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_single_leaf_edit_is_rejected_or_written_back(self, valid_bundle, tmp_path_factory,
+                                                          data):
+        bundle = tmp_path_factory.mktemp("edit") / "b"
+        shutil.copytree(valid_bundle, bundle)
+        paths = list(meta_paths(json.loads((bundle / "meta.json").read_text())))
+        path = data.draw(st.sampled_from(paths), label="path")
+        text = edit_meta(bundle, path, data.draw(st.sampled_from(EDIT_POOL), label="value"))
+        try:
+            layer, meta = read_bundle(bundle)
+        except FormatError as exc:
+            assert "\n" not in str(exc)
+            return
+        write_bundle(bundle.parent / "back", layer, meta["config"])
+        assert (bundle.parent / "back" / "meta.json").read_text() == text
+
+    @pytest.mark.parametrize("name, value", [("scales", np.nan), ("zeros", 0.5), ("zeros", np.inf),
+                                             ("left", np.inf), ("right", np.nan)],
+                             ids=["scales-nan", "zeros-half", "zeros-inf", "left-inf", "right-nan"])
+    def test_bad_array_value_rejected(self, tmp_path, name, value):
+        write_bundle(tmp_path / "b", make_layer(d=4))
+        path = tmp_path / "b" / f"{name}.flrqten"
+        a = read_container_file(path).to_array().copy()
+        a[0, 0] = value
+        write_container_file(path, container_from_array(a))
+        with pytest.raises(FormatError, match=re.escape(f"{name}.flrqten")):
+            read_bundle(tmp_path / "b")
+
+    def test_factor_columns_must_match_rank(self, tmp_path):
+        # Drop one component from both factors: they still agree with each other, not with rank.
+        layer = make_layer(d=4)
+        write_bundle(tmp_path / "b", layer)
+        for name, a in (("left", layer.factors.left[:, 1:]), ("right", layer.factors.right[1:])):
+            write_container_file(tmp_path / "b" / f"{name}.flrqten", container_from_array(a))
+        with pytest.raises(FormatError, match=r"left\.flrqten shape \(32, 3\) is not \(32, 4\)"):
             read_bundle(tmp_path / "b")
 
 
