@@ -1,11 +1,10 @@
 """Command-line frontend.
 
 Subcommands: gen-synth (make synthetic layers) and quantize (full pipeline).
-Each is deterministic for a fixed --seed, --threads and BLAS thread count;
-at some shapes quantize's bytes depend on those counts (README). Exit codes:
-0 ok, 1 usage, 2 data/format, 3 numerical failure. The paper's experiments
-(experiments/paper.py) reuse the parser, layer reader, config helpers and
-exit-code mapping defined here.
+Each is deterministic for a fixed --seed, whatever --threads and the BLAS
+thread count are (README). Exit codes: 0 ok, 1 usage, 2 data/format, 3
+numerical failure. The paper's experiments (experiments/paper.py) reuse the
+parser, layer reader, config helpers and exit-code mapping defined here.
 """
 
 from __future__ import annotations
@@ -86,7 +85,7 @@ def build_parser() -> Parser:
     q.set_defaults(run=cmd_quantize)
     common(q)
     q.add_argument("--threads", type=count, default=1,
-                   help="worker threads, one layer each (output bytes can depend on it at some shapes)")
+                   help="worker threads, one layer each")
     q.add_argument("--in", dest="in_dir", type=Path, required=True)
     q.add_argument("--d", type=int, default=4, choices=BIT_WIDTHS)
     q.add_argument("--x", type=float, default=0.2)
@@ -193,7 +192,7 @@ def cmd_quantize(args) -> int:
     # and glibc then trims and re-faults it (14x the page faults on 512^2 layers).
     t0 = time.perf_counter()
     done, running = {}, set()  # done: layer index -> (layer, extras)
-    with blas_threads(workers) as blas, ThreadPoolExecutor(max_workers=workers) as pool:
+    with blas_threads() as blas, ThreadPoolExecutor(max_workers=workers) as pool:
         for idx, path in enumerate(layers):
             if len(running) == workers:
                 finished, running = wait(running, return_when=FIRST_COMPLETED)

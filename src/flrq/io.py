@@ -33,7 +33,7 @@ import numpy as np
 
 from .blc import EpochRecord, QuantizedLayer
 from .errors import BadMagicError, BadVersionError, FormatError, TruncatedError
-from .quantize import BIT_WIDTHS, QuantizedTensor
+from .quantize import BIT_WIDTHS, GROUP_SIZE, QuantizedTensor
 from .rankselect import D_FP, STOP_REASONS, RankStep, RankTrace
 from .sketch import LowRankFactors
 
@@ -182,7 +182,7 @@ def _kind_of(cls, number: tuple) -> dict:
 # meta.json's fields, in the order write_bundle writes them.
 META = {
     "d": _one_of(BIT_WIDTHS),
-    "group_size": _COUNT,
+    "group_size": _one_of((GROUP_SIZE,)),
     "shape": ("two integers >= 1", lambda v: type(v) is list and len(v) == 2 and all(map(_COUNT[1], v))),
     "rank": _INT,
     "p_clp": _NUMBER,

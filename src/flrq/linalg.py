@@ -1,4 +1,4 @@
-"""Dense linear algebra kernels, GEMV-centric, and the BLAS thread cap.
+"""Dense linear algebra kernels, GEMV-centric, and the BLAS thread pin.
 
 All compute is 64-bit float; 32-bit appears only at the I/O boundary. Every
 kernel is pure, so values can move freely between threads.
@@ -7,7 +7,6 @@ kernel is pure, so values can move freely between threads.
 from __future__ import annotations
 
 import ctypes
-import os
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -15,11 +14,11 @@ import numpy as np
 
 
 @contextmanager
-def blas_threads(workers: int):
-    """Cap numpy's bundled OpenBLAS so that workers x its threads <= cores, then restore it.
+def blas_threads():
+    """Pin numpy's bundled OpenBLAS to 1 thread, where its results depend on no thread count.
 
-    Yields the BLAS threads per worker, or None (changing nothing) when that
-    library or its thread calls cannot be found.
+    Yields 1, or None (changing nothing) when that library or its thread calls
+    cannot be found. The old count is restored on exit; it is process-wide.
     """
     libs = Path(np.__file__).parent.parent / "numpy.libs"
     try:
@@ -33,9 +32,9 @@ def blas_threads(workers: int):
     get.argtypes, get.restype = [], ctypes.c_int
     put.argtypes, put.restype = [ctypes.c_int], None
     before = get()
-    put(max(1, min(before, len(os.sched_getaffinity(0)) // workers)))
+    put(1)
     try:
-        yield get()
+        yield 1
     finally:
         put(before)
 

@@ -73,13 +73,28 @@ class TestGramFactor:
         with pytest.raises(ValueError):
             calibrate(np.ones((2, 4)), np.ones((5, 3)))
 
-    def test_bytes_independent_of_blas_threads(self):
-        # blas_threads(1) allows every core, blas_threads(2) half of them.
+    def test_zero_channel_falls_back_to_qr(self):
+        x = np.random.default_rng(4).standard_normal((40, 200))
+        x[7] = 0.0  # X X^T is singular, so its Cholesky factorization fails
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(x @ x.T)
+        with blas_threads():
+            qr = np.ascontiguousarray(np.linalg.qr(x.T, mode="r").T)
+        l = gram_factor(x)
+        assert l.tobytes() == qr.tobytes()
+        assert np.allclose(l @ l.T, x @ x.T, rtol=1e-12, atol=1e-10 * 200)
+
+    def test_bytes_independent_of_blas_threads(self, openblas):
+        # Set outside any pin; at this shape a bare cholesky(X X^T) differs at 1 and 2 threads.
+        get, put = openblas
         x = np.random.default_rng(3).standard_normal((256, 2048))
         factors = []
-        for workers in (1, 2):
-            with blas_threads(workers):
-                factors.append(gram_factor(x).tobytes())
+        for threads in (1, 2):
+            put(threads)
+            if get() != threads:
+                pytest.skip(f"OpenBLAS does not run {threads} threads here")
+            factors.append(gram_factor(x).tobytes())
+            assert get() == threads  # the pin restored the caller's count
         assert factors[0] == factors[1]
 
 

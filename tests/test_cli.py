@@ -1,5 +1,4 @@
 import csv
-import ctypes
 import dataclasses
 import hashlib
 import json
@@ -47,17 +46,6 @@ def write_layer(directory: Path, w, x) -> Path:
     write_container_file(directory / "weights.flrqten", container_from_array(w))
     write_container_file(directory / "activations.flrqten", container_from_array(x))
     return directory
-
-
-def openblas_thread_count():
-    """A reader of the thread count of numpy's bundled OpenBLAS (skips the test without it)."""
-    libs = Path(np.__file__).parent.parent / "numpy.libs"
-    paths = sorted(libs.glob("libscipy_openblas64_*.so"))
-    if not paths:
-        pytest.skip("numpy's bundled OpenBLAS is not reachable")
-    get = ctypes.CDLL(str(paths[0])).scipy_openblas_get_num_threads64_
-    get.argtypes, get.restype = [], ctypes.c_int
-    return get
 
 
 EXPERIMENTS = ("rank-sweep", "ablate", "compare-svd")  # commands of experiments/paper.py
@@ -252,8 +240,10 @@ class TestQuantizeCommand:
         assert rc == 0
         assert waits == [True]
 
-    def test_blas_threads_capped_then_restored(self, synth_dir, tmp_path, monkeypatch, capsys):
-        get = openblas_thread_count()
+    def test_blas_threads_pinned_then_restored(self, synth_dir, tmp_path, monkeypatch, capsys,
+                                               openblas):
+        get, put = openblas
+        put(2)  # a count the pin must change and then restore
         before, seen = get(), []
         quantize_layer = cli.flrq_layer
 
@@ -266,9 +256,8 @@ class TestQuantizeCommand:
                    "--threads", "2"])
         assert rc == 0
         assert get() == before
-        per_worker = max(1, min(before, len(os.sched_getaffinity(0)) // 2))
-        assert seen == [per_worker, per_worker]
-        assert f"(2 worker(s) x {per_worker} BLAS thread(s))" in capsys.readouterr().err
+        assert seen == [1, 1]
+        assert "(2 worker(s) x 1 BLAS thread(s))" in capsys.readouterr().err
 
     def test_unreachable_blas_runs_unpinned(self, synth_dir, tmp_path, monkeypatch, capsys):
         def no_library(name):
@@ -297,6 +286,35 @@ class TestQuantizeCommand:
                 )
                 digests.add(tree_digest(out))
         assert len(digests) == 1
+
+    def test_bytes_independent_of_threads_at_200(self, tmp_path):
+        # Without the pin, --threads 1 with OPENBLAS_NUM_THREADS=2 gave another report.json here.
+        assert main(["gen-synth", "--family", "outlier_channels", "--m", "200", "--n", "200",
+                     "--tokens", "700", "--layers", "2", "--seed", "4",
+                     "--out-dir", str(tmp_path / "in")]) == 0
+        env = dict(os.environ, PYTHONPATH=str(Path(flrq.__file__).parents[1]))
+        digests = set()
+        for threads in ("1", "2"):
+            for blas in ("1", "2"):
+                out = tmp_path / f"out_{threads}_{blas}"
+                subprocess.run(
+                    [sys.executable, "-m", "flrq.cli", "quantize", "--in", str(tmp_path / "in"),
+                     "--out-dir", str(out), "--d", "2", "--epochs", "3", "--threads", threads],
+                    env={**env, "OPENBLAS_NUM_THREADS": blas}, check=True, capture_output=True,
+                )
+                digests.add(tree_digest(out))
+        assert len(digests) == 1
+
+    def test_zero_channel_with_many_tokens(self, tmp_path):
+        # tokens > n, so the Gram factor is computed; a dead channel makes X X^T singular.
+        g = np.random.default_rng(5)
+        x = g.standard_normal((48, 200))
+        x[9] = 0.0
+        layer = write_layer(tmp_path / "dead", g.standard_normal((32, 48)), x)
+        out = tmp_path / "out"
+        assert main(["quantize", "--in", str(layer), "--out-dir", str(out)]) == 0
+        back, _ = read_bundle(out / "layer_000")
+        assert back.warnings == ["1 zero-activation channel(s) floored at 1e-08"]
 
     @pytest.mark.parametrize("flag, value", [("--x", "inf"), ("--x", "1e309")])
     def test_infinite_flag_echo_is_strict_json(self, synth_dir, tmp_path, flag, value):

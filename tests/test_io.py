@@ -178,8 +178,8 @@ class TestPacking:
             unpack_codes(b"\x00\x00", 2, 1)
 
 
-def make_layer(seed=0, d=3):
-    spec = SynthSpec(m=32, n=64, family="outlier_channels", seed=seed, tokens=16,
+def make_layer(seed=0, d=3, n=64):
+    spec = SynthSpec(m=32, n=n, family="outlier_channels", seed=seed, tokens=16,
                      outlier_count=1, outlier_boost=20.0)
     w, x = gen_layer(spec)
     return flrq_layer(w, calibrate(w, x), FlrqConfig(d=d, x=1.0, seed=seed, epochs=2))
@@ -335,6 +335,14 @@ class TestBundles:
             meta_path.write_text(json.dumps(meta))
         with pytest.raises(FormatError):
             read_bundle(tmp_path / "b")
+
+    def test_group_size_is_the_pipelines(self, tmp_path):
+        # 129 still gives 2 groups per 256-wide row, so the scales' shape cannot catch it.
+        write_bundle(tmp_path / "b", make_layer(d=4, n=256))
+        edit_meta(tmp_path / "b", ("group_size",), 129)
+        with pytest.raises(FormatError, match="group_size 129 is not one of") as exc:
+            read_bundle(tmp_path / "b")
+        assert "\n" not in str(exc.value)
 
     @pytest.mark.parametrize("path, value", MISTYPED.values(), ids=MISTYPED.keys())
     def test_mistyped_value_rejected(self, tmp_path, path, value):
