@@ -23,6 +23,7 @@ import numpy as np
 from flrq import LowRankFactors, NumericalError, amax, calibrate, cli, components, deflate
 from flrq import flrq_layer, fro_norm, gen_layer, layer_seed, select_rank
 from flrq.io import extra_bits
+from flrq.quantize import BIT_WIDTHS
 from flrq.rankselect import D_FP
 from flrq.synth import FAMILIES
 
@@ -41,7 +42,7 @@ def build_parser() -> cli.Parser:
     r.add_argument("--in", dest="in_dir", type=Path, required=True)
     r.add_argument("--max-rank", type=int, default=32)
     r.add_argument("--it", type=int, default=2)
-    r.add_argument("--d", type=int, default=4, choices=(2, 3, 4))
+    r.add_argument("--d", type=int, default=4, choices=BIT_WIDTHS)
 
     a = sub.add_parser("ablate", help="run one of the trend ablations")
     a.set_defaults(run=cmd_ablate)
@@ -51,7 +52,7 @@ def build_parser() -> cli.Parser:
     a.add_argument("--m", type=int, default=128)
     a.add_argument("--n", type=int, default=128)
     a.add_argument("--tokens", type=int, default=64)
-    a.add_argument("--d", type=int, default=3, choices=(2, 3, 4))
+    a.add_argument("--d", type=int, default=3, choices=BIT_WIDTHS)
     a.add_argument("--family", choices=FAMILIES, default="outlier_channels")
     a.add_argument("--outlier-count", type=int, default=4)
     a.add_argument("--outlier-boost", type=float, default=10.0)

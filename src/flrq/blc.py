@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import FlrqConfig
 from .errors import NumericalError
-from .linalg import blas_threads, fro_norm
+from .linalg import fro_norm
 # clip is not called here, but benchmark/tracer.py wraps it as a blc name.
 from .quantize import QuantizedTensor, clip, dequantize, quantize_matrix, search_clip  # noqa: F401
 from .rankselect import RankTrace, select_rank
@@ -65,14 +65,13 @@ class Calibration:  # one layer's activations, reduced by ``calibrate``
 
 def gram_factor(x: np.ndarray) -> np.ndarray:
     """L L^T = X X^T: X when tokens <= n, else the n x n cholesky(X X^T), or R^T of qr(X^T) when
-    X X^T is singular (an all-zero channel), at 1 BLAS thread either way. gram_factor(L) is L."""
+    X X^T is singular (an all-zero channel). gram_factor(L) is L."""
     if x.shape[1] <= x.shape[0]:
         return x
-    with blas_threads():
-        try:
-            return np.linalg.cholesky(x @ x.T)
-        except np.linalg.LinAlgError:
-            return np.ascontiguousarray(np.linalg.qr(x.T, mode="r").T)
+    try:
+        return np.linalg.cholesky(x @ x.T)
+    except np.linalg.LinAlgError:
+        return np.ascontiguousarray(np.linalg.qr(x.T, mode="r").T)
 
 
 def calibrate(w: np.ndarray, x: np.ndarray) -> Calibration:

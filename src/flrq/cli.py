@@ -23,7 +23,7 @@ from . import io as flrq_io
 from .blc import Calibration, QuantizedLayer, calibrate, flrq_layer, layer_error
 from .config import FlrqConfig
 from .errors import FlrqError, FormatError, NumericalError
-from .linalg import as_matrix, blas_threads
+from .linalg import BLAS_THREADS, as_matrix
 from .quantize import BIT_WIDTHS, CLIP_GRID, quantize_matrix
 from .sketch import LowRankFactors, layer_seed
 from .synth import FAMILIES, SynthSpec, gen_layer
@@ -192,7 +192,7 @@ def cmd_quantize(args) -> int:
     # and glibc then trims and re-faults it (14x the page faults on 512^2 layers).
     t0 = time.perf_counter()
     done, running = {}, set()  # done: layer index -> (layer, extras)
-    with blas_threads() as blas, ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         for idx, path in enumerate(layers):
             if len(running) == workers:
                 finished, running = wait(running, return_when=FIRST_COMPLETED)
@@ -209,8 +209,9 @@ def cmd_quantize(args) -> int:
         [layer for layer, _ in results], echo, extras=[extra for _, extra in results]
     )
     (args.out_dir / "report.json").write_text(report)
-    split = f"{workers} worker(s) x " + (f"{blas} BLAS thread(s)" if blas else "BLAS unpinned")
-    log(f"quantized {len(layers)} layer(s) in {elapsed:.2f}s ({split}) -> {args.out_dir}")
+    blas = f"{BLAS_THREADS} BLAS thread(s)" if BLAS_THREADS else "BLAS unpinned"
+    log(f"quantized {len(layers)} layer(s) in {elapsed:.2f}s ({workers} worker(s) x {blas}) "
+        f"-> {args.out_dir}")
     return 0
 
 
@@ -228,7 +229,7 @@ def main(argv=None, parser=None) -> int:
     except NumericalError as exc:
         log(f"numerical failure: {exc}")
         return 3
-    except (FormatError, FlrqError) as exc:
+    except FlrqError as exc:
         log(f"error: {exc}")
         return 2
     except OSError as exc:

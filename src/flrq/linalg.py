@@ -1,4 +1,4 @@
-"""Dense linear algebra kernels, GEMV-centric, and the BLAS thread pin.
+"""Dense linear algebra kernels, GEMV-centric, and the BLAS thread pin set on import.
 
 All compute is 64-bit float; 32-bit appears only at the I/O boundary. Every
 kernel is pure, so values can move freely between threads.
@@ -7,36 +7,29 @@ kernel is pure, so values can move freely between threads.
 from __future__ import annotations
 
 import ctypes
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 
-@contextmanager
-def blas_threads():
+def _pin_blas() -> int | None:
     """Pin numpy's bundled OpenBLAS to 1 thread, where its results depend on no thread count.
 
-    Yields 1, or None (changing nothing) when that library or its thread calls
-    cannot be found. The old count is restored on exit; it is process-wide.
+    Returns 1, or None (changing nothing) when that library or its thread call
+    cannot be found. The count is process-wide, so nothing restores it.
     """
     libs = Path(np.__file__).parent.parent / "numpy.libs"
     try:
         lib = ctypes.CDLL(str(next(libs.glob("libscipy_openblas64_*.so"))))
-        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
     except (StopIteration, OSError, AttributeError):
-        lib = None
-    if lib is None:
-        yield None
-        return
-    get.argtypes, get.restype = [], ctypes.c_int
+        return None
     put.argtypes, put.restype = [ctypes.c_int], None
-    before = get()
     put(1)
-    try:
-        yield 1
-    finally:
-        put(before)
+    return 1
+
+
+BLAS_THREADS = _pin_blas()  # every flrq entry point imports this module, so all run pinned
 
 
 def as_matrix(data) -> np.ndarray:

@@ -13,7 +13,7 @@ settings.load_profile("deterministic")
 
 @pytest.fixture
 def openblas():
-    """(get, set) of numpy's bundled OpenBLAS thread count, restored after the test.
+    """A reader of numpy's bundled OpenBLAS thread count.
 
     Skips the test when that library cannot be reached.
     """
@@ -21,10 +21,6 @@ def openblas():
     paths = sorted(libs.glob("libscipy_openblas64_*.so"))
     if not paths:
         pytest.skip("numpy's bundled OpenBLAS is not reachable")
-    lib = ctypes.CDLL(str(paths[0]))
-    get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    get = ctypes.CDLL(str(paths[0])).scipy_openblas_get_num_threads64_
     get.argtypes, get.restype = [], ctypes.c_int
-    put.argtypes, put.restype = [ctypes.c_int], None
-    before = get()
-    yield get, put
-    put(before)
+    return get

@@ -1,15 +1,38 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import flrq
 from flrq.blc import alpha, calibrate, channel_mean, flrq_layer, gram_factor, layer_error
 from flrq.blc import CHANNEL_MEAN_EPS, scaled_flr
 from flrq.config import FlrqConfig
 from flrq.errors import NumericalError
-from flrq.linalg import blas_threads, fro_norm
+from flrq.linalg import fro_norm
 from flrq.quantize import dequantize, quantize_matrix, search_clip
 from flrq.rankselect import select_rank
 from flrq.sketch import LowRankFactors
 from flrq.synth import SynthSpec, gen_layer
+
+
+# Script lines for the subprocess tests: import gram_factor and build a 256 x 2048 X (tokens > n).
+GRAM_X = """
+import hashlib
+import numpy as np
+from flrq.blc import gram_factor
+x = np.random.default_rng(3).standard_normal((256, 2048))
+"""
+
+
+def run_python(script: str, **env_vars) -> str:
+    """stdout of ``script`` run in a fresh interpreter, with ``env_vars`` set."""
+    env = dict(os.environ, PYTHONPATH=str(Path(flrq.__file__).parents[1]), **env_vars)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          check=True)
+    return proc.stdout
 
 
 class TestChannelMean:
@@ -78,24 +101,49 @@ class TestGramFactor:
         x[7] = 0.0  # X X^T is singular, so its Cholesky factorization fails
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(x @ x.T)
-        with blas_threads():
-            qr = np.ascontiguousarray(np.linalg.qr(x.T, mode="r").T)
+        qr = np.ascontiguousarray(np.linalg.qr(x.T, mode="r").T)
         l = gram_factor(x)
         assert l.tobytes() == qr.tobytes()
         assert np.allclose(l @ l.T, x @ x.T, rtol=1e-12, atol=1e-10 * 200)
 
-    def test_bytes_independent_of_blas_threads(self, openblas):
-        # Set outside any pin; at this shape a bare cholesky(X X^T) differs at 1 and 2 threads.
-        get, put = openblas
-        x = np.random.default_rng(3).standard_normal((256, 2048))
-        factors = []
-        for threads in (1, 2):
-            put(threads)
-            if get() != threads:
-                pytest.skip(f"OpenBLAS does not run {threads} threads here")
-            factors.append(gram_factor(x).tobytes())
-            assert get() == threads  # the pin restored the caller's count
-        assert factors[0] == factors[1]
+    def test_bytes_independent_of_blas_threads(self):
+        # At this shape a bare cholesky(X X^T) differs at 1 and 2 OpenBLAS threads.
+        script = GRAM_X + "print(hashlib.sha256(gram_factor(x).tobytes()).hexdigest())\n"
+        digests = {run_python(script, OPENBLAS_NUM_THREADS=blas) for blas in ("1", "2")}
+        assert len(digests) == 1
+
+    @pytest.mark.usefixtures("openblas")  # skips when numpy's OpenBLAS cannot be reached
+    def test_import_pins_blas_for_concurrent_callers(self):
+        # A pin that restored the caller's count on exit lost it when two threads overlapped.
+        script = f"""
+import ctypes, threading
+from pathlib import Path
+import numpy as np
+libs = Path(np.__file__).parent.parent / "numpy.libs"
+lib = ctypes.CDLL(str(next(libs.glob("libscipy_openblas64_*.so"))))
+get = lib.scipy_openblas_get_num_threads64_
+get.restype = ctypes.c_int
+before = get()
+import flrq
+pinned = get()
+{GRAM_X}
+digests = set()
+
+def factor():
+    for _ in range(30):
+        digests.add(hashlib.sha256(gram_factor(x).tobytes()).hexdigest())
+
+workers = [threading.Thread(target=factor) for _ in range(2)]
+for t in workers:
+    t.start()
+for t in workers:
+    t.join()
+print(before, pinned, get(), len(digests))
+"""
+        before, pinned, after, distinct = run_python(script, OPENBLAS_NUM_THREADS="2").split()
+        if before != "2":
+            pytest.skip("OpenBLAS does not run 2 threads here")
+        assert (pinned, after, distinct) == ("1", "1", "1")
 
 
 class TestAlpha:

@@ -56,12 +56,13 @@ def run(argv) -> int:
     return (paper.main if argv[0] in EXPERIMENTS else main)(argv)
 
 
-def run_cli(*argv) -> subprocess.CompletedProcess:
+def run_cli(*argv, **env_vars) -> subprocess.CompletedProcess:
     """Run a command in a fresh interpreter, so an uncaught exception shows as a traceback.
 
     Experiments run as ``python experiments/paper.py`` with only ``src`` on PYTHONPATH.
+    ``env_vars`` are set in the command's environment.
     """
-    env = dict(os.environ, PYTHONPATH=str(Path(flrq.__file__).parents[1]))
+    env = dict(os.environ, PYTHONPATH=str(Path(flrq.__file__).parents[1]), **env_vars)
     entry = [paper.__file__] if argv[0] in EXPERIMENTS else ["-m", "flrq.cli"]
     return subprocess.run(
         [sys.executable, *entry, *map(str, argv)], capture_output=True, text=True, env=env,
@@ -240,22 +241,18 @@ class TestQuantizeCommand:
         assert rc == 0
         assert waits == [True]
 
-    def test_blas_threads_pinned_then_restored(self, synth_dir, tmp_path, monkeypatch, capsys,
-                                               openblas):
-        get, put = openblas
-        put(2)  # a count the pin must change and then restore
-        before, seen = get(), []
+    def test_blas_threads_pinned(self, synth_dir, tmp_path, monkeypatch, capsys, openblas):
+        seen = []
         quantize_layer = cli.flrq_layer
 
         def traced_layer(*args):
-            seen.append(get())
+            seen.append(openblas())
             return quantize_layer(*args)
 
         monkeypatch.setattr(cli, "flrq_layer", traced_layer)
         rc = main(["quantize", "--in", str(synth_dir), "--out-dir", str(tmp_path / "out"),
                    "--threads", "2"])
         assert rc == 0
-        assert get() == before
         assert seen == [1, 1]
         assert "(2 worker(s) x 1 BLAS thread(s))" in capsys.readouterr().err
 
@@ -264,6 +261,8 @@ class TestQuantizeCommand:
             raise OSError(f"cannot load {name}")
 
         monkeypatch.setattr(linalg.ctypes, "CDLL", no_library)
+        assert linalg._pin_blas() is None
+        monkeypatch.setattr(cli, "BLAS_THREADS", None)
         rc = main(["quantize", "--in", str(synth_dir), "--out-dir", str(tmp_path / "out")])
         assert rc == 0
         assert "(1 worker(s) x BLAS unpinned)" in capsys.readouterr().err
@@ -554,3 +553,17 @@ class TestByteStable:
         for out in outs:
             assert run([*argv, *inputs, "--out-dir", str(out)]) == 0
         assert tree_digest(outs[0]) == tree_digest(outs[1])
+
+    def test_rank_sweep_independent_of_blas_threads(self, tmp_path):
+        # Run unpinned, this layer's rank_sweep.csv differed at 1 and 2 OpenBLAS threads.
+        assert main(["gen-synth", "--family", "outlier_channels", "--m", "700", "--n", "700",
+                     "--tokens", "2100", "--layers", "1", "--seed", "4",
+                     "--out-dir", str(tmp_path / "in")]) == 0
+        sweeps = []
+        for blas in ("1", "2"):
+            out = tmp_path / f"out_{blas}"
+            proc = run_cli("rank-sweep", "--in", tmp_path / "in", "--max-rank", "8", "--d", "2",
+                           "--out-dir", out, OPENBLAS_NUM_THREADS=blas)
+            assert proc.returncode == 0, proc.stderr
+            sweeps.append((out / "rank_sweep.csv").read_bytes())
+        assert sweeps[0] == sweeps[1]
