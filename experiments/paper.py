@@ -61,7 +61,7 @@ def build_parser() -> cli.Parser:
     c.set_defaults(run=cmd_compare_svd)
     cli.common(c)
     c.add_argument("--in", dest="in_dir", type=Path, required=True)
-    c.add_argument("--rank", type=int, default=16)
+    c.add_argument("--rank", type=cli.count, default=16)
     c.add_argument("--it", type=int, default=2)
     c.add_argument("--seeds", type=cli.count, default=10)
     return p
@@ -78,6 +78,8 @@ def write_outputs(args, csv_name: str, header, rows, json_name: str, record: dic
 
 
 def cmd_rank_sweep(args) -> int:
+    if args.max_rank < 0:  # 0 is legal: the baseline row alone
+        raise cli.UsageError(f"--max-rank must be >= 0, got {args.max_rank}")
     cfg = cli.flrq_config(args)
     layer_dir = cli.discover_layers(args.in_dir)[0]
     w, x = cli.read_layer_inputs(layer_dir)

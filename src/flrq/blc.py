@@ -42,11 +42,17 @@ class QuantizedLayer:
     factors: LowRankFactors
     blc_trace: list[EpochRecord]
     best_epoch: int
-    best_error: float
     wx_norm: float
-    p_clp: float
     rank_trace: RankTrace
     warnings: list[str] = field(default_factory=list)
+
+    @property
+    def best_error(self) -> float:
+        return self.blc_trace[self.best_epoch - 1].error
+
+    @property
+    def p_clp(self) -> float:
+        return self.blc_trace[self.best_epoch - 1].p_clp
 
     @property
     def rel_error(self) -> float:
@@ -136,15 +142,6 @@ def layer_error(
     return fro_norm(np.subtract(w, approx, out=approx) @ gram_factor(x))
 
 
-def _clip_and_quantize(
-    w_rest: np.ndarray, l: np.ndarray, cfg: FlrqConfig
-) -> tuple[QuantizedTensor, float]:
-    found = search_clip(w_rest, l, cfg.d)
-    if found.q is None:  # an all-zero remainder: nothing to clip
-        return quantize_matrix(w_rest, cfg.d), found.p_clp
-    return found.q, found.p_clp
-
-
 def flrq_layer(w: np.ndarray, calib: Calibration, cfg: FlrqConfig) -> QuantizedLayer:
     """Quantize one layer (m x n weights; calib = calibrate(w, x)) with the full pipeline."""
     epochs = cfg.resolved_epochs()
@@ -155,24 +152,18 @@ def flrq_layer(w: np.ndarray, calib: Calibration, cfg: FlrqConfig) -> QuantizedL
     alpha_vec = alpha(calib.mean)
 
     trace: list[EpochRecord] = []
-    best: QuantizedLayer | None = None
+    best = None  # (epoch, q, factors, rank_trace) of the lowest-error epoch so far
     w_q = None
     for epoch in range(1, epochs + 1):
         # Epoch 1 extracts from W itself, later epochs from the dequantization residual.
         factors, rank_trace = scaled_flr(w if w_q is None else w - dequantize(w_q), alpha_vec, cfg)
-        w_q, p_clp = _clip_and_quantize(w - factors.reconstruct(), calib.l, cfg)
+        rest = w - factors.reconstruct()
+        found = search_clip(rest, calib.l, cfg.d)
+        w_q = quantize_matrix(rest, cfg.d) if found.q is None else found.q  # None: rest is all zero
+        del rest  # freed before layer_error's temporaries
         err = layer_error(w, w_q, factors, calib.l)
-        trace.append(EpochRecord(epoch=epoch, error=err, p_clp=p_clp, rank=factors.rank))
-        if best is None or err < best.best_error:
-            best = QuantizedLayer(
-                q=w_q,
-                factors=factors,
-                blc_trace=trace,
-                best_epoch=epoch,
-                best_error=err,
-                wx_norm=calib.wx_norm,
-                p_clp=p_clp,
-                rank_trace=rank_trace,
-                warnings=warnings,
-            )
-    return best
+        trace.append(EpochRecord(epoch=epoch, error=err, p_clp=found.p_clp, rank=factors.rank))
+        if best is None or err < trace[best[0] - 1].error:
+            best = (epoch, w_q, factors, rank_trace)
+    epoch, q, factors, rank_trace = best
+    return QuantizedLayer(q, factors, trace, epoch, calib.wx_norm, rank_trace, warnings)

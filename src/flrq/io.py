@@ -212,7 +212,7 @@ def write_bundle(directory, layer: QuantizedLayer, config: dict | None = None) -
         write_container_file(d / f"{name}.flrqten", container_from_array(a))
     rank_trace = asdict(layer.rank_trace)
     rank_trace["steps"] = [{k: inf_to_json(v) for k, v in s.items()} for s in rank_trace["steps"]]
-    values = {"d": q.bit_width, "group_size": q.group_size, "shape": list(q.shape),
+    values = {"d": q.bit_width, "group_size": GROUP_SIZE, "shape": list(q.shape),
               "rank": layer.factors.rank, "blc_trace": [asdict(r) for r in layer.blc_trace],
               "rank_trace": rank_trace, "config": config if config is not None else {}}
     # Every other field is the layer attribute of the same name.
@@ -248,7 +248,7 @@ def _contradictions(meta: dict) -> Iterator[str]:
         yield f"best_epoch {best} is not an epoch of blc_trace (1..{len(trace)})"
         return
     for key, field in (("best_error", "error"), ("p_clp", "p_clp"), ("rank", "rank")):
-        if meta[key] != trace[best - 1][field]:
+        if repr(meta[key]) != repr(trace[best - 1][field]):  # 0 and 0.0 write back differently
             yield f"{key} {meta[key]!r} differs from blc_trace[{best - 1}].{field}"
     if rt["selected_rank"] != meta["rank"]:
         yield f"rank_trace.selected_rank {rt['selected_rank']} is not rank {meta['rank']}"
@@ -276,7 +276,7 @@ def read_bundle(directory) -> tuple[QuantizedLayer, dict]:
     if packed.dtype_code != DTYPE_PACKED:
         raise FormatError("codes container is not packed")
     codes = unpack_codes(packed.payload, meta["d"], m * n).reshape(m, n)
-    groups = (m, -(-n // meta["group_size"]))
+    groups = (m, -(-n // GROUP_SIZE))
     arrays = {name: read_container_file(d / f"{name}.flrqten").to_array() for name in _ARRAYS}
     for (name, a), shape in zip(arrays.items(), (groups, groups, (m, rank), (rank, n))):
         if a.shape != shape:
@@ -288,11 +288,11 @@ def read_bundle(directory) -> tuple[QuantizedLayer, dict]:
     rt = meta["rank_trace"]
     steps = [RankStep(**{k: math.inf if v == "inf" else v for k, v in s.items()}) for s in rt["steps"]]
     layer = QuantizedLayer(
-        q=QuantizedTensor(codes, arrays["scales"], arrays["zeros"], meta["d"], meta["group_size"], (m, n)),
+        q=QuantizedTensor(codes, arrays["scales"], arrays["zeros"], meta["d"]),
         factors=LowRankFactors(left=arrays["left"], right=arrays["right"]),
         blc_trace=[EpochRecord(**r) for r in meta["blc_trace"]],
         rank_trace=RankTrace(rt["stop_reason"], rt["selected_rank"], steps),
-        **{k: meta[k] for k in ("best_epoch", "best_error", "wx_norm", "p_clp", "warnings")},
+        **{k: meta[k] for k in ("best_epoch", "wx_norm", "warnings")},
     )
     return layer, meta
 
@@ -317,7 +317,7 @@ def emit_report(layers, config: dict, extras: list[dict] | None = None) -> str:
     rows = []
     for idx, layer in enumerate(layers):
         m, n = layer.q.shape
-        meta_bits = D_FP * 2 / layer.q.group_size  # a scale and a zero per group
+        meta_bits = D_FP * 2 / GROUP_SIZE  # a scale and a zero per group
         xb = extra_bits(D_FP, layer.factors.rank, m, n)
         row = {
             "index": idx,

@@ -1,11 +1,11 @@
 """Group-wise integer quantization, clipping, and clip-threshold grid search.
 
-Weights are grouped along the input dimension (contiguous runs of
-``group_size`` within each row; ``GROUP_SIZE`` = 128 in the pipeline, the
-common weight-only format). Each group maps to codes in [0, 2^d-1]
-with step (max-min)/(2^d-1) and an integer-valued zero-point, so a value v
-is stored as round(v / step) + zero. Rounding is half-to-even so repeated
-requantization stays unbiased.
+Weights are grouped along the input dimension: contiguous runs of
+``GROUP_SIZE`` = 128 within each row (the common weight-only format), so a
+row's last group is shorter when 128 does not divide n. Each group maps to
+codes in [0, 2^d-1] with step (max-min)/(2^d-1) and an integer-valued
+zero-point, so a value v is stored as round(v / step) + zero. Rounding is
+half-to-even so repeated requantization stays unbiased.
 """
 
 from __future__ import annotations
@@ -24,34 +24,30 @@ CLIP_GRID = (1.0, 0.98, 0.95, 0.92, 0.90, 0.85, 0.80, 0.70)  # clip ratios, uniq
 class QuantizedTensor:
     """Integer codes plus per-group scales and zero-points."""
 
-    codes: np.ndarray  # (m, n) int16
-    scales: np.ndarray  # (m, ceil(n / group_size))
-    zeros: np.ndarray  # same shape as scales
+    codes: np.ndarray  # (m, n) int16, in [0, 2^bit_width - 1]
+    scales: np.ndarray  # (m, ceil(n / GROUP_SIZE)) f64
+    zeros: np.ndarray  # same shape as scales, integer-valued f64
     bit_width: int
-    group_size: int
-    shape: tuple[int, int]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.codes.shape
 
 
-def check_args(d: int, group_size: int) -> None:
+def _grouped(a: np.ndarray) -> np.ndarray:
+    """``a`` as (m, groups, GROUP_SIZE): a view, or an edge-padded copy when n is ragged."""
+    if a.shape[1] % GROUP_SIZE:
+        a = np.pad(a, ((0, 0), (0, -a.shape[1] % GROUP_SIZE)), mode="edge")
+    return a.reshape(a.shape[0], a.shape[1] // GROUP_SIZE, GROUP_SIZE)
+
+
+def quantize_matrix(r: np.ndarray, d: int) -> QuantizedTensor:
+    """Quantize a dense matrix group by group."""
     if d not in BIT_WIDTHS:
         raise ValueError(f"bit width must be one of {BIT_WIDTHS}, got {d}")
-    if group_size < 1:
-        raise ValueError("group_size must be >= 1")
-
-
-def _grouped(a: np.ndarray, group_size: int) -> np.ndarray:
-    """``a`` as (m, groups, group_size): a view, or an edge-padded copy when n is ragged."""
-    if a.shape[1] % group_size:
-        a = np.pad(a, ((0, 0), (0, -a.shape[1] % group_size)), mode="edge")
-    return a.reshape(a.shape[0], a.shape[1] // group_size, group_size)
-
-
-def quantize_matrix(r: np.ndarray, d: int, group_size: int = GROUP_SIZE) -> QuantizedTensor:
-    """Quantize a dense matrix group by group."""
-    check_args(d, group_size)
     r = np.asarray(r, dtype=np.float64)
     m, n = r.shape
-    starts = np.arange(0, n, group_size)  # reduceat: no padding, faster than max(axis=2)
+    starts = np.arange(0, n, GROUP_SIZE)  # reduceat: no padding, faster than max(axis=2)
     gmax, gmin = np.maximum.reduceat(r, starts, axis=1), np.minimum.reduceat(r, starts, axis=1)
     if not (np.isfinite(gmax).all() and np.isfinite(gmin).all()):
         raise ValueError("cannot quantize non-finite values")
@@ -63,29 +59,22 @@ def quantize_matrix(r: np.ndarray, d: int, group_size: int = GROUP_SIZE) -> Quan
     # A group with scale 0 is divided by 1 instead: all its values round to code 0.
     live = scales > 0.0
     divisor = np.where(live, scales, 1.0)
-    q = np.divide(_grouped(r, group_size), divisor[:, :, None])  # a view of r is never written
+    q = np.divide(_grouped(r), divisor[:, :, None])  # a view of r is never written
     np.round(q, out=q)
     zeros = np.where(live, np.round(-gmin / divisor), 0.0)
     q += zeros[:, :, None]
     # q holds small integers here, so clipping after the cast clips the same values.
-    codes = np.clip(q.astype(np.int16), 0, hi).reshape(m, q.shape[1] * group_size)[:, :n]
-    return QuantizedTensor(
-        codes=np.ascontiguousarray(codes),
-        scales=scales,
-        zeros=zeros,
-        bit_width=d,
-        group_size=group_size,
-        shape=(m, n),
-    )
+    codes = np.clip(q.astype(np.int16), 0, hi).reshape(m, q.shape[1] * GROUP_SIZE)[:, :n]
+    return QuantizedTensor(np.ascontiguousarray(codes), scales, zeros, d)
 
 
 def dequantize(q: QuantizedTensor) -> np.ndarray:
     """Reconstruct the dense matrix from codes and group parameters."""
     m, n = q.shape
-    out = _grouped(q.codes, q.group_size).astype(np.float64)
+    out = _grouped(q.codes).astype(np.float64)
     out -= q.zeros[:, :, None]
     out *= q.scales[:, :, None]
-    return np.ascontiguousarray(out.reshape(m, out.shape[1] * q.group_size)[:, :n])
+    return np.ascontiguousarray(out.reshape(m, out.shape[1] * GROUP_SIZE)[:, :n])
 
 
 def clip(w: np.ndarray, p_clp: float) -> np.ndarray:
@@ -102,9 +91,7 @@ class ClipSearchResult:
     q: QuantizedTensor | None = None  # the chosen candidate, quantized; None if none was tried
 
 
-def search_clip(
-    w: np.ndarray, l: np.ndarray, d: int, group_size: int = GROUP_SIZE
-) -> ClipSearchResult:
+def search_clip(w: np.ndarray, l: np.ndarray, d: int) -> ClipSearchResult:
     """Grid-search the clip threshold minimizing ||(W - dequant(quant(clip(W)))) L||_F.
 
     L is the layer's Gram factor (``blc.gram_factor``), so this is the output error through X.
@@ -127,7 +114,7 @@ def search_clip(
         p = rho * top
         rows = slice(None) if base is None else np.flatnonzero(rowmax > p)
         w_rows = w[rows]
-        q = quantize_matrix(clip(w_rows, p), d, group_size)
+        q = quantize_matrix(clip(w_rows, p), d)
         diff = dequantize(q)
         row_err = np.square(np.subtract(w_rows, diff, out=diff) @ l).sum(axis=1)
         if base is None:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import FlrqConfig
 from .errors import NumericalError
-from .linalg import fro_norm, gemv, gemv_t
+from .linalg import gemv, gemv_t
 
 MAX_PROBE_REDRAWS = 3
 
@@ -81,10 +81,9 @@ def r1_step(a: np.ndarray, cfg: FlrqConfig, rng: np.random.Generator) -> Rank1Pa
     The probe p = (A A^T)^it A s is built by alternating gemv/gemv_t calls;
     k = A^T p then gives left = (|k| / |p|^2) p and right = k / |k|. Both are degree 0
     in p, so p is rescaled exactly after every product: the pair of 2^e A is (2^e left, right).
+    A zero ``a`` collapses every probe and raises NumericalError.
     """
     n = a.shape[1]
-    if fro_norm(a) == 0.0:
-        raise NumericalError("nothing to sketch: matrix is zero")
     for _ in range(MAX_PROBE_REDRAWS + 1):
         s = rng.standard_normal(n)
         p = _rescaled(gemv(a, s))

@@ -28,7 +28,7 @@ from flrq.io import (
     write_container,
 )
 from flrq.linalg import fro_norm
-from flrq.quantize import dequantize, quantize_matrix
+from flrq.quantize import GROUP_SIZE, dequantize, quantize_matrix
 from flrq.rankselect import D_FP, deflate, qk, select_rank
 from flrq.sketch import r1_step, make_rng
 from flrq.synth import SynthSpec, gen_layer
@@ -140,11 +140,11 @@ def test_04_quantization_round_trip(announce):
     ok = True
     worst = 0.0
     for s in range(100):
-        w = rng.standard_normal((8, 128)) * rng.uniform(0.05, 20)
+        w = rng.standard_normal((8, 4 * GROUP_SIZE)) * rng.uniform(0.05, 20)
         for d in (2, 3, 4):
-            q = quantize_matrix(w, d, group_size=32)
+            q = quantize_matrix(w, d)
             err = np.abs(w - dequantize(q))
-            bound = np.repeat(q.scales, 32, axis=1) / 2 + 1e-12
+            bound = np.repeat(q.scales, GROUP_SIZE, axis=1) / 2 + 1e-12
             ok &= bool(np.all(err <= bound))
             worst = max(worst, float((err - bound).max()))
     for d in (2, 3, 4):

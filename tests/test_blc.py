@@ -12,7 +12,7 @@ from flrq.blc import CHANNEL_MEAN_EPS, scaled_flr
 from flrq.config import FlrqConfig
 from flrq.errors import NumericalError
 from flrq.linalg import fro_norm
-from flrq.quantize import dequantize, quantize_matrix, search_clip
+from flrq.quantize import GROUP_SIZE, dequantize, quantize_matrix, search_clip
 from flrq.rankselect import select_rank
 from flrq.sketch import LowRankFactors
 from flrq.synth import SynthSpec, gen_layer
@@ -87,9 +87,10 @@ class TestGramFactor:
 
     def test_layer_error_same_through_x_or_factor(self):
         g = np.random.default_rng(2)
-        w, x = g.standard_normal((24, 32)), g.standard_normal((32, 150))
-        q = quantize_matrix(w, 3, group_size=8)
-        factors = LowRankFactors(g.standard_normal((24, 2)), g.standard_normal((2, 32)))
+        n = 2 * GROUP_SIZE
+        w, x = g.standard_normal((24, n)), g.standard_normal((n, 600))
+        q = quantize_matrix(w, 3)
+        factors = LowRankFactors(g.standard_normal((24, 2)), g.standard_normal((2, n)))
         assert layer_error(w, q, factors, x) == layer_error(w, q, factors, gram_factor(x))
 
     def test_calibrate_rejects_nonconforming_shapes(self):
@@ -206,32 +207,34 @@ class TestLayerError:
     def test_exact_lattice_decomposition(self):
         # a span of 15 steps at 4 bits: every entry is a lattice point
         w = np.array([[-7, 2, 8, 0]], dtype=float) * 0.5
-        q = quantize_matrix(w, 4, group_size=4)
+        q = quantize_matrix(w, 4)
         x = np.eye(4)
         assert layer_error(w, q, LowRankFactors.empty(1, 4), x) <= 1e-12
 
     def test_empty_factors_equal_plain_error(self):
         rng = np.random.default_rng(2)
-        w = rng.standard_normal((8, 16))
-        x = rng.standard_normal((16, 4))
-        q = quantize_matrix(w, 2, group_size=8)
+        n = 2 * GROUP_SIZE
+        w = rng.standard_normal((8, n))
+        x = rng.standard_normal((n, 4))
+        q = quantize_matrix(w, 2)
         expected = fro_norm(w @ x - dequantize(q) @ x)
-        assert layer_error(w, q, LowRankFactors.empty(8, 16), x) == pytest.approx(expected)
+        assert layer_error(w, q, LowRankFactors.empty(8, n), x) == pytest.approx(expected)
 
     def test_matches_naive_dense_evaluation(self):
         rng = np.random.default_rng(3)
-        w = rng.standard_normal((8, 8))
-        x = rng.standard_normal((8, 8))
-        q = quantize_matrix(w, 3, group_size=4)
+        n = 2 * GROUP_SIZE
+        w = rng.standard_normal((8, n))
+        x = rng.standard_normal((n, 8))
+        q = quantize_matrix(w, 3)
         left = rng.standard_normal((8, 2))
-        right = rng.standard_normal((2, 8))
+        right = rng.standard_normal((2, n))
         factors = LowRankFactors(left=left, right=right)
         approx = dequantize(q) + left @ right
         naive = np.sqrt(np.sum((w @ x - approx @ x) ** 2))
         assert layer_error(w, q, factors, x) == pytest.approx(naive, rel=1e-13)
 
     def test_shape_mismatch(self):
-        q = quantize_matrix(np.ones((2, 4)), 4, group_size=4)
+        q = quantize_matrix(np.ones((2, 4)), 4)
         with pytest.raises(ValueError):
             layer_error(np.ones((2, 4)), q, LowRankFactors.empty(2, 4), np.ones((5, 3)))
 

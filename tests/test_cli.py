@@ -99,6 +99,7 @@ BAD_FLAGS = {
     "ablate-outlier-boost-nan": ["ablate", "--which", "it", "--outlier-boost", "nan"],
     "gen-synth-m-0": ["gen-synth", "--m", "0"],
     "compare-svd-rank-0": ["compare-svd", "--rank", "0"],
+    "rank-sweep-max-rank-negative": ["rank-sweep", "--max-rank", "-1"],  # 0 is legal
     # count flags: none of them can be 0 or negative
     "gen-synth-layers-negative": ["gen-synth", "--layers", "-1"],
     "ablate-layers-0": ["ablate", "--which", "it", "--layers", "0"],
@@ -110,10 +111,11 @@ BAD_FLAGS = {
     "ablate-threads": ["ablate", "--which", "it", "--threads", "2"],
     "compare-svd-threads": ["compare-svd", "--threads", "2"],
 }
+READS_LAYERS = ("quantize", "rank-sweep", "compare-svd")  # the commands that take --in
 BAD_FLAG_CASES = [pytest.param(argv, False, id=name) for name, argv in BAD_FLAGS.items()] + [
     pytest.param(argv, True, id=f"{name}-bad-magic")
     for name, argv in BAD_FLAGS.items()
-    if argv[0] == "quantize"
+    if argv[0] in READS_LAYERS
 ]
 
 
@@ -510,7 +512,7 @@ class TestExitCodes:
         layer = write_layer(tmp_path / "layer", w, x)
         if bad_magic:  # flags are checked before any layer file is opened
             (layer / "weights.flrqten").write_bytes(b"NOTFLRQ\0" + bytes(32))
-        inputs = ["--in", layer] if argv[0] in ("quantize", "rank-sweep", "compare-svd") else []
+        inputs = ["--in", layer] if argv[0] in READS_LAYERS else []
         proc = run_cli(*argv, *inputs, "--out-dir", tmp_path / "out")
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr

@@ -30,7 +30,7 @@ from flrq.io import (
     write_container,
     write_container_file,
 )
-from flrq.quantize import dequantize
+from flrq.quantize import GROUP_SIZE, dequantize
 from flrq.synth import SynthSpec, gen_layer
 
 
@@ -360,6 +360,18 @@ class TestBundles:
             read_bundle(tmp_path / "b")
         assert "\n" not in str(exc.value)
 
+    @pytest.mark.parametrize("value, ok", [(1.0, True), (1, False)], ids=["float", "int"])
+    def test_best_error_matches_its_record_as_written(self, tmp_path, value, ok):
+        # The layer reads best_error from blc_trace, so a 1 beside a 1.0 would write back as 1.0.
+        write_bundle(tmp_path / "b", make_layer(d=4))
+        edit_meta(tmp_path / "b", ("blc_trace", 1, "error"), 1.0)
+        edit_meta(tmp_path / "b", ("best_error",), value)
+        if ok:
+            assert read_bundle(tmp_path / "b")[0].best_error == 1.0
+        else:
+            with pytest.raises(FormatError, match=re.escape("best_error 1 differs from blc_trace[1]")):
+                read_bundle(tmp_path / "b")
+
     @settings(deadline=None)
     @given(data=st.data())
     def test_single_leaf_edit_is_rejected_or_written_back(self, valid_bundle, tmp_path_factory,
@@ -430,7 +442,7 @@ class TestReport:
         layer = make_layer(seed=2, d=3)
         report = json.loads(emit_report([layer], {"d": 3}))
         row = report["layers"][0]
-        overhead = 16 * 2 / layer.q.group_size  # scale + zero at 16 bits
+        overhead = 16 * 2 / GROUP_SIZE  # scale + zero at 16 bits
         assert row["extra_bits_with_meta"] == pytest.approx(row["extra_bits"] + overhead)
 
     def test_byte_identical_for_identical_inputs(self):

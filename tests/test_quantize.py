@@ -18,15 +18,15 @@ from flrq.quantize import (
 )
 
 
-def reference_quantize(w, d, group_size):
+def reference_quantize(w, d):
     """The module docstring's rules as a plain loop: (codes, scales, zeros, dequantized)."""
     m, n = w.shape
-    groups = -(-n // group_size)
+    groups = -(-n // GROUP_SIZE)
     codes = np.zeros((m, n), dtype=np.int16)
     scales, zeros, deq = np.zeros((m, groups)), np.zeros((m, groups)), np.zeros((m, n))
     for i in range(m):
         for g in range(groups):
-            cols = range(g * group_size, min(n, (g + 1) * group_size))
+            cols = range(g * GROUP_SIZE, min(n, (g + 1) * GROUP_SIZE))
             vals = [w[i, j] for j in cols]
             hi = 2**d - 1
             span = max(vals) - min(vals)
@@ -45,17 +45,18 @@ def reference_quantize(w, d, group_size):
 def group_matrices(draw):
     """A matrix whose groups are each normal, constant, all zero, half zero or subnormal.
 
-    Every zero in one matrix has the same sign: the sign of a group minimum
-    that is +0.0 in one place and -0.0 in another depends on numpy's
-    reduction order, so no rule can pin it.
+    n runs to three groups and one column, so a row's last group can be one
+    column wide. Every zero in one matrix has the same sign: the sign of a
+    group minimum that is +0.0 in one place and -0.0 in another depends on
+    numpy's reduction order, so no rule can pin it.
     """
-    m, n, group_size = draw(st.integers(1, 4)), draw(st.integers(1, 40)), draw(st.integers(1, 48))
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 3 * GROUP_SIZE + 1))
     zero = draw(st.sampled_from([0.0, -0.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     w = rng.standard_normal((m, n)) * 10.0 ** draw(st.integers(-300, 300))
     for i in range(m):
-        for start in range(0, n, group_size):
-            g = w[i, start : start + group_size]
+        for start in range(0, n, GROUP_SIZE):
+            g = w[i, start : start + GROUP_SIZE]
             kind = rng.integers(5)
             if kind == 1:
                 g[:] = g[0]
@@ -66,15 +67,15 @@ def group_matrices(draw):
             elif kind == 4:
                 k = rng.integers(-2, 3, size=g.size)
                 g[:] = np.where(k == 0, zero, k * 5e-324)
-    return w, group_size
+    return w
 
 
 class TestQuantizeMatrix:
-    @given(case=group_matrices(), d=st.sampled_from([2, 3, 4]))
-    def test_matches_per_group_loop(self, case, d):
-        w, group_size = case
-        codes, scales, zeros, deq = reference_quantize(w, d, group_size)
-        q = quantize_matrix(w, d, group_size=group_size)
+    @given(w=group_matrices(), d=st.sampled_from([2, 3, 4]))
+    @example(w=np.random.default_rng(7).standard_normal((2, 3 * GROUP_SIZE + 1)), d=3)  # 1-wide tail
+    def test_matches_per_group_loop(self, w, d):
+        codes, scales, zeros, deq = reference_quantize(w, d)
+        q = quantize_matrix(w, d)
         assert q.codes.dtype == np.int16 and q.codes.flags.c_contiguous
         assert q.codes.tobytes() == codes.tobytes()
         assert q.scales.tobytes() == scales.tobytes()
@@ -84,19 +85,18 @@ class TestQuantizeMatrix:
     @given(
         seed=st.integers(0, 2**32 - 1),
         m=st.integers(1, 6),
-        n=st.integers(1, 70),
-        group_size=st.integers(1, 32),
+        n=st.integers(1, 3 * GROUP_SIZE + 1),
         d=st.sampled_from([2, 3, 4]),
         exponent=st.integers(-8, 8),
     )
-    def test_dequantize_within_half_step(self, seed, m, n, group_size, d, exponent):
+    def test_dequantize_within_half_step(self, seed, m, n, d, exponent):
         w = np.random.default_rng(seed).standard_normal((m, n)) * 10.0**exponent
-        q = quantize_matrix(w, d, group_size=group_size)
-        step = np.repeat(q.scales, group_size, axis=1)[:, :n]
+        q = quantize_matrix(w, d)
+        step = np.repeat(q.scales, GROUP_SIZE, axis=1)[:, :n]
         assert (np.abs(dequantize(q) - w) <= step / 2 + 1e-12 * amax(w)).all()
 
     def test_all_zero_group(self):
-        q = quantize_matrix(np.zeros((2, 8)), 3, group_size=4)
+        q = quantize_matrix(np.zeros((2, 8)), 3)
         assert np.all(q.codes == 0)
         assert np.all(q.scales == 0.0)
         assert np.all(dequantize(q) == 0.0)
@@ -104,7 +104,7 @@ class TestQuantizeMatrix:
     def test_lattice_points_roundtrip_exactly(self):
         # a span of 15 steps at 4 bits: scale 0.25, zero 7
         w = np.array([[-7, -3, 0, 2, 8]], dtype=float) * 0.25
-        q = quantize_matrix(w, 4, group_size=5)
+        q = quantize_matrix(w, 4)
         assert q.codes.tolist() == [[0, 4, 7, 9, 15]]
         assert np.array_equal(dequantize(q), w)
 
@@ -119,19 +119,20 @@ class TestQuantizeMatrix:
     def test_constant_nonzero_group_asymmetric(self):
         # scale = 0 must only ever mean an all-zero group
         w = np.full((1, 4), 3.7)
-        q = quantize_matrix(w, 2, group_size=4)
+        q = quantize_matrix(w, 2)
         assert q.scales[0, 0] > 0
         assert np.allclose(dequantize(q), w, atol=1e-12)
 
     def test_group_count(self):
-        q = quantize_matrix(np.random.default_rng(0).standard_normal((3, 130)), 4, group_size=128)
+        q = quantize_matrix(np.random.default_rng(0).standard_normal((3, 130)), 4)
         assert q.scales.shape == (3, 2)
+        assert q.shape == q.codes.shape == (3, 130)
 
     def test_code_ranges(self):
         rng = np.random.default_rng(1)
-        w = rng.standard_normal((4, 64)) * 10
+        w = rng.standard_normal((4, 4 * GROUP_SIZE)) * 10
         for d in (2, 3, 4):
-            q = quantize_matrix(w, d, group_size=16)
+            q = quantize_matrix(w, d)
             assert q.codes.min() >= 0
             assert q.codes.max() <= 2**d - 1
 
@@ -141,22 +142,22 @@ class TestDequantizeRoundTrip:
     def test_elementwise_bound(self, d):
         rng = np.random.default_rng(2)
         for _ in range(20):
-            w = rng.standard_normal((8, 128)) * rng.uniform(0.1, 10)
-            q = quantize_matrix(w, d, group_size=32)
+            w = rng.standard_normal((8, 4 * GROUP_SIZE)) * rng.uniform(0.1, 10)
+            q = quantize_matrix(w, d)
             err = np.abs(w - dequantize(q))
-            step = np.repeat(q.scales, 32, axis=1)
+            step = np.repeat(q.scales, GROUP_SIZE, axis=1)
             assert np.all(err <= step / 2 + 1e-12)
 
     def test_zero_tensor(self):
-        q = quantize_matrix(np.zeros((3, 5)), 2, group_size=5)
+        q = quantize_matrix(np.zeros((3, 5)), 2)
         assert np.all(dequantize(q) == 0.0)
 
 
 class TestMaxQuantError:
     def test_bounds_actual_error(self):
         rng = np.random.default_rng(3)
-        w = rng.standard_normal((6, 64))
-        q = quantize_matrix(w, 3, group_size=16)
+        w = rng.standard_normal((6, 4 * GROUP_SIZE))
+        q = quantize_matrix(w, 3)
         assert np.abs(w - dequantize(q)).max() <= q.scales.max() / 2.0 + 1e-12
 
 
@@ -247,7 +248,7 @@ class TestSearchClip:
     def test_lattice_exact_picks_full_range(self):
         w = np.array([[-7, 1, 3, 8]], dtype=float) * 0.5  # 15 steps of 0.5 at 4 bits
         x = np.eye(4)
-        res = search_clip(w, x, 4, group_size=4)
+        res = search_clip(w, x, 4)
         assert res.p_clp == pytest.approx(amax(w))
         best = min(err for _, err in res.grid_errors)
         assert best <= 1e-10
@@ -266,12 +267,12 @@ class TestSearchClip:
     def test_never_worse_than_full_range(self):
         rng = np.random.default_rng(6)
         for s in range(10):
-            w = rng.standard_normal((6, 32))
-            x = rng.standard_normal((32, 8))
-            res = search_clip(w, x, 3, group_size=8)
+            w = rng.standard_normal((6, 4 * GROUP_SIZE))
+            x = rng.standard_normal((4 * GROUP_SIZE, 8))
+            res = search_clip(w, x, 3)
             errs = dict(res.grid_errors)
             assert errs[res.p_clp] <= errs[max(errs)] + 1e-12
-            chosen = quantize_matrix(clip(w, res.p_clp), 3, group_size=8)
+            chosen = quantize_matrix(clip(w, res.p_clp), 3)
             assert res.q.codes.tobytes() == chosen.codes.tobytes()
             assert (res.q.scales.tobytes(), res.q.zeros.tobytes()) == (
                 chosen.scales.tobytes(), chosen.zeros.tobytes())
@@ -280,7 +281,7 @@ class TestSearchClip:
         # all-zero columns through x make every candidate equal
         w = np.array([[1.0, -1.0]])
         x = np.zeros((2, 3))
-        res = search_clip(w, x, 4, group_size=2)
+        res = search_clip(w, x, 4)
         assert res.p_clp == 1.0
         assert len(res.grid_errors) == len(CLIP_GRID)
 
