@@ -124,8 +124,8 @@ def ablation_rows(which: str, idx: int, w, calib, base) -> list[dict]:
                          "rel_error": flrq_layer(w, calib, cfg).rel_error})
         return rows
     if which == "blc":
-        on = flrq_layer(w, calib, dataclasses.replace(base, epochs=20)).rel_error
-        off = flrq_layer(w, calib, dataclasses.replace(base, epochs=1)).rel_error
+        layer = flrq_layer(w, calib, dataclasses.replace(base, epochs=20))  # epoch 1: BLC off
+        on, off = layer.rel_error, dataclasses.replace(layer, best_epoch=1).rel_error
         return [{"layer": idx, "blc_on_rel_error": on, "blc_off_rel_error": off,
                  "improved": on <= off}]
     if which == "x":

@@ -82,8 +82,12 @@ def gram_factor(x: np.ndarray) -> np.ndarray:
 
 def calibrate(w: np.ndarray, x: np.ndarray) -> Calibration:
     """Reduce the activations x (n x tokens) of weights w once; x is not needed after."""
-    l = gram_factor(x)
-    return Calibration(channel_mean(x), l, fro_norm(w @ l))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below instead
+        l = gram_factor(x)
+        wx_norm = fro_norm(w @ l)
+    if not (np.isfinite(wx_norm) and np.isfinite(l).all()):
+        raise NumericalError("the layer's output ||W X||_F overflows float64")
+    return Calibration(channel_mean(x), l, wx_norm)
 
 
 def channel_mean(x: np.ndarray) -> np.ndarray:

@@ -117,8 +117,9 @@ def read_layer_inputs(directory: Path):
 
 
 def discover_layers(in_dir: Path) -> list[Path]:
+    """The input layers; each one's directory name is its name in the outputs."""
     if (in_dir / WEIGHTS_FILE).exists():
-        return [in_dir]
+        return [in_dir.resolve()]  # resolved, so that `--in .` has a name too
     layers = sorted(p for p in in_dir.glob("layer_*") if p.is_dir())
     if not layers:
         raise FormatError(f"no layer_* directories under {in_dir}")
@@ -180,18 +181,17 @@ def cmd_quantize(args) -> int:
     echo = config_echo(args, clip_grid=CLIP_GRID, layers=[p.name for p in layers])
     workers = min(args.threads, len(layers))
 
-    def run_one(idx: int, w, x) -> tuple[int, tuple[QuantizedLayer, dict]]:
+    def run_one(idx: int, w, x) -> tuple[int, tuple[QuantizedLayer, float]]:
         calib = calibrate(w, x)  # the layer's one pass over x, shared with the RTN baseline
         layer = flrq_layer(w, calib, dataclasses.replace(cfg, seed=layer_seed(args.seed, idx)))
-        rtn = plain_rel_error(w, calib, LowRankFactors.empty(*w.shape), cfg)
-        return idx, (layer, {"rtn_rel_error": rtn})
+        return idx, (layer, plain_rel_error(w, calib, LowRankFactors.empty(*w.shape), cfg))
 
     # A layer is read when a worker is free for it, so at most `workers` layers'
     # inputs are held. The main thread reads them: inputs allocated on a worker
     # thread share that thread's malloc heap with the clip search's temporaries,
     # and glibc then trims and re-faults it (14x the page faults on 512^2 layers).
     t0 = time.perf_counter()
-    done, running = {}, set()  # done: layer index -> (layer, extras)
+    done, running = {}, set()  # done: layer index -> (layer, rtn_rel_error)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for idx, path in enumerate(layers):
             if len(running) == workers:
@@ -200,15 +200,12 @@ def cmd_quantize(args) -> int:
             running.add(pool.submit(run_one, idx, *read_layer_inputs(path)))
         done.update(f.result() for f in running)
     elapsed = time.perf_counter() - t0
-    results = [done[idx] for idx in range(len(layers))]
+    quantized, rtn_rel_errors = zip(*(done[idx] for idx in range(len(layers))))
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    for idx, (layer, _) in enumerate(results):
-        flrq_io.write_bundle(args.out_dir / f"layer_{idx:03d}", layer, echo)
-    report = flrq_io.emit_report(
-        [layer for layer, _ in results], echo, extras=[extra for _, extra in results]
-    )
-    (args.out_dir / "report.json").write_text(report)
+    for name, layer in zip(echo["layers"], quantized):
+        flrq_io.write_bundle(args.out_dir / name, layer, echo)
+    (args.out_dir / "report.json").write_text(flrq_io.emit_report(quantized, echo, rtn_rel_errors))
     blas = f"{BLAS_THREADS} BLAS thread(s)" if BLAS_THREADS else "BLAS unpinned"
     log(f"quantized {len(layers)} layer(s) in {elapsed:.2f}s ({workers} worker(s) x {blas}) "
         f"-> {args.out_dir}")

@@ -146,8 +146,6 @@ def unpack_codes(data: bytes, d: int, count: int) -> np.ndarray:
     expected = (count * d + 7) // 8
     if len(data) != expected:
         raise FormatError(f"packed stream has {len(data)} bytes, expected {expected}")
-    if count == 0:
-        return np.zeros(0, dtype=np.int16)
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
     tail = bits[count * d :]
     if tail.any():
@@ -305,21 +303,20 @@ def extra_bits(d_fp: int, rank: int, m: int, n: int) -> float:
     return d_fp * rank * (m + n) / (m * n)
 
 
-def emit_report(layers, config: dict, extras: list[dict] | None = None) -> str:
+def emit_report(layers, config: dict, rtn_rel_errors) -> str:
     """Render the canonical JSON report for a set of quantized layers.
 
     Keys are emitted in a fixed order and floats use their shortest repr, so
     identical inputs produce byte-identical text; wall time is never recorded.
-    Factors, scales and zeros are charged at ``D_FP`` bits. ``extras``
-    optionally merges additional per-layer columns (e.g. baseline errors)
-    into the rows.
+    Factors, scales and zeros are charged at ``D_FP`` bits. Each row ends with
+    its layer's ``rtn_rel_errors`` entry, the relative error of plain quantization.
     """
     rows = []
-    for idx, layer in enumerate(layers):
+    for idx, (layer, rtn) in enumerate(zip(layers, rtn_rel_errors, strict=True)):
         m, n = layer.q.shape
         meta_bits = D_FP * 2 / GROUP_SIZE  # a scale and a zero per group
         xb = extra_bits(D_FP, layer.factors.rank, m, n)
-        row = {
+        rows.append({
             "index": idx,
             "rank": layer.factors.rank,
             "extra_bits": xb,
@@ -329,10 +326,8 @@ def emit_report(layers, config: dict, extras: list[dict] | None = None) -> str:
             "stop_reason": layer.rank_trace.stop_reason,
             "blc_best_epoch": layer.best_epoch,
             "p_clp": layer.p_clp,
-        }
-        if extras is not None:
-            row.update(extras[idx])
-        rows.append(row)
+            "rtn_rel_error": rtn,
+        })
     aggregate = {f"avg_{key}": float(np.mean([r[key] for r in rows])) if rows else None
                  for key in ("rank", "extra_bits")}
     report = {"config": config, "layers": rows, "aggregate": aggregate}

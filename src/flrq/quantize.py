@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
+
 BIT_WIDTHS = (2, 3, 4)
 
 GROUP_SIZE = 128
@@ -125,6 +127,8 @@ def search_clip(w: np.ndarray, l: np.ndarray, d: int) -> ClipSearchResult:
         grid_errors.append((p, err))
         if err < best_err:
             best_err, best_p, best_rows, best_q = err, p, rows, q
+    if best_q is None:
+        raise NumericalError("no clip threshold gives a finite output error")
     for name in ("codes", "scales", "zeros"):
         getattr(base, name)[best_rows] = getattr(best_q, name)
     return ClipSearchResult(p_clp=best_p, grid_errors=grid_errors, q=base)

@@ -48,6 +48,8 @@ def write_layer(directory: Path, w, x) -> Path:
     return directory
 
 
+BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
+
 EXPERIMENTS = ("rank-sweep", "ablate", "compare-svd")  # commands of experiments/paper.py
 
 
@@ -314,7 +316,7 @@ class TestQuantizeCommand:
         layer = write_layer(tmp_path / "dead", g.standard_normal((32, 48)), x)
         out = tmp_path / "out"
         assert main(["quantize", "--in", str(layer), "--out-dir", str(out)]) == 0
-        back, _ = read_bundle(out / "layer_000")
+        back, _ = read_bundle(out / "dead")
         assert back.warnings == ["1 zero-activation channel(s) floored at 1e-08"]
 
     @pytest.mark.parametrize("flag, value", [("--x", "inf"), ("--x", "1e309")])
@@ -355,8 +357,35 @@ class TestQuantizeCommand:
         assert rc == 0
         row = json.loads((out / "report.json").read_text())["layers"][0]
         assert (row["rank"], row["rel_error"], row["rtn_rel_error"]) == (0, 0.0, 0.0)
-        back, _ = read_bundle(out / "layer_000")
+        back, _ = read_bundle(out / "zero")
         assert not back.reconstruct().any()
+
+    def test_single_layer_named_by_its_directory(self, synth_dir, tmp_path, monkeypatch):
+        # `--in .` names the layer after the working directory, not "".
+        monkeypatch.chdir(synth_dir / "layer_001")
+        out = tmp_path / "out"
+        assert main(["quantize", "--in", ".", "--out-dir", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["config"]["layers"] == ["layer_001"]
+        assert sorted(p.name for p in out.iterdir()) == ["layer_001", "report.json"]
+        assert run(["rank-sweep", "--in", ".", "--max-rank", "1", "--out-dir", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["config"]["layer"] == "layer_001"
+
+    def test_gapped_tree_passes_benchmark_verify(self, tmp_path):
+        # Each bundle is named after its input layer, so the verifier reads the right inputs.
+        g = np.random.default_rng(3)
+        for name in ("layer_000", "layer_002", "layer_007"):
+            write_layer(tmp_path / "in" / name, g.standard_normal((16, 32)),
+                        g.standard_normal((32, 48)))
+        out = tmp_path / "out"
+        assert main(["quantize", "--in", str(tmp_path / "in"), "--out-dir", str(out),
+                     "--d", "2", "--epochs", "3"]) == 0
+        assert sorted(p.name for p in out.glob("layer_*")) == ["layer_000", "layer_002", "layer_007"]
+        env = dict(os.environ, PYTHONPATH=str(Path(flrq.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, str(BENCHMARK / "helper.py"), "verify", str(out), str(tmp_path / "in")],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestRankSweep:
@@ -520,6 +549,20 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("[flrq] usage error:")
         if argv in RETIRED_FLAGS.values():
             assert f"unrecognized arguments: {argv[1]}" in lines[0]
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("w_scale, x_scale", [(1e153, 1), (1e154, 1), (1e160, 1), (1, 1e160)],
+                             ids=["w-1e153", "w-1e154", "w-1e160", "x-1e160"])
+    def test_overflowing_layer_is_numerical_error(self, tmp_path, w_scale, x_scale, d):
+        g = np.random.default_rng(0)
+        w, x = g.standard_normal((8, 16)), g.standard_normal((16, 32))
+        layer = write_layer(tmp_path / "layer", w * w_scale, x * x_scale)
+        proc = run_cli("quantize", "--in", layer, "--d", d, "--out-dir", tmp_path / "out")
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("[flrq] numerical failure:")
+        assert not (tmp_path / "out").exists()
 
     def test_bad_later_layer_writes_nothing(self, tmp_path):
         g = np.random.default_rng(1)

@@ -177,6 +177,11 @@ class TestPacking:
         with pytest.raises(FormatError):
             unpack_codes(b"\x00\x00", 2, 1)
 
+    def test_set_pad_bit_rejected(self):
+        # One 2-bit code uses bits 0-1; bit 2 is padding.
+        with pytest.raises(FormatError, match="nonzero padding bits"):
+            unpack_codes(b"\x04", 2, 1)
+
 
 def make_layer(seed=0, d=3, n=64):
     spec = SynthSpec(m=32, n=n, family="outlier_channels", seed=seed, tokens=16,
@@ -278,6 +283,12 @@ class TestBundles:
         write_bundle(tmp_path / "b", make_layer(d=4))
         (tmp_path / "b" / f"{name}.flrqten").unlink()
         with pytest.raises(FormatError, match=f"{name}.flrqten"):
+            read_bundle(tmp_path / "b")
+
+    def test_unpacked_codes_rejected(self, tmp_path):
+        write_bundle(tmp_path / "b", make_layer(d=4))
+        write_container_file(tmp_path / "b" / "codes.flrqten", container_from_array(np.zeros(1024)))
+        with pytest.raises(FormatError, match="codes container is not packed"):
             read_bundle(tmp_path / "b")
 
     def test_symmetric_bundle_rejected(self, tmp_path):
@@ -415,7 +426,7 @@ class TestReport:
     def test_zero_layers_valid_json(self):
         import json
 
-        report = json.loads(emit_report([], {"d": 4}))
+        report = json.loads(emit_report([], {"d": 4}, []))
         assert report["aggregate"]["avg_rank"] is None
         assert report["aggregate"] == {"avg_rank": None, "avg_extra_bits": None}
         assert report["layers"] == []
@@ -424,7 +435,7 @@ class TestReport:
         import json
 
         layer = make_layer(seed=1, d=4)
-        report = json.loads(emit_report([layer], {"d": 4}))
+        report = json.loads(emit_report([layer], {"d": 4}, [1.0]))
         row = report["layers"][0]
         assert row["extra_bits"] == pytest.approx(
             extra_bits(16, layer.factors.rank, *layer.q.shape)
@@ -440,13 +451,17 @@ class TestReport:
         import json
 
         layer = make_layer(seed=2, d=3)
-        report = json.loads(emit_report([layer], {"d": 3}))
+        report = json.loads(emit_report([layer], {"d": 3}, [1.0]))
         row = report["layers"][0]
         overhead = 16 * 2 / GROUP_SIZE  # scale + zero at 16 bits
         assert row["extra_bits_with_meta"] == pytest.approx(row["extra_bits"] + overhead)
 
     def test_byte_identical_for_identical_inputs(self):
         layer = make_layer(seed=3, d=2)
-        a = emit_report([layer], {"d": 2})
-        b = emit_report([layer], {"d": 2})
+        a = emit_report([layer], {"d": 2}, [1.0])
+        b = emit_report([layer], {"d": 2}, [1.0])
         assert a == b
+
+    def test_rtn_rel_error_is_the_last_column(self):
+        report = json.loads(emit_report([make_layer(seed=4, d=2)], {"d": 2}, [0.25]))
+        assert list(report["layers"][0].items())[-1] == ("rtn_rel_error", 0.25)

@@ -6,6 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from flrq.blc import gram_factor
+from flrq.errors import NumericalError
 from flrq.linalg import amax, fro_norm
 from flrq.quantize import (
     CLIP_GRID,
@@ -290,6 +291,13 @@ class TestSearchClip:
         # quantizes every row only for the first ratio, so that ratio must be the largest.
         assert list(CLIP_GRID) == sorted(set(CLIP_GRID), reverse=True)
         assert all(0.0 < rho <= 1.0 for rho in CLIP_GRID)
+
+    def test_no_finite_candidate_is_numerical_error(self):
+        g = np.random.default_rng(0)
+        w, x = g.standard_normal((8, 16)) * 1e160, g.standard_normal((16, 32))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalError, match="no clip threshold gives a finite"):
+            search_clip(w, x, 3)
 
     def test_zero_matrix_returns_empty_search(self):
         res = search_clip(np.zeros((2, 4)), np.ones((4, 2)), 4)
