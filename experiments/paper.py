@@ -179,17 +179,20 @@ def cmd_compare_svd(args) -> int:
     w, _ = cli.read_layer_inputs(layer_dir)
     check_svd_size(w.shape)
     rank = min(args.rank, min(w.shape))
-    t0 = time.perf_counter()
-    svd_residual = fro_norm(np.linalg.svd(w, full_matrices=False)[1][rank:])
-    svd_time = time.perf_counter() - t0
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below instead
+        t0 = time.perf_counter()
+        svd_residual = fro_norm(np.linalg.svd(w, full_matrices=False)[1][rank:])
+        svd_time = time.perf_counter() - t0
 
-    sketch_residuals = []
-    t0 = time.perf_counter()
-    for rep in range(args.seeds):
-        factors = deflate(w, rank, dataclasses.replace(cfg, seed=layer_seed(args.seed, rep)))
-        sketch_residuals.append(fro_norm(w - factors.reconstruct()))
-    sketch_time = (time.perf_counter() - t0) / args.seeds
-    mean_sketch = float(np.mean(sketch_residuals))
+        sketch_residuals = []
+        t0 = time.perf_counter()
+        for rep in range(args.seeds):
+            factors = deflate(w, rank, dataclasses.replace(cfg, seed=layer_seed(args.seed, rep)))
+            sketch_residuals.append(fro_norm(w - factors.reconstruct()))
+        sketch_time = (time.perf_counter() - t0) / args.seeds
+        mean_sketch = float(np.mean(sketch_residuals))
+    if not np.isfinite([svd_residual, mean_sketch]).all():
+        raise NumericalError(f"the rank-{rank} residual ||W - W_r||_F overflows float64")
 
     rows = [["svd_truncation", rank, svd_residual], ["sketch_deflate", rank, mean_sketch]]
     report = {

@@ -24,6 +24,7 @@ from .rankselect import RankTrace, select_rank
 from .sketch import LowRankFactors
 
 CHANNEL_MEAN_EPS = 1e-8
+CHANNEL_MEAN_CHUNK = 128  # tokens per step of channel_mean's pass over x
 
 
 @dataclass
@@ -95,17 +96,23 @@ def channel_mean(x: np.ndarray) -> np.ndarray:
 
     Each token (column) is scaled to unit L2 norm first; all-zero tokens are
     skipped. Entries are floored at a small epsilon so downstream scaling
-    stays finite.
+    stays finite. x is read once, in CHANNEL_MEAN_CHUNK-token chunks, never copied.
     """
     if x.size == 0:
         raise ValueError("activation matrix is empty")
-    norms = np.linalg.norm(x, axis=0)
-    live = norms > 0.0
-    if not live.any():
-        raise NumericalError("all calibration tokens are zero")
-    normalized = x[:, live]  # the one copy of x; its F order fixes mean's summation order
-    np.divide(np.abs(normalized, out=normalized), norms[live], out=normalized)
-    return np.maximum(normalized.mean(axis=1), CHANNEL_MEAN_EPS)
+    total, live_tokens = np.zeros(x.shape[0]), 0
+    for start in range(0, x.shape[1], CHANNEL_MEAN_CHUNK):
+        chunk = x[:, start:start + CHANNEL_MEAN_CHUNK]
+        norms = np.sqrt(np.add.reduce(chunk * chunk, axis=0))  # np.linalg.norm(chunk, axis=0)
+        a = np.abs(chunk.T, order="C")  # one row per token, so add.reduce sums them in order
+        a /= np.where(norms > 0.0, norms, 1.0)[:, None]  # an all-zero token adds exact zeros
+        a[0] += total
+        total = np.add.reduce(a, axis=0)
+        live_tokens += np.count_nonzero(norms)
+    if not live_tokens:
+        raise NumericalError("calibration activations underflow: every token's squared norm is 0"
+                             if x.any() else "all calibration tokens are zero")
+    return np.maximum(total / live_tokens, CHANNEL_MEAN_EPS)
 
 
 def alpha(x_bar: np.ndarray, exponent: float = 2.5) -> np.ndarray:

@@ -62,8 +62,8 @@ def gemv_t(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return a.T @ x
 
 
-def rank1_subtract(a: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Return A - u v^T without mutating A."""
+def rank1_subtract(a: np.ndarray, u: np.ndarray, v: np.ndarray, out=None) -> np.ndarray:
+    """Return A - u v^T, written into ``out`` when given (``out=a`` updates A in place)."""
     if u.ndim != 1 or v.ndim != 1:
         raise ValueError("rank1_subtract expects 1-D factor vectors")
     if u.shape[0] != a.shape[0] or v.shape[0] != a.shape[1]:
@@ -71,7 +71,7 @@ def rank1_subtract(a: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
             f"rank1_subtract dimension mismatch: A is {a.shape}, "
             f"u has length {u.shape[0]}, v has length {v.shape[0]}"
         )
-    return a - np.outer(u, v)
+    return np.subtract(a, np.outer(u, v), out=out)
 
 
 def amax(a: np.ndarray) -> float:

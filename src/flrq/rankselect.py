@@ -92,16 +92,16 @@ def components(a: np.ndarray, cfg: FlrqConfig) -> Iterator[tuple[Rank1Pair, np.n
     Lazy: a pair is extracted only when the caller asks for it, so a caller
     that stops early never pays for the next extraction. Ends after min(m, n)
     pairs, or before an extraction once the residual is numerically zero.
+    ``a`` is never written; each yielded residual is overwritten by the next step.
     """
     rng = make_rng(cfg.seed)
     floor = RESIDUAL_FLOOR * fro_norm(a)
-    residual = a
+    residual = a.copy()
     for _ in range(min(a.shape)):
         if fro_norm(residual) <= floor:
             return
         pair = r1_step(residual, cfg, rng)
-        residual = rank1_subtract(residual, pair.left, pair.right)
-        yield pair, residual
+        yield pair, rank1_subtract(residual, pair.left, pair.right, out=residual)
 
 
 def deflate(a: np.ndarray, r: int, cfg: FlrqConfig) -> LowRankFactors:

@@ -8,7 +8,7 @@ import pytest
 
 import flrq
 from flrq.blc import alpha, calibrate, channel_mean, flrq_layer, gram_factor, layer_error
-from flrq.blc import CHANNEL_MEAN_EPS, scaled_flr
+from flrq.blc import CHANNEL_MEAN_CHUNK, CHANNEL_MEAN_EPS, scaled_flr
 from flrq.config import FlrqConfig
 from flrq.errors import NumericalError
 from flrq.linalg import fro_norm
@@ -70,6 +70,30 @@ class TestChannelMean:
         live = norms > 0.0
         plain = np.maximum((np.abs(x[:, live]) / norms[live]).mean(axis=1), CHANNEL_MEAN_EPS)
         assert np.array_equal(channel_mean(x), plain)
+
+    # Each case's tokens, and the ones zeroed: scattered, one whole chunk, none.
+    STREAMED = {
+        "zero-tokens": (300, [0, 17, 299]),
+        "zero-chunk": (3 * CHANNEL_MEAN_CHUNK, range(CHANNEL_MEAN_CHUNK, 2 * CHANNEL_MEAN_CHUNK)),
+        "ragged-last-chunk": (2 * CHANNEL_MEAN_CHUNK + 5, []),
+        "under-one-chunk": (CHANNEL_MEAN_CHUNK - 1, [3]),
+        "single-token": (1, []),
+    }
+
+    @pytest.mark.parametrize("case", STREAMED.values(), ids=STREAMED.keys())
+    def test_streamed_bytes_match_the_one_shot_formula(self, case):
+        tokens, zeroed = case
+        x = np.random.default_rng(tokens).standard_normal((40, tokens)) * np.arange(1.0, 41.0)[:, None]
+        x[:, list(zeroed)] = 0.0
+        norms = np.linalg.norm(x, axis=0)
+        live = norms > 0.0
+        one_shot = np.maximum((np.abs(x[:, live]) / norms[live]).mean(axis=1), CHANNEL_MEAN_EPS)
+        assert channel_mean(x).tobytes() == one_shot.tobytes()
+
+    def test_underflowing_tokens_are_named(self):
+        x = np.random.default_rng(2).standard_normal((16, 8)) * 1e-310  # finite, nonzero, x*x == 0
+        with pytest.raises(NumericalError, match="underflow"):
+            channel_mean(x)
 
 
 class TestGramFactor:

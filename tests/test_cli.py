@@ -564,6 +564,22 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("[flrq] numerical failure:")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv, w_scale, x_scale, cause", [
+        (["quantize"], 1, 1e-310, "calibration activations underflow"),  # finite, nonzero X
+        (["compare-svd", "--rank", "4", "--seeds", "2"], 1e160, 1, "overflows float64"),
+    ], ids=["quantize-x-1e-310", "compare-svd-w-1e160"])
+    def test_out_of_range_layer_names_its_cause(self, tmp_path, argv, w_scale, x_scale, cause):
+        g = np.random.default_rng(0)
+        w, x = g.standard_normal((8, 16)), g.standard_normal((16, 32))
+        layer = write_layer(tmp_path / "layer", w * w_scale, x * x_scale)
+        proc = run_cli(*argv, "--in", layer, "--out-dir", tmp_path / "out")
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("[flrq] numerical failure:")
+        assert cause in lines[0]
+        assert not (tmp_path / "out").exists()
+
     def test_bad_later_layer_writes_nothing(self, tmp_path):
         g = np.random.default_rng(1)
         for idx in range(2):

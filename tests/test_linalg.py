@@ -104,6 +104,13 @@ class TestRank1Subtract:
         rank1_subtract(a, np.ones(2), np.ones(2))
         assert np.array_equal(a, np.ones((2, 2)))
 
+    def test_out_updates_in_place_with_the_same_bytes(self):
+        g = np.random.default_rng(4)
+        a, u, v = g.standard_normal((6, 9)), g.standard_normal(6), g.standard_normal(9)
+        expected = rank1_subtract(a, u, v)
+        assert rank1_subtract(a, u, v, out=a) is a
+        assert a.tobytes() == expected.tobytes()
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             rank1_subtract(np.zeros((2, 3)), np.zeros(3), np.zeros(3))

@@ -182,6 +182,16 @@ class TestComponents:
             count += 1
         assert count == 12
 
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_input_kept_and_residuals_match_out_of_place(self, case):
+        # One working residual is updated in place; a is never written.
+        w, cfg = case
+        a, expected = w.copy(), w
+        for pair, residual in components(a, cfg):
+            expected = expected - np.outer(pair.left, pair.right)
+            assert residual.tobytes() == expected.tobytes()
+        assert a.tobytes() == w.tobytes()
+
 
 class TestLoopOracle:
     def test_matches_straight_line_replay(self):
