@@ -1,11 +1,12 @@
 """The paper's experiments, run over the flrq library.
 
 Subcommands: rank-sweep (rank vs amax/error curves for one layer), ablate
-(trend tables: it, blc, x, fixed-vs-flex), compare-svd (exact truncation vs
-sketch deflation at one rank). Run from the repository root with
-PYTHONPATH=src (or flrq installed): python experiments/paper.py COMMAND ...
-Outputs are deterministic for a fixed --seed. Exit codes are flrq's: 0 ok,
-1 usage, 2 data/format, 3 numerical failure.
+(trend tables: it, blc, x, fixed-vs-flex, over every layer of an --in tree,
+seeded as quantize seeds it), compare-svd (exact truncation vs sketch
+deflation at one rank). Run from the repository root with PYTHONPATH=src (or
+flrq installed): python experiments/paper.py COMMAND ... Outputs are
+deterministic for a fixed --seed. Exit codes are flrq's: 0 ok, 1 usage,
+2 data/format, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -21,11 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from flrq import LowRankFactors, NumericalError, amax, calibrate, cli, components, deflate
-from flrq import flrq_layer, fro_norm, gen_layer, layer_seed, select_rank
+from flrq import flrq_layer, fro_norm, layer_seed, select_rank
 from flrq.io import extra_bits
 from flrq.quantize import BIT_WIDTHS
 from flrq.rankselect import D_FP
-from flrq.synth import FAMILIES
 
 ABLATIONS = ("it", "blc", "x", "fixed-vs-flex")
 
@@ -48,14 +48,8 @@ def build_parser() -> cli.Parser:
     a.set_defaults(run=cmd_ablate)
     cli.common(a)
     a.add_argument("--which", choices=ABLATIONS, required=True)
-    a.add_argument("--layers", type=cli.count, default=4)
-    a.add_argument("--m", type=int, default=128)
-    a.add_argument("--n", type=int, default=128)
-    a.add_argument("--tokens", type=int, default=64)
+    a.add_argument("--in", dest="in_dir", type=Path, required=True)
     a.add_argument("--d", type=int, default=3, choices=BIT_WIDTHS)
-    a.add_argument("--family", choices=FAMILIES, default="outlier_channels")
-    a.add_argument("--outlier-count", type=int, default=4)
-    a.add_argument("--outlier-boost", type=float, default=10.0)
 
     c = sub.add_parser("compare-svd", help="exact truncation vs sketch deflation on one layer")
     c.set_defaults(run=cmd_compare_svd)
@@ -77,12 +71,20 @@ def write_outputs(args, csv_name: str, header, rows, json_name: str, record: dic
     (args.out_dir / json_name).write_text(json.dumps(record, indent=2) + "\n")
 
 
+def read_one_layer(in_dir: Path):
+    """(name, W, X) of the one layer under ``in_dir``; a tree of several is a usage error."""
+    layers = cli.discover_layers(in_dir)
+    if len(layers) > 1:
+        raise cli.UsageError(f"--in {in_dir} holds {len(layers)} layers; "
+                             f"pass one layer directory, such as --in {layers[0]}")
+    return layers[0].name, *cli.read_layer_inputs(layers[0])
+
+
 def cmd_rank_sweep(args) -> int:
     if args.max_rank < 0:  # 0 is legal: the baseline row alone
         raise cli.UsageError(f"--max-rank must be >= 0, got {args.max_rank}")
     cfg = cli.flrq_config(args)
-    layer_dir = cli.discover_layers(args.in_dir)[0]
-    w, x = cli.read_layer_inputs(layer_dir)
+    name, w, x = read_one_layer(args.in_dir)
     max_rank = args.max_rank
     limit = min(w.shape)
     if max_rank > limit:
@@ -101,7 +103,7 @@ def cmd_rank_sweep(args) -> int:
     if len(pairs) < max_rank:
         cli.log(f"residual exhausted at rank {len(pairs)}; stopping sweep early")
 
-    echo = cli.config_echo(args, max_rank=max_rank, layer=layer_dir.name)
+    echo = cli.config_echo(args, max_rank=max_rank, layer=name)
     write_outputs(args, "rank_sweep.csv", ["r", "amax", "rel_error"], rows,
                   "report.json", {"config": echo, "rows": len(rows)})
     cli.log(f"wrote {len(rows)} sweep rows to {args.out_dir / 'rank_sweep.csv'}")
@@ -151,15 +153,17 @@ def ablation_rows(which: str, idx: int, w, calib, base) -> list[dict]:
 
 def cmd_ablate(args) -> int:
     cfg = cli.flrq_config(args)
+    layers = cli.discover_layers(args.in_dir)
     rows = []
-    for idx, spec in enumerate(cli.synth_specs(args)):
-        w, x = gen_layer(spec)
+    for idx, path in enumerate(layers):  # seeded as quantize seeds the same tree
+        w, x = cli.read_layer_inputs(path)
         base = dataclasses.replace(cfg, seed=layer_seed(args.seed, idx))
         rows += ablation_rows(args.which, idx, w, calibrate(w, x), base)
 
     stem = f"ablate_{args.which.replace('-', '_')}"
+    echo = cli.config_echo(args, layers=[p.name for p in layers])
     write_outputs(args, f"{stem}.csv", rows[0].keys(), [row.values() for row in rows],
-                  f"{stem}.json", {"config": cli.config_echo(args), "rows": rows})
+                  f"{stem}.json", {"config": echo, "rows": rows})
     cli.log(f"ablation {args.which}: {len(rows)} rows -> {args.out_dir / f'{stem}.json'}")
     return 0
 
@@ -175,8 +179,7 @@ def check_svd_size(shape) -> None:
 
 def cmd_compare_svd(args) -> int:
     cfg = cli.flrq_config(args)
-    layer_dir = cli.discover_layers(args.in_dir)[0]
-    w, _ = cli.read_layer_inputs(layer_dir)
+    name, w, _ = read_one_layer(args.in_dir)
     check_svd_size(w.shape)
     rank = min(args.rank, min(w.shape))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below instead
@@ -196,7 +199,7 @@ def cmd_compare_svd(args) -> int:
 
     rows = [["svd_truncation", rank, svd_residual], ["sketch_deflate", rank, mean_sketch]]
     report = {
-        "config": cli.config_echo(args, rank=rank, layer=layer_dir.name),
+        "config": cli.config_echo(args, rank=rank, layer=name),
         "svd_residual": svd_residual,
         "sketch_residual_mean": mean_sketch,
         "ratio": mean_sketch / svd_residual if svd_residual > 0 else None,

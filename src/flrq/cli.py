@@ -4,7 +4,7 @@ Subcommands: gen-synth (make synthetic layers) and quantize (full pipeline).
 Each is deterministic for a fixed --seed, whatever --threads and the BLAS
 thread count are (README). Exit codes: 0 ok, 1 usage, 2 data/format, 3
 numerical failure. The paper's experiments (experiments/paper.py) reuse the
-parser, layer reader, config helpers and exit-code mapping defined here.
+parser, layer-tree reader, config helpers and exit-code mapping defined here.
 """
 
 from __future__ import annotations
@@ -151,12 +151,6 @@ def flrq_config(args) -> FlrqConfig:
     return FlrqConfig(**_fields_of(FlrqConfig, args))
 
 
-def synth_specs(args) -> list[SynthSpec]:
-    """One SynthSpec per layer from the arguments that name SynthSpec fields."""
-    base = SynthSpec(**_fields_of(SynthSpec, args))
-    return [dataclasses.replace(base, seed=layer_seed(args.seed, i)) for i in range(args.layers)]
-
-
 def plain_rel_error(w, calib: Calibration, factors: LowRankFactors, cfg: FlrqConfig) -> float:
     """Relative output error of plainly quantizing W - LR and adding LR back."""
     q = quantize_matrix(w - factors.reconstruct(), cfg.d)
@@ -164,7 +158,9 @@ def plain_rel_error(w, calib: Calibration, factors: LowRankFactors, cfg: FlrqCon
 
 
 def cmd_gen_synth(args) -> int:
-    for idx, spec in enumerate(synth_specs(args)):
+    base = SynthSpec(**_fields_of(SynthSpec, args))
+    for idx in range(args.layers):
+        spec = dataclasses.replace(base, seed=layer_seed(args.seed, idx))
         layer_dir = args.out_dir / f"layer_{idx:03d}"
         layer_dir.mkdir(parents=True, exist_ok=True)
         for name, a in zip((WEIGHTS_FILE, ACTIVATIONS_FILE), gen_layer(spec)):

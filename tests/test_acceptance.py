@@ -230,9 +230,11 @@ def test_07_blc_monotonicity_and_2bit_rescue(announce):
 
 def test_08_flexible_vs_fixed_efficiency(announce, tmp_path):
     t0 = time.perf_counter()
-    out = tmp_path / "ablate"
-    rc = paper.main(["ablate", "--which", "fixed-vs-flex", "--layers", "10", "--m", "256",
-                     "--n", "256", "--d", "4", "--outlier-count", "2", "--outlier-boost", "30",
+    src, out = tmp_path / "in", tmp_path / "ablate"
+    assert main(["gen-synth", "--family", "outlier_channels", "--layers", "10", "--m", "256",
+                 "--n", "256", "--outlier-count", "2", "--outlier-boost", "30", "--seed", "42",
+                 "--out-dir", str(src)]) == 0
+    rc = paper.main(["ablate", "--which", "fixed-vs-flex", "--in", str(src), "--d", "4",
                      "--seed", "42", "--out-dir", str(out)])
     rows = json.loads((out / "ablate_fixed_vs_flex.json").read_text())["rows"]
     flex_bits = float(np.mean([r["flex_extra_bits"] for r in rows]))

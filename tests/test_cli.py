@@ -41,6 +41,12 @@ def synth_dir(tmp_path):
     return out
 
 
+def gen_synth(out: Path, *flags) -> Path:
+    """``out``, filled with layers by ``gen-synth`` with ``flags``."""
+    assert main(["gen-synth", *flags, "--out-dir", str(out)]) == 0
+    return out
+
+
 def write_layer(directory: Path, w, x) -> Path:
     directory.mkdir(parents=True)
     write_container_file(directory / "weights.flrqten", container_from_array(w))
@@ -82,6 +88,9 @@ RETIRED_FLAGS = {
     "slope-window-1": ["quantize", "--slope-window", "1"],
     "rank-sweep-group-size": ["rank-sweep", "--group-size", "64"],
     "gen-synth-f32": ["gen-synth", "--f32"],
+    # ablate reads --in; the generator flags belong to gen-synth alone.
+    **{f"ablate-{flag}": ["ablate", f"--{flag}", "2", "--which", "it"]
+       for flag in ("layers", "m", "n", "tokens", "family", "outlier-count", "outlier-boost")},
 }
 BAD_FLAGS = {
     **RETIRED_FLAGS,
@@ -98,13 +107,11 @@ BAD_FLAGS = {
         "gen-synth", "--family", "outlier_channels", "--outlier-boost", "inf",
     ],
     "gen-synth-nu-inf": ["gen-synth", "--family", "student_t", "--nu", "inf"],
-    "ablate-outlier-boost-nan": ["ablate", "--which", "it", "--outlier-boost", "nan"],
     "gen-synth-m-0": ["gen-synth", "--m", "0"],
     "compare-svd-rank-0": ["compare-svd", "--rank", "0"],
     "rank-sweep-max-rank-negative": ["rank-sweep", "--max-rank", "-1"],  # 0 is legal
     # count flags: none of them can be 0 or negative
     "gen-synth-layers-negative": ["gen-synth", "--layers", "-1"],
-    "ablate-layers-0": ["ablate", "--which", "it", "--layers", "0"],
     "compare-svd-seeds-0": ["compare-svd", "--seeds", "0"],
     "compare-svd-seeds-negative": ["compare-svd", "--seeds", "-1"],
     # --threads belongs to quantize alone; elsewhere it would be silently ignored.
@@ -113,7 +120,7 @@ BAD_FLAGS = {
     "ablate-threads": ["ablate", "--which", "it", "--threads", "2"],
     "compare-svd-threads": ["compare-svd", "--threads", "2"],
 }
-READS_LAYERS = ("quantize", "rank-sweep", "compare-svd")  # the commands that take --in
+READS_LAYERS = ("quantize", *EXPERIMENTS)  # the commands that take --in
 BAD_FLAG_CASES = [pytest.param(argv, False, id=name) for name, argv in BAD_FLAGS.items()] + [
     pytest.param(argv, True, id=f"{name}-bad-magic")
     for name, argv in BAD_FLAGS.items()
@@ -426,16 +433,19 @@ class TestRankSweep:
 
 class TestAblate:
     def test_unknown_name_lists_valid(self, tmp_path, capsys):
-        rc = paper.main(["ablate", "--which", "bogus", "--out-dir", str(tmp_path)])
+        rc = paper.main(["ablate", "--which", "bogus", "--in", str(tmp_path),
+                         "--out-dir", str(tmp_path)])
         assert rc == 1
         err = capsys.readouterr().err
         for name in ("it", "blc", "x", "fixed-vs-flex"):
             assert name in err
 
     def test_it_ablation_extraction_error_monotone(self, tmp_path):
+        src = gen_synth(tmp_path / "in", "--family", "outlier_channels", "--layers", "2",
+                        "--m", "96", "--n", "96", "--seed", "0")
         out = tmp_path / "ab"
-        rc = paper.main(["ablate", "--which", "it", "--layers", "2", "--m", "96",
-                         "--n", "96", "--d", "3", "--seed", "0", "--out-dir", str(out)])
+        rc = paper.main(["ablate", "--which", "it", "--in", str(src), "--d", "3", "--seed", "0",
+                         "--out-dir", str(out)])
         assert rc == 0
         rows = json.loads((out / "ablate_it.json").read_text())["rows"]
         by_layer = {}
@@ -447,24 +457,46 @@ class TestAblate:
             assert all(b <= a + 1e-9 for a, b in zip(vals, vals[1:]))
 
     def test_blc_ablation_two_bit_wins(self, tmp_path):
+        src = gen_synth(tmp_path / "in", "--family", "outlier_channels", "--layers", "10",
+                        "--m", "128", "--n", "128", "--outlier-boost", "30",
+                        "--outlier-count", "2", "--seed", "0")
         out = tmp_path / "ab"
-        rc = paper.main(["ablate", "--which", "blc", "--layers", "10", "--m", "128",
-                         "--n", "128", "--d", "2", "--outlier-boost", "30",
-                         "--outlier-count", "2", "--seed", "0", "--out-dir", str(out)])
+        rc = paper.main(["ablate", "--which", "blc", "--in", str(src), "--d", "2", "--seed", "0",
+                         "--out-dir", str(out)])
         assert rc == 0
         rows = json.loads((out / "ablate_blc.json").read_text())["rows"]
         wins = sum(row["improved"] for row in rows)
         assert wins >= 9
 
     def test_fixed_vs_flex_memory(self, tmp_path):
+        src = gen_synth(tmp_path / "in", "--family", "outlier_channels", "--layers", "3",
+                        "--m", "128", "--n", "128", "--outlier-boost", "30",
+                        "--outlier-count", "2", "--seed", "0")
         out = tmp_path / "ab"
-        rc = paper.main(["ablate", "--which", "fixed-vs-flex", "--layers", "3",
-                         "--m", "128", "--n", "128", "--d", "4", "--outlier-boost", "30",
-                         "--outlier-count", "2", "--seed", "0", "--out-dir", str(out)])
+        rc = paper.main(["ablate", "--which", "fixed-vs-flex", "--in", str(src), "--d", "4",
+                         "--seed", "0", "--out-dir", str(out)])
         assert rc == 0
         rows = json.loads((out / "ablate_fixed_vs_flex.json").read_text())["rows"]
         for row in rows:
             assert row["flex_extra_bits"] <= row["fixed_extra_bits"]
+
+    def test_blc_on_repeats_quantize(self, tmp_path):
+        # The README recipe: ablate on quantize's tree, --d and --seed explains its rows,
+        # so the two commands must seed layers and default the pipeline alike.
+        src = gen_synth(tmp_path / "in", "--family", "outlier_channels", "--layers", "3",
+                        "--m", "128", "--n", "128", "--outlier-boost", "30",
+                        "--outlier-count", "2", "--seed", "7")
+        out = tmp_path / "out"
+        assert main(["quantize", "--in", str(src), "--d", "2", "--seed", "7",
+                     "--out-dir", str(out / "q")]) == 0
+        assert paper.main(["ablate", "--which", "blc", "--in", str(src), "--d", "2",
+                           "--seed", "7", "--out-dir", str(out / "ab")]) == 0
+        report = json.loads((out / "q" / "report.json").read_text())
+        ablation = json.loads((out / "ab" / "ablate_blc.json").read_text())
+        assert ablation["config"]["layers"] == report["config"]["layers"]
+        assert ([row["blc_on_rel_error"] for row in ablation["rows"]]
+                == [layer["rel_error"] for layer in report["layers"]])
+        assert any(row["blc_on_rel_error"] < row["blc_off_rel_error"] for row in ablation["rows"])
 
 
 class TestCompareSvd:
@@ -509,6 +541,18 @@ class TestCommands:
 class TestExitCodes:
     def test_usage_error(self):
         assert main(["quantize"]) == 1  # missing --in
+        assert paper.main(["ablate", "--which", "it"]) == 1
+
+    @pytest.mark.parametrize("command", ["rank-sweep", "compare-svd"])
+    def test_one_layer_commands_refuse_a_tree(self, synth_dir, tmp_path, command):
+        # Taking the tree's first layer would drop the others without a word.
+        proc = run_cli(command, "--in", synth_dir, "--out-dir", tmp_path / "out")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("[flrq] usage error:")
+        assert "2 layers" in lines[0] and str(synth_dir / "layer_000") in lines[0]
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 1
@@ -599,17 +643,17 @@ class TestByteStable:
         [
             ["gen-synth", "--m", "16", "--n", "24", "--layers", "2", "--seed", "3"],
             ["rank-sweep", "--max-rank", "4", "--seed", "1"],
-            *(
-                ["ablate", "--which", which, "--layers", "1", "--m", "32", "--n", "32"]
-                for which in ABLATIONS
-            ),
+            *(["ablate", "--which", which] for which in ABLATIONS),
             ["compare-svd", "--rank", "4", "--seeds", "2", "--seed", "0"],
         ],
         ids=["gen-synth", "rank-sweep", *(f"ablate-{w}" for w in ABLATIONS), "compare-svd"],
     )
     def test_rerun_byte_identical(self, synth_dir, tmp_path, argv):
         layer = synth_dir / "layer_000"
-        inputs = [] if argv[0] in ("gen-synth", "ablate") else ["--in", str(layer)]
+        if argv[0] == "ablate":
+            layer = gen_synth(tmp_path / "in", "--family", "outlier_channels", "--layers", "1",
+                              "--m", "32", "--n", "32")
+        inputs = [] if argv[0] == "gen-synth" else ["--in", str(layer)]
         outs = [tmp_path / f"out{i}" for i in range(2)]
         for out in outs:
             assert run([*argv, *inputs, "--out-dir", str(out)]) == 0
