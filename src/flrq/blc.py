@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import FlrqConfig
 from .errors import NumericalError
-from .linalg import fro_norm
+from .linalg import product_norm
 # clip is not called here, but benchmark/tracer.py wraps it as a blc name.
 from .quantize import QuantizedTensor, clip, dequantize, quantize_matrix, search_clip  # noqa: F401
 from .rankselect import RankTrace, select_rank
@@ -25,6 +25,7 @@ from .sketch import LowRankFactors
 
 CHANNEL_MEAN_EPS = 1e-8
 CHANNEL_MEAN_CHUNK = 128  # tokens per step of channel_mean's pass over x
+TINY = np.finfo(np.float64).tiny  # the smallest normal float64
 
 
 @dataclass
@@ -82,10 +83,11 @@ def gram_factor(x: np.ndarray) -> np.ndarray:
 
 
 def calibrate(w: np.ndarray, x: np.ndarray) -> Calibration:
-    """Reduce the activations x (n x tokens) of weights w once; x is not needed after."""
+    """Reduce the activations x (n x tokens) of weights w once; the caller can drop x on
+    return (the Calibration keeps it only as L, when tokens <= n)."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below instead
         l = gram_factor(x)
-        wx_norm = fro_norm(w @ l)
+        wx_norm = product_norm(w, l)
     if not (np.isfinite(wx_norm) and np.isfinite(l).all()):
         raise NumericalError("the layer's output ||W X||_F overflows float64")
     return Calibration(channel_mean(x), l, wx_norm)
@@ -95,8 +97,11 @@ def channel_mean(x: np.ndarray) -> np.ndarray:
     """Per-channel mean of column-normalized absolute activations.
 
     Each token (column) is scaled to unit L2 norm first; all-zero tokens are
-    skipped. Entries are floored at a small epsilon so downstream scaling
-    stays finite. x is read once, in CHANNEL_MEAN_CHUNK-token chunks, never copied.
+    skipped. A token whose squares underflow is scaled by a power of two (exactly)
+    before its norm is taken, unless its entries are all subnormal: those have lost
+    their precision already, and are skipped too. Entries are floored at a small
+    epsilon so downstream scaling stays finite. x is read once, in
+    CHANNEL_MEAN_CHUNK-token chunks, never copied.
     """
     if x.size == 0:
         raise ValueError("activation matrix is empty")
@@ -105,12 +110,18 @@ def channel_mean(x: np.ndarray) -> np.ndarray:
         chunk = x[:, start:start + CHANNEL_MEAN_CHUNK]
         norms = np.sqrt(np.add.reduce(chunk * chunk, axis=0))  # np.linalg.norm(chunk, axis=0)
         a = np.abs(chunk.T, order="C")  # one row per token, so add.reduce sums them in order
+        small = np.flatnonzero(norms < np.sqrt(TINY))  # squares that are subnormal or zero
+        if small.size:
+            top = a[small].max(axis=1)
+            small, top = small[top >= TINY], top[top >= TINY]
+            a[small] = np.ldexp(a[small], -np.frexp(top)[1][:, None])  # largest entry in [0.5, 1)
+            norms[small] = np.sqrt(np.add.reduce(a[small] * a[small], axis=1))
         a /= np.where(norms > 0.0, norms, 1.0)[:, None]  # an all-zero token adds exact zeros
         a[0] += total
         total = np.add.reduce(a, axis=0)
         live_tokens += np.count_nonzero(norms)
     if not live_tokens:
-        raise NumericalError("calibration activations underflow: every token's squared norm is 0"
+        raise NumericalError("calibration activations underflow: every nonzero token is subnormal"
                              if x.any() else "all calibration tokens are zero")
     return np.maximum(total / live_tokens, CHANNEL_MEAN_EPS)
 
@@ -150,7 +161,7 @@ def layer_error(
     if factors.left.shape[0] != w.shape[0] or factors.right.shape[1] != w.shape[1]:
         raise ValueError("factor shapes do not match the weights")
     approx = dequantize(q) + factors.reconstruct()
-    return fro_norm(np.subtract(w, approx, out=approx) @ gram_factor(x))
+    return product_norm(np.subtract(w, approx, out=approx), gram_factor(x))
 
 
 def flrq_layer(w: np.ndarray, calib: Calibration, cfg: FlrqConfig) -> QuantizedLayer:

@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from pathlib import Path
@@ -30,6 +31,7 @@ from .synth import FAMILIES, SynthSpec, gen_layer
 
 WEIGHTS_FILE = "weights.flrqten"
 ACTIVATIONS_FILE = "activations.flrqten"
+LAYER_ERRORS = (FlrqError, OSError)  # a layer's own failure, reported under the layer's name
 
 
 class UsageError(Exception):
@@ -177,24 +179,65 @@ def cmd_quantize(args) -> int:
     echo = config_echo(args, clip_grid=CLIP_GRID, layers=[p.name for p in layers])
     workers = min(args.threads, len(layers))
 
-    def run_one(idx: int, w, x) -> tuple[int, tuple[QuantizedLayer, float]]:
-        calib = calibrate(w, x)  # the layer's one pass over x, shared with the RTN baseline
+    def run_one(idx: int, w, held: list, calibrated: threading.Event | None):
+        """Quantize layer ``idx``. ``held`` is [its Calibration], or [x] for this worker to
+        calibrate, and then ``calibrated`` is set."""
+        calib = held.pop()  # so that neither ``held`` nor the pool's work item keeps x alive
+        if not isinstance(calib, Calibration):
+            try:
+                calib = calibrate(w, calib)  # the one pass over x, shared with the RTN baseline
+            finally:
+                calibrated.set()
         layer = flrq_layer(w, calib, dataclasses.replace(cfg, seed=layer_seed(args.seed, idx)))
-        return idx, (layer, plain_rel_error(w, calib, LowRankFactors.empty(*w.shape), cfg))
+        return layer, plain_rel_error(w, calib, LowRankFactors.empty(*w.shape), cfg)
 
-    # A layer is read when a worker is free for it, so at most `workers` layers'
-    # inputs are held. The main thread reads them: inputs allocated on a worker
-    # thread share that thread's malloc heap with the clip search's temporaries,
-    # and glibc then trims and re-faults it (14x the page faults on 512^2 layers).
+    def prepare(path: Path) -> tuple[np.ndarray, list, threading.Event | None]:
+        """Read a layer for a free worker to calibrate. While every worker is busy, wait
+        until none is calibrating, then read the layer and calibrate it here."""
+        collect(wait(running, timeout=0).done)  # a worker that has finished is free
+        if len(running) < workers:
+            w, x = read_layer_inputs(path)
+            calibrating.append(threading.Event())
+            return w, [x], calibrating[-1]
+        while calibrating:
+            calibrating.pop().wait()
+        w, x = read_layer_inputs(path)
+        return w, [calibrate(w, x)], None
+
+    def collect(futures) -> None:
+        for f in futures:
+            idx = running.pop(f)
+            try:
+                done[idx] = f.result()
+            except LAYER_ERRORS as exc:
+                failed[idx] = exc
+
+    # The main thread reads every layer: inputs allocated on a worker thread share that
+    # thread's malloc heap with the clip search's temporaries, and glibc then trims and
+    # re-faults it (14x the page faults on 512^2 layers). A free worker takes the next
+    # layer at once and calibrates it. While every worker is busy, the main thread
+    # calibrates the next layer itself, then waits for a worker: it runs one layer ahead,
+    # and its x is never held while a worker's is. After a failure no layer is started,
+    # the running ones are collected, and the lowest failing layer's error is raised, so
+    # the error does not depend on --threads.
     t0 = time.perf_counter()
-    done, running = {}, set()  # done: layer index -> (layer, rtn_rel_error)
+    done, failed = {}, {}  # layer index -> (layer, rtn_rel_error), or -> its error
+    running, calibrating = {}, []  # future -> layer index; events workers set once calibrated
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for idx, path in enumerate(layers):
-            if len(running) == workers:
-                finished, running = wait(running, return_when=FIRST_COMPLETED)
-                done.update(f.result() for f in finished)
-            running.add(pool.submit(run_one, idx, *read_layer_inputs(path)))
-        done.update(f.result() for f in running)
+            try:
+                w, held, calibrated = prepare(path)
+            except LAYER_ERRORS as exc:
+                failed[idx] = exc
+            if len(running) == workers and not failed:
+                collect(wait(running, return_when=FIRST_COMPLETED).done)
+            if failed:
+                break
+            running[pool.submit(run_one, idx, w, held, calibrated)] = idx
+        collect(wait(running).done)
+    if failed:
+        idx = min(failed)
+        raise type(failed[idx])(f"{layers[idx].name}: {failed[idx]}") from None
     elapsed = time.perf_counter() - t0
     quantized, rtn_rel_errors = zip(*(done[idx] for idx in range(len(layers))))
 

@@ -83,3 +83,9 @@ def amax(a: np.ndarray) -> float:
 
 def fro_norm(a: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.square(a))))
+
+
+def product_norm(a: np.ndarray, b: np.ndarray) -> float:
+    """fro_norm(a @ b), squaring the product in place: one temporary instead of two."""
+    prod = a @ b
+    return float(np.sqrt(np.sum(np.square(prod, out=prod))))

@@ -66,7 +66,10 @@ def quantize_matrix(r: np.ndarray, d: int) -> QuantizedTensor:
     zeros = np.where(live, np.round(-gmin / divisor), 0.0)
     q += zeros[:, :, None]
     # q holds small integers here, so clipping after the cast clips the same values.
-    codes = np.clip(q.astype(np.int16), 0, hi).reshape(m, q.shape[1] * GROUP_SIZE)[:, :n]
+    codes = q.astype(np.int16)
+    del q  # from here only the int16 codes are held: the clip works in place
+    np.clip(codes, 0, hi, out=codes)
+    codes = codes.reshape(m, codes.shape[1] * GROUP_SIZE)[:, :n]
     return QuantizedTensor(np.ascontiguousarray(codes), scales, zeros, d)
 
 
@@ -118,7 +121,8 @@ def search_clip(w: np.ndarray, l: np.ndarray, d: int) -> ClipSearchResult:
         w_rows = w[rows]
         q = quantize_matrix(clip(w_rows, p), d)
         diff = dequantize(q)
-        row_err = np.square(np.subtract(w_rows, diff, out=diff) @ l).sum(axis=1)
+        prod = np.subtract(w_rows, diff, out=diff) @ l
+        row_err = np.square(prod, out=prod).sum(axis=1)
         if base is None:
             base, base_err = q, row_err
         errs = base_err.copy()

@@ -90,6 +90,14 @@ class TestChannelMean:
         one_shot = np.maximum((np.abs(x[:, live]) / norms[live]).mean(axis=1), CHANNEL_MEAN_EPS)
         assert channel_mean(x).tobytes() == one_shot.tobytes()
 
+    def test_underflowing_tokens_keep_their_direction(self):
+        x = np.random.default_rng(5).standard_normal((16, 8))
+        small = x.copy()
+        small[:, [1, 3, 4, 6]] *= 1e-170  # normal entries whose squares underflow to 0
+        assert np.allclose(channel_mean(small), channel_mean(x), rtol=1e-14, atol=0)
+        small[:, [1, 3, 4, 6]] *= 1e-150  # subnormal entries: their precision is gone, skipped
+        assert np.allclose(channel_mean(small), channel_mean(x[:, [0, 2, 5, 7]]), rtol=1e-14, atol=0)
+
     def test_underflowing_tokens_are_named(self):
         x = np.random.default_rng(2).standard_normal((16, 8)) * 1e-310  # finite, nonzero, x*x == 0
         with pytest.raises(NumericalError, match="underflow"):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -209,25 +210,89 @@ class TestQuantizeCommand:
             assert rc == 0
         assert tree_digest(outs[0]) == tree_digest(outs[1])
 
-    def test_one_layer_held_per_worker(self, synth_dir, tmp_path, monkeypatch):
-        events = []
+    @staticmethod
+    def pipeline_tree(root: Path, layers: int) -> Path:
+        """Layer i has 8 + i rows, so its weights name it, and tokens > n, so L is not X."""
+        g = np.random.default_rng(4)
+        for idx in range(layers):
+            write_layer(root / f"layer_{idx:03d}",
+                        g.standard_normal((8 + idx, 16)), g.standard_normal((16, 40)))
+        return root
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_x_freed_before_its_layer_quantizes(self, tmp_path, monkeypatch, threads):
+        xs, alive = {}, {}  # layer index -> weakref to its X; -> whether X lived at flrq_layer
         read, quantize_layer = cli.read_layer_inputs, cli.flrq_layer
 
         def traced_read(path):
-            events.append("read")
-            return read(path)
+            w, x = read(path)
+            xs[w.shape[0] - 8] = weakref.ref(x)
+            return w, x
 
-        def traced_layer(*args):
-            layer = quantize_layer(*args)
-            events.append("done")
-            return layer
+        def traced_layer(w, calib, cfg):  # --seed 0: cfg.seed is the layer index
+            alive[cfg.seed] = xs[cfg.seed]() is not None
+            return quantize_layer(w, calib, cfg)
 
         monkeypatch.setattr(cli, "read_layer_inputs", traced_read)
         monkeypatch.setattr(cli, "flrq_layer", traced_layer)
-        rc = main(["quantize", "--in", str(synth_dir), "--out-dir", str(tmp_path / "out"),
-                   "--threads", "1"])
+        rc = main(["quantize", "--in", str(self.pipeline_tree(tmp_path / "in", 3)),
+                   "--out-dir", str(tmp_path / "out"), "--threads", str(threads)])
         assert rc == 0
-        assert events == ["read", "done", "read", "done"]
+        assert alive == {0: False, 1: False, 2: False}
+
+    def test_reader_calibrates_one_layer_ahead(self, tmp_path, monkeypatch):
+        # Layer 0 runs until the main thread has calibrated layer 1, so the reader
+        # must calibrate while the one worker is busy, then wait for it.
+        lock, finished, unfinished, on_main = threading.Lock(), [], [], {}
+        xs, live_xs = {}, []  # layer index -> weakref to its X; X's alive at the reader's calibrate
+        reader_calibrated = threading.Event()
+        read, calib_one, quantize_layer = cli.read_layer_inputs, cli.calibrate, cli.flrq_layer
+
+        def traced_read(path):
+            with lock:  # layers read before this one and not finished yet
+                unfinished.append(int(path.name[-3:]) - len(finished))
+            w, x = read(path)
+            xs[w.shape[0] - 8] = weakref.ref(x)
+            return w, x
+
+        def traced_calibrate(w, x):
+            on_main[w.shape[0] - 8] = threading.current_thread() is threading.main_thread()
+            if on_main[w.shape[0] - 8]:
+                live_xs.append(sum(ref() is not None for ref in xs.values()))
+                reader_calibrated.set()
+            return calib_one(w, x)
+
+        def traced_layer(w, calib, cfg):
+            if cfg.seed == 0:
+                assert reader_calibrated.wait(timeout=30)
+            layer = quantize_layer(w, calib, cfg)
+            with lock:
+                finished.append(cfg.seed)
+            return layer
+
+        monkeypatch.setattr(cli, "read_layer_inputs", traced_read)
+        monkeypatch.setattr(cli, "calibrate", traced_calibrate)
+        monkeypatch.setattr(cli, "flrq_layer", traced_layer)
+        rc = main(["quantize", "--in", str(self.pipeline_tree(tmp_path / "in", 4)),
+                   "--out-dir", str(tmp_path / "out"), "--threads", "1"])
+        assert rc == 0
+        assert sorted(finished) == [0, 1, 2, 3]
+        assert on_main[0] is False and on_main[1] is True
+        assert max(unfinished) == 1  # the reader is never more than one layer ahead
+        assert set(live_xs) == {1}  # its own: no worker is calibrating beside it
+
+    def test_as_many_threads_as_layers_calibrate_on_workers(self, tmp_path, monkeypatch):
+        on_main, calib_one = [], cli.calibrate
+
+        def traced_calibrate(w, x):
+            on_main.append(threading.current_thread() is threading.main_thread())
+            return calib_one(w, x)
+
+        monkeypatch.setattr(cli, "calibrate", traced_calibrate)
+        rc = main(["quantize", "--in", str(self.pipeline_tree(tmp_path / "in", 3)),
+                   "--out-dir", str(tmp_path / "out"), "--threads", "3"])
+        assert rc == 0
+        assert on_main == [False] * 3
 
     def test_free_worker_takes_the_next_layer(self, tmp_path, monkeypatch):
         # Layer 0 runs until layer 2 has started; layer 1 is done long before,
@@ -622,6 +687,23 @@ class TestExitCodes:
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("[flrq] numerical failure:")
         assert cause in lines[0]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_first_failing_layer_is_reported(self, tmp_path, threads):
+        # layer_001 overflows (exit 3) and layer_002 is truncated (exit 2); the reader
+        # runs a layer ahead, yet layer_001's error wins at every --threads.
+        g = np.random.default_rng(3)
+        for idx, scale in enumerate([1, 1e160, 1]):
+            write_layer(tmp_path / "in" / f"layer_{idx:03d}",
+                        g.standard_normal((8, 16)) * scale, g.standard_normal((16, 32)))
+        truncated = tmp_path / "in" / "layer_002" / "activations.flrqten"
+        truncated.write_bytes(truncated.read_bytes()[:-8])
+        proc = run_cli("quantize", "--in", tmp_path / "in", "--out-dir", tmp_path / "out",
+                       "--threads", threads)
+        assert proc.returncode == 3
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("[flrq] numerical failure: layer_001: ")
         assert not (tmp_path / "out").exists()
 
     def test_bad_later_layer_writes_nothing(self, tmp_path):
