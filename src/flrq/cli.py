@@ -3,8 +3,8 @@
 Subcommands: gen-synth (make synthetic layers) and quantize (full pipeline).
 Each is deterministic for a fixed --seed, whatever --threads and the BLAS
 thread count are (README). Exit codes: 0 ok, 1 usage, 2 data/format, 3
-numerical failure. The paper's experiments (experiments/paper.py) reuse the
-parser, layer-tree reader, config helpers and exit-code mapping defined here.
+numerical failure. The paper's experiments (experiments/paper.py) reuse the parser,
+layer-tree reader, LAYER_ERRORS, config helpers and exit-code mapping defined here.
 """
 
 from __future__ import annotations
@@ -79,7 +79,6 @@ def build_parser() -> Parser:
     g.add_argument("--n", type=int, default=64)
     g.add_argument("--tokens", type=int, default=64)
     g.add_argument("--layers", type=count, default=1)
-    g.add_argument("--nu", type=float, default=3.0)
     g.add_argument("--outlier-count", type=int, default=4)
     g.add_argument("--outlier-boost", type=float, default=10.0)
 

@@ -4,8 +4,7 @@ The outlier_channels family is the main workload: it boosts a few input
 channels of both the weights and the activations, producing exactly the
 correlated heavy columns that low-rank extraction is meant to soak up.
 Gaussian layers are the negative control (no structure, rank should stay
-tiny) and student_t produces heavy-tailed entries without channel
-structure.
+tiny).
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import numpy as np
 
 from .sketch import make_rng
 
-FAMILIES = ("gaussian", "student_t", "outlier_channels")
+FAMILIES = ("gaussian", "outlier_channels")
 
 
 @dataclass(frozen=True)
@@ -27,7 +26,6 @@ class SynthSpec:
     family: str = "gaussian"
     seed: int = 0
     tokens: int = 64
-    nu: float = 3.0  # student_t tail index
     outlier_count: int = 4
     outlier_boost: float = 10.0
 
@@ -36,12 +34,10 @@ class SynthSpec:
             raise ValueError("layer dimensions must be >= 1")
         if self.tokens < 1:
             raise ValueError("token count must be >= 1")
-        if not (math.isfinite(self.nu) and math.isfinite(self.outlier_boost)):
-            raise ValueError("nu and outlier boost must be finite")
+        if not math.isfinite(self.outlier_boost):
+            raise ValueError("outlier boost must be finite")
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
-        if self.family == "student_t" and not self.nu > 2.0:
-            raise ValueError("student_t needs nu > 2")
         if self.family == "outlier_channels":
             if self.outlier_boost <= 1.0:
                 raise ValueError("outlier boost must be > 1")
@@ -52,10 +48,7 @@ class SynthSpec:
 def gen_layer(spec: SynthSpec) -> tuple[np.ndarray, np.ndarray]:
     """Deterministically generate (weights m x n, activations n x tokens) for one layer."""
     rng = make_rng(spec.seed)
-    if spec.family == "student_t":
-        w = rng.standard_t(spec.nu, size=(spec.m, spec.n))
-    else:
-        w = rng.standard_normal((spec.m, spec.n))
+    w = rng.standard_normal((spec.m, spec.n))
     x = rng.standard_normal((spec.n, spec.tokens))
     if spec.family == "outlier_channels":
         channels = rng.choice(spec.n, size=spec.outlier_count, replace=False)

@@ -3,6 +3,8 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import threading
@@ -57,12 +59,13 @@ def write_layer(directory: Path, w, x) -> Path:
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
 
-EXPERIMENTS = ("rank-sweep", "ablate", "compare-svd")  # commands of experiments/paper.py
+EXPERIMENTS = ("rank-sweep", "ablate")  # commands of experiments/paper.py
+PAPER_COMMANDS = (*EXPERIMENTS, "compare-svd")  # and its retired one, now ablate --which svd
 
 
 def run(argv) -> int:
     """Run a command in this process: flrq's CLI, or the paper driver for an experiment."""
-    return (paper.main if argv[0] in EXPERIMENTS else main)(argv)
+    return (paper.main if argv[0] in PAPER_COMMANDS else main)(argv)
 
 
 def run_cli(*argv, **env_vars) -> subprocess.CompletedProcess:
@@ -72,7 +75,7 @@ def run_cli(*argv, **env_vars) -> subprocess.CompletedProcess:
     ``env_vars`` are set in the command's environment.
     """
     env = dict(os.environ, PYTHONPATH=str(Path(flrq.__file__).parents[1]), **env_vars)
-    entry = [paper.__file__] if argv[0] in EXPERIMENTS else ["-m", "flrq.cli"]
+    entry = [paper.__file__] if argv[0] in PAPER_COMMANDS else ["-m", "flrq.cli"]
     return subprocess.run(
         [sys.executable, *entry, *map(str, argv)], capture_output=True, text=True, env=env,
     )
@@ -88,13 +91,23 @@ RETIRED_FLAGS = {
     "d-fp-32": ["quantize", "--d-fp", "32"],
     "slope-window-1": ["quantize", "--slope-window", "1"],
     "rank-sweep-group-size": ["rank-sweep", "--group-size", "64"],
+    "rank-sweep-it": ["rank-sweep", "--it", "2"],
     "gen-synth-f32": ["gen-synth", "--f32"],
+    "gen-synth-nu-inf": ["gen-synth", "--nu", "inf"],
     # ablate reads --in; the generator flags belong to gen-synth alone.
     **{f"ablate-{flag}": ["ablate", f"--{flag}", "2", "--which", "it"]
        for flag in ("layers", "m", "n", "tokens", "family", "outlier-count", "outlier-boost")},
 }
+# Removed commands: each must be rejected by name, whatever flags follow it.
+RETIRED_COMMANDS = {
+    "compare-svd-rank-0": ["compare-svd", "--rank", "0"],
+    "compare-svd-seeds-0": ["compare-svd", "--seeds", "0"],
+    "compare-svd-seeds-negative": ["compare-svd", "--seeds", "-1"],
+    "compare-svd-threads": ["compare-svd", "--threads", "2"],
+}
 BAD_FLAGS = {
     **RETIRED_FLAGS,
+    **RETIRED_COMMANDS,
     "epochs-0": ["quantize", "--epochs", "0"],
     "x-negative": ["quantize", "--x", "-1"],
     "it-negative": ["quantize", "--it", "-1"],
@@ -107,21 +120,16 @@ BAD_FLAGS = {
     "gen-synth-outlier-boost-inf": [
         "gen-synth", "--family", "outlier_channels", "--outlier-boost", "inf",
     ],
-    "gen-synth-nu-inf": ["gen-synth", "--family", "student_t", "--nu", "inf"],
     "gen-synth-m-0": ["gen-synth", "--m", "0"],
-    "compare-svd-rank-0": ["compare-svd", "--rank", "0"],
     "rank-sweep-max-rank-negative": ["rank-sweep", "--max-rank", "-1"],  # 0 is legal
     # count flags: none of them can be 0 or negative
     "gen-synth-layers-negative": ["gen-synth", "--layers", "-1"],
-    "compare-svd-seeds-0": ["compare-svd", "--seeds", "0"],
-    "compare-svd-seeds-negative": ["compare-svd", "--seeds", "-1"],
     # --threads belongs to quantize alone; elsewhere it would be silently ignored.
     "gen-synth-threads": ["gen-synth", "--threads", "2"],
     "rank-sweep-threads": ["rank-sweep", "--threads", "2"],
     "ablate-threads": ["ablate", "--which", "it", "--threads", "2"],
-    "compare-svd-threads": ["compare-svd", "--threads", "2"],
 }
-READS_LAYERS = ("quantize", *EXPERIMENTS)  # the commands that take --in
+READS_LAYERS = ("quantize", *PAPER_COMMANDS)  # the commands that take --in, or took it
 BAD_FLAG_CASES = [pytest.param(argv, False, id=name) for name, argv in BAD_FLAGS.items()] + [
     pytest.param(argv, True, id=f"{name}-bad-magic")
     for name, argv in BAD_FLAGS.items()
@@ -440,7 +448,8 @@ class TestQuantizeCommand:
         assert json.loads((out / "report.json").read_text())["config"]["layers"] == ["layer_001"]
         assert sorted(p.name for p in out.iterdir()) == ["layer_001", "report.json"]
         assert run(["rank-sweep", "--in", ".", "--max-rank", "1", "--out-dir", str(out)]) == 0
-        assert json.loads((out / "report.json").read_text())["config"]["layer"] == "layer_001"
+        sweep = json.loads((out / "rank_sweep.json").read_text())
+        assert sweep["config"]["layers"] == ["layer_001"]
 
     def test_gapped_tree_passes_benchmark_verify(self, tmp_path):
         # Each bundle is named after its input layer, so the verifier reads the right inputs.
@@ -570,13 +579,13 @@ class TestCompareSvd:
         w = np.outer(g.standard_normal(32), g.standard_normal(48))
         layer = write_layer(tmp_path / "layer", w, g.standard_normal((48, 8)))
         out = tmp_path / "cmp"
-        rc = paper.main(["compare-svd", "--in", str(layer), "--rank", "1", "--seeds", "2",
-                         "--seed", "0", "--out-dir", str(out)])
+        rc = paper.main(["ablate", "--which", "svd", "--in", str(layer), "--seed", "0",
+                         "--out-dir", str(out)])
         assert rc == 0
-        report = json.loads((out / "report.json").read_text())
+        [row] = json.loads((out / "ablate_svd.json").read_text())["rows"]
         scale = np.linalg.norm(w)
-        assert report["svd_residual"] <= 1e-9 * scale
-        assert report["sketch_residual_mean"] <= 1e-6 * scale
+        assert row["svd_residual"] <= 1e-9 * scale
+        assert row["sketch_residual_mean"] <= 1e-6 * scale
 
     def test_guard_exceeded_is_numerical_error(self, tmp_path):
         layer = tmp_path / "layer"
@@ -587,7 +596,7 @@ class TestCompareSvd:
             layer / "activations.flrqten",
             container_from_array(np.ones((1030, 2)), f32=True),
         )
-        rc = paper.main(["compare-svd", "--in", str(layer), "--rank", "4",
+        rc = paper.main(["ablate", "--which", "svd", "--in", str(layer),
                          "--out-dir", str(tmp_path / "cmp")])
         assert rc == 3
 
@@ -600,24 +609,29 @@ class TestCommands:
         assert main(["rank-sweep", "--in", "layers"]) == 1  # now in experiments/paper.py
 
     def test_paper_driver_lists_the_experiments(self):
-        assert "{rank-sweep,ablate,compare-svd}" in paper.build_parser().format_help()
+        assert "{rank-sweep,ablate}" in paper.build_parser().format_help()
+
+    def test_readme_commands_parse(self):
+        # A retired command or flag left in the README's examples fails here.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        parsers = {"flrq": build_parser(), "python experiments/paper.py": paper.build_parser()}
+        commands = []
+        for block in re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S):
+            for line in block.replace("\\\n", " ").splitlines():  # continuation lines joined
+                for tool, parser in parsers.items():
+                    if line.startswith(f"{tool} "):
+                        try:
+                            args = parser.parse_args(shlex.split(line[len(tool):], comments=True))
+                        except cli.UsageError as exc:
+                            pytest.fail(f"README: {line}: {exc}")
+                        commands.append(args.command)
+        assert set(commands) == {"gen-synth", "quantize", "rank-sweep", "ablate"}
 
 
 class TestExitCodes:
     def test_usage_error(self):
         assert main(["quantize"]) == 1  # missing --in
         assert paper.main(["ablate", "--which", "it"]) == 1
-
-    @pytest.mark.parametrize("command", ["rank-sweep", "compare-svd"])
-    def test_one_layer_commands_refuse_a_tree(self, synth_dir, tmp_path, command):
-        # Taking the tree's first layer would drop the others without a word.
-        proc = run_cli(command, "--in", synth_dir, "--out-dir", tmp_path / "out")
-        assert proc.returncode == 1
-        assert "Traceback" not in proc.stderr
-        lines = proc.stderr.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("[flrq] usage error:")
-        assert "2 layers" in lines[0] and str(synth_dir / "layer_000") in lines[0]
-        assert not (tmp_path / "out").exists()
 
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 1
@@ -658,6 +672,8 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("[flrq] usage error:")
         if argv in RETIRED_FLAGS.values():
             assert f"unrecognized arguments: {argv[1]}" in lines[0]
+        if argv in RETIRED_COMMANDS.values():
+            assert f"invalid choice: '{argv[0]}'" in lines[0]
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("w_scale, x_scale", [(1e153, 1), (1e154, 1), (1e160, 1), (1, 1e160)],
@@ -675,8 +691,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, w_scale, x_scale, cause", [
         (["quantize"], 1, 1e-310, "calibration activations underflow"),  # finite, nonzero X
-        (["compare-svd", "--rank", "4", "--seeds", "2"], 1e160, 1, "overflows float64"),
-    ], ids=["quantize-x-1e-310", "compare-svd-w-1e160"])
+        (["ablate", "--which", "svd"], 1e160, 1, "output ||W X||_F overflows float64"),
+        # calibrate passes, so the residuals' own check must catch the overflow
+        (["ablate", "--which", "svd"], 1e160, 1e-160, "residual ||W - W_r||_F overflows float64"),
+    ], ids=["quantize-x-1e-310", "ablate-svd-w-1e160", "ablate-svd-w-1e160-x-1e-160"])
     def test_out_of_range_layer_names_its_cause(self, tmp_path, argv, w_scale, x_scale, cause):
         g = np.random.default_rng(0)
         w, x = g.standard_normal((8, 16)), g.standard_normal((16, 32))
@@ -706,6 +724,22 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("[flrq] numerical failure: layer_001: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "argv", [["ablate", "--which", "x"], ["rank-sweep", "--max-rank", "4"]],
+        ids=["ablate", "rank-sweep"],
+    )
+    def test_paper_driver_names_the_failing_layer(self, tmp_path, argv):
+        g = np.random.default_rng(3)
+        for idx, scale in enumerate([1, 1e160, 1]):
+            write_layer(tmp_path / "in" / f"layer_{idx:03d}",
+                        g.standard_normal((8, 16)) * scale, g.standard_normal((16, 32)))
+        proc = run_cli(*argv, "--in", tmp_path / "in", "--out-dir", tmp_path / "out")
+        assert proc.returncode == 3
+        lines = proc.stderr.strip().splitlines()
+        assert lines == ["[flrq] numerical failure: layer_001: "
+                         "the layer's output ||W X||_F overflows float64"]
+        assert not (tmp_path / "out").exists()
+
     def test_bad_later_layer_writes_nothing(self, tmp_path):
         g = np.random.default_rng(1)
         for idx in range(2):
@@ -726,9 +760,8 @@ class TestByteStable:
             ["gen-synth", "--m", "16", "--n", "24", "--layers", "2", "--seed", "3"],
             ["rank-sweep", "--max-rank", "4", "--seed", "1"],
             *(["ablate", "--which", which] for which in ABLATIONS),
-            ["compare-svd", "--rank", "4", "--seeds", "2", "--seed", "0"],
         ],
-        ids=["gen-synth", "rank-sweep", *(f"ablate-{w}" for w in ABLATIONS), "compare-svd"],
+        ids=["gen-synth", "rank-sweep", *(f"ablate-{w}" for w in ABLATIONS)],
     )
     def test_rerun_byte_identical(self, synth_dir, tmp_path, argv):
         layer = synth_dir / "layer_000"
@@ -740,6 +773,27 @@ class TestByteStable:
         for out in outs:
             assert run([*argv, *inputs, "--out-dir", str(out)]) == 0
         assert tree_digest(outs[0]) == tree_digest(outs[1])
+
+    @pytest.mark.parametrize(
+        "argv", [["rank-sweep", "--max-rank", "4"], ["ablate", "--which", "svd"]],
+        ids=["rank-sweep", "ablate-svd"],
+    )
+    def test_tree_rows_repeat_each_layer_alone(self, tmp_path, argv):
+        # Layer i of a tree run with --seed S gives the rows of layer i alone with --seed S ^ i.
+        src = gen_synth(tmp_path / "in", "--family", "outlier_channels", "--layers", "3",
+                        "--m", "32", "--n", "48", "--seed", "2")
+
+        def rows(in_dir: Path, seed: int, out: Path) -> list[dict]:
+            assert paper.main([*argv, "--in", str(in_dir), "--seed", str(seed),
+                               "--out-dir", str(out)]) == 0
+            [record] = out.glob("*.json")
+            return json.loads(record.read_text())["rows"]
+
+        tree = rows(src, 5, tmp_path / "tree")
+        for idx in range(3):
+            alone = rows(src / f"layer_{idx:03d}", 5 ^ idx, tmp_path / f"alone_{idx}")
+            assert [{**row, "layer": idx} for row in alone] == [
+                row for row in tree if row["layer"] == idx]
 
     def test_rank_sweep_independent_of_blas_threads(self, tmp_path):
         # Run unpinned, this layer's rank_sweep.csv differed at 1 and 2 OpenBLAS threads.

@@ -157,7 +157,8 @@ def thin_svd(a):
 
 class TestSvdOracle:
     """numpy's LAPACK SVD is the exact reference of the sketch tests, acceptance 02/03 and
-    compare-svd (whose tail norm is ``fro_norm(sigma[r:])``); these pin what they assume."""
+    `ablate --which svd` (whose tail norm is ``fro_norm(sigma[r:])``); these pin what they
+    assume."""
 
     def test_diagonal(self):
         _, s, _ = thin_svd(np.diag([3.0, 1.0]))
@@ -206,7 +207,7 @@ class TestSvdOracle:
             assert err == pytest.approx(fro_norm(s[r:]), rel=1e-8, abs=1e-10)
 
     def test_size_guard(self):
-        # compare-svd takes the exact SVD only up to SVD_DIM_LIMIT on the short side.
+        # ablate --which svd takes the exact SVD only up to SVD_DIM_LIMIT on the short side.
         assert SVD_DIM_LIMIT == 1024
         with pytest.raises(NumericalError):
             check_svd_size((1025, 1025))
@@ -221,7 +222,7 @@ class TestSvdOracle:
         assert np.abs(u.T @ u - np.eye(4)).max() < 1e-10
 
     def test_input_not_mutated(self):
-        # compare-svd deflates the same matrix after taking its SVD.
+        # ablate --which svd deflates the same matrix after taking its SVD.
         a = np.random.default_rng(10).standard_normal((5, 12))
         before = a.copy()
         thin_svd(a)
