@@ -2,9 +2,9 @@
 
 Subcommands: rank-sweep (rank vs amax/error curves) and ablate (trend tables:
 it, blc, x, fixed-vs-flex, and svd: exact truncation vs sketch deflation).
-Both read every layer of an --in tree, seed layer i as quantize seeds it, and
-write one row set per layer. Run from the repository root with PYTHONPATH=src
-(or flrq installed): python experiments/paper.py COMMAND ... Outputs are
+Both run quantize's layer loop (cli.each_layer) over an --in tree with one
+worker and write one row set per layer. Run from the repository root with
+PYTHONPATH=src (or flrq installed): python experiments/paper.py COMMAND ... Outputs are
 deterministic for a fixed --seed. Exit codes are flrq's: 0 ok, 1 usage,
 2 data/format, 3 numerical failure.
 """
@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from flrq import LowRankFactors, NumericalError, amax, calibrate, cli, components, deflate
+from flrq import LowRankFactors, NumericalError, amax, cli, components, deflate
 from flrq import flrq_layer, fro_norm, layer_seed, select_rank
 from flrq.io import extra_bits
 from flrq.quantize import BIT_WIDTHS
@@ -53,26 +53,18 @@ def build_parser() -> cli.Parser:
     return p
 
 
-def each_layer(args, stem: str, rows_of) -> int:
-    """Collect ``rows_of(args, idx, w, calib, cfg)`` over the layers of --in, each seeded
-    and named as quantize seeds and names it; write them as <stem>.csv and <stem>.json."""
-    cfg = cli.flrq_config(args)
-    layers = cli.discover_layers(args.in_dir)
-    rows = []
-    for idx, path in enumerate(layers):
-        try:
-            w, x = cli.read_layer_inputs(path)
-            cfg_i = dataclasses.replace(cfg, seed=layer_seed(args.seed, idx))
-            rows += rows_of(args, idx, w, calibrate(w, x), cfg_i)
-        except cli.LAYER_ERRORS as exc:
-            raise type(exc)(f"{path.name}: {exc}") from None
+def write_rows(args, stem: str, rows_of) -> int:
+    """Collect ``rows_of(args, idx, w, calib, cfg)`` over the layers of --in through
+    quantize's layer loop, with one worker; write them as <stem>.csv and <stem>.json."""
+    names, per_layer = cli.each_layer(args, lambda *layer: rows_of(args, *layer))
+    rows = [row for rows in per_layer for row in rows]
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     with open(args.out_dir / f"{stem}.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(rows[0].keys())
         writer.writerows(row.values() for row in rows)
-    echo = cli.config_echo(args, layers=[p.name for p in layers])
+    echo = cli.config_echo(args, layers=names)
     (args.out_dir / f"{stem}.json").write_text(json.dumps({"config": echo, "rows": rows},
                                                           indent=2) + "\n")
     cli.log(f"{args.command}: {len(rows)} rows -> {args.out_dir / f'{stem}.json'}")
@@ -82,18 +74,19 @@ def each_layer(args, stem: str, rows_of) -> int:
 def cmd_rank_sweep(args) -> int:
     if args.max_rank < 0:  # 0 is legal: the baseline row alone
         raise cli.UsageError(f"--max-rank must be >= 0, got {args.max_rank}")
-    return each_layer(args, "rank_sweep", sweep_rows)
+    return write_rows(args, "rank_sweep", sweep_rows)
 
 
 def cmd_ablate(args) -> int:
-    return each_layer(args, f"ablate_{args.which.replace('-', '_')}", ablation_rows)
+    return write_rows(args, f"ablate_{args.which.replace('-', '_')}", ablation_rows)
 
 
 def sweep_rows(args, idx: int, w, calib, cfg) -> list[dict]:
     """Layer ``idx``'s amax envelope and plain rel_error after each of its first ranks."""
     max_rank = min(args.max_rank, *w.shape)
     if max_rank < args.max_rank:
-        cli.log(f"warning: clamping --max-rank {args.max_rank} to min(m, n) = {max_rank}")
+        cli.log(f"layer {idx}: warning: clamping --max-rank {args.max_rank} "
+                f"to min(m, n) = {max_rank}")
 
     envelope = amax(w)
     error = cli.plain_rel_error(w, calib, LowRankFactors.empty(*w.shape), cfg)
@@ -106,7 +99,7 @@ def sweep_rows(args, idx: int, w, calib, cfg) -> list[dict]:
         rows.append({"layer": idx, "r": len(pairs), "amax": envelope,
                      "rel_error": cli.plain_rel_error(w, calib, prefix, cfg)})
     if len(pairs) < max_rank:
-        cli.log(f"residual exhausted at rank {len(pairs)}; stopping sweep early")
+        cli.log(f"layer {idx}: residual exhausted at rank {len(pairs)}; stopping sweep early")
     return rows
 
 

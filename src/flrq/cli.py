@@ -4,7 +4,7 @@ Subcommands: gen-synth (make synthetic layers) and quantize (full pipeline).
 Each is deterministic for a fixed --seed, whatever --threads and the BLAS
 thread count are (README). Exit codes: 0 ok, 1 usage, 2 data/format, 3
 numerical failure. The paper's experiments (experiments/paper.py) reuse the parser,
-layer-tree reader, LAYER_ERRORS, config helpers and exit-code mapping defined here.
+the layer loop (each_layer), config helpers and exit-code mapping defined here.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import json
 import sys
-import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from pathlib import Path
@@ -172,36 +171,22 @@ def cmd_gen_synth(args) -> int:
     return 0
 
 
-def cmd_quantize(args) -> int:
+def each_layer(args, work, workers: int = 1) -> tuple[list[str], list]:
+    """Run ``work(idx, w, calib, cfg)`` on every layer of --in over ``workers`` threads.
+
+    Layer ``idx``'s ``cfg`` is the command's config seeded ``layer_seed(--seed, idx)``.
+    Returns the layers' names and results in layer order. A layer's failure is raised
+    under its directory name; after one, no layer is started, the running ones finish,
+    and the lowest failing layer's error is raised, so the error does not depend on
+    ``workers``.
+    """
     cfg = flrq_config(args)
     layers = discover_layers(args.in_dir)
-    echo = config_echo(args, clip_grid=CLIP_GRID, layers=[p.name for p in layers])
-    workers = min(args.threads, len(layers))
+    workers = min(workers, len(layers))
 
-    def run_one(idx: int, w, held: list, calibrated: threading.Event | None):
-        """Quantize layer ``idx``. ``held`` is [its Calibration], or [x] for this worker to
-        calibrate, and then ``calibrated`` is set."""
-        calib = held.pop()  # so that neither ``held`` nor the pool's work item keeps x alive
-        if not isinstance(calib, Calibration):
-            try:
-                calib = calibrate(w, calib)  # the one pass over x, shared with the RTN baseline
-            finally:
-                calibrated.set()
-        layer = flrq_layer(w, calib, dataclasses.replace(cfg, seed=layer_seed(args.seed, idx)))
-        return layer, plain_rel_error(w, calib, LowRankFactors.empty(*w.shape), cfg)
-
-    def prepare(path: Path) -> tuple[np.ndarray, list, threading.Event | None]:
-        """Read a layer for a free worker to calibrate. While every worker is busy, wait
-        until none is calibrating, then read the layer and calibrate it here."""
-        collect(wait(running, timeout=0).done)  # a worker that has finished is free
-        if len(running) < workers:
-            w, x = read_layer_inputs(path)
-            calibrating.append(threading.Event())
-            return w, [x], calibrating[-1]
-        while calibrating:
-            calibrating.pop().wait()
+    def calibrated(path: Path):
         w, x = read_layer_inputs(path)
-        return w, [calibrate(w, x)], None
+        return w, calibrate(w, x)  # the one pass over x; it is freed on return
 
     def collect(futures) -> None:
         for f in futures:
@@ -211,42 +196,49 @@ def cmd_quantize(args) -> int:
             except LAYER_ERRORS as exc:
                 failed[idx] = exc
 
-    # The main thread reads every layer: inputs allocated on a worker thread share that
-    # thread's malloc heap with the clip search's temporaries, and glibc then trims and
-    # re-faults it (14x the page faults on 512^2 layers). A free worker takes the next
-    # layer at once and calibrates it. While every worker is busy, the main thread
-    # calibrates the next layer itself, then waits for a worker: it runs one layer ahead,
-    # and its x is never held while a worker's is. After a failure no layer is started,
-    # the running ones are collected, and the lowest failing layer's error is raised, so
-    # the error does not depend on --threads.
-    t0 = time.perf_counter()
-    done, failed = {}, {}  # layer index -> (layer, rtn_rel_error), or -> its error
-    running, calibrating = {}, []  # future -> layer index; events workers set once calibrated
+    # The main thread reads and calibrates every layer, one layer ahead of the workers,
+    # and holds one x at a time: inputs allocated on a worker thread share that thread's
+    # malloc heap with the clip search's temporaries, and glibc then trims and re-faults
+    # it (14x the page faults on 512^2 layers).
+    done, failed, running = {}, {}, {}  # index -> result; -> its error; future -> index
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for idx, path in enumerate(layers):
             try:
-                w, held, calibrated = prepare(path)
+                w, calib = calibrated(path)
             except LAYER_ERRORS as exc:
                 failed[idx] = exc
             if len(running) == workers and not failed:
                 collect(wait(running, return_when=FIRST_COMPLETED).done)
             if failed:
                 break
-            running[pool.submit(run_one, idx, w, held, calibrated)] = idx
+            cfg_i = dataclasses.replace(cfg, seed=layer_seed(args.seed, idx))
+            running[pool.submit(work, idx, w, calib, cfg_i)] = idx
         collect(wait(running).done)
     if failed:
         idx = min(failed)
         raise type(failed[idx])(f"{layers[idx].name}: {failed[idx]}") from None
+    return [p.name for p in layers], [done[idx] for idx in range(len(layers))]
+
+
+def quantize_layer(idx: int, w, calib: Calibration, cfg: FlrqConfig):
+    """The layer quantized, and the rel_error of plain RTN on the same calibration."""
+    return flrq_layer(w, calib, cfg), plain_rel_error(w, calib, LowRankFactors.empty(*w.shape), cfg)
+
+
+def cmd_quantize(args) -> int:
+    t0 = time.perf_counter()
+    names, results = each_layer(args, quantize_layer, args.threads)
     elapsed = time.perf_counter() - t0
-    quantized, rtn_rel_errors = zip(*(done[idx] for idx in range(len(layers))))
+    quantized, rtn_rel_errors = zip(*results)
+    echo = config_echo(args, clip_grid=CLIP_GRID, layers=names)
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    for name, layer in zip(echo["layers"], quantized):
+    for name, layer in zip(names, quantized):
         flrq_io.write_bundle(args.out_dir / name, layer, echo)
     (args.out_dir / "report.json").write_text(flrq_io.emit_report(quantized, echo, rtn_rel_errors))
     blas = f"{BLAS_THREADS} BLAS thread(s)" if BLAS_THREADS else "BLAS unpinned"
-    log(f"quantized {len(layers)} layer(s) in {elapsed:.2f}s ({workers} worker(s) x {blas}) "
-        f"-> {args.out_dir}")
+    log(f"quantized {len(names)} layer(s) in {elapsed:.2f}s "
+        f"({min(args.threads, len(names))} worker(s) x {blas}) -> {args.out_dir}")
     return 0
 
 

@@ -250,7 +250,7 @@ class TestQuantizeCommand:
 
     def test_reader_calibrates_one_layer_ahead(self, tmp_path, monkeypatch):
         # Layer 0 runs until the main thread has calibrated layer 1, so the reader
-        # must calibrate while the one worker is busy, then wait for it.
+        # calibrates while the one worker is busy, then waits for it.
         lock, finished, unfinished, on_main = threading.Lock(), [], [], {}
         xs, live_xs = {}, []  # layer index -> weakref to its X; X's alive at the reader's calibrate
         reader_calibrated = threading.Event()
@@ -267,7 +267,8 @@ class TestQuantizeCommand:
             on_main[w.shape[0] - 8] = threading.current_thread() is threading.main_thread()
             if on_main[w.shape[0] - 8]:
                 live_xs.append(sum(ref() is not None for ref in xs.values()))
-                reader_calibrated.set()
+                if w.shape[0] - 8 == 1:
+                    reader_calibrated.set()
             return calib_one(w, x)
 
         def traced_layer(w, calib, cfg):
@@ -285,22 +286,33 @@ class TestQuantizeCommand:
                    "--out-dir", str(tmp_path / "out"), "--threads", "1"])
         assert rc == 0
         assert sorted(finished) == [0, 1, 2, 3]
-        assert on_main[0] is False and on_main[1] is True
+        assert on_main == dict.fromkeys(range(4), True)  # the reader calibrates every layer
         assert max(unfinished) == 1  # the reader is never more than one layer ahead
         assert set(live_xs) == {1}  # its own: no worker is calibrating beside it
 
-    def test_as_many_threads_as_layers_calibrate_on_workers(self, tmp_path, monkeypatch):
-        on_main, calib_one = [], cli.calibrate
+    def test_reader_calibrates_with_one_x_alive(self, tmp_path, monkeypatch):
+        # As many workers as layers: each worker is free, yet the main thread calibrates
+        # every layer, and no layer's X is alive while the next one is calibrated.
+        xs, on_main, live_xs = [], [], []  # weakrefs to each X read; per calibrate call
+        read, calib_one = cli.read_layer_inputs, cli.calibrate
+
+        def traced_read(path):
+            w, x = read(path)
+            xs.append(weakref.ref(x))
+            return w, x
 
         def traced_calibrate(w, x):
             on_main.append(threading.current_thread() is threading.main_thread())
+            live_xs.append(sum(ref() is not None for ref in xs))
             return calib_one(w, x)
 
+        monkeypatch.setattr(cli, "read_layer_inputs", traced_read)
         monkeypatch.setattr(cli, "calibrate", traced_calibrate)
         rc = main(["quantize", "--in", str(self.pipeline_tree(tmp_path / "in", 3)),
                    "--out-dir", str(tmp_path / "out"), "--threads", "3"])
         assert rc == 0
-        assert on_main == [False] * 3
+        assert on_main == [True] * 3
+        assert live_xs == [1] * 3
 
     def test_free_worker_takes_the_next_layer(self, tmp_path, monkeypatch):
         # Layer 0 runs until layer 2 has started; layer 1 is done long before,
@@ -503,6 +515,12 @@ class TestRankSweep:
                          "--max-rank", "1000", "--seed", "1", "--out-dir", str(out)])
         assert rc == 0
         assert "clamping" in capsys.readouterr().err
+        rc = paper.main(["rank-sweep", "--in", str(synth_dir), "--max-rank", "1000",
+                         "--seed", "1", "--out-dir", str(out)])
+        assert rc == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines() if "clamping" in line]
+        assert warnings == [f"[flrq] layer {idx}: warning: clamping --max-rank 1000 to "
+                            f"min(m, n) = 64" for idx in range(2)]
 
 
 class TestAblate:

@@ -14,6 +14,8 @@ import sys
 import threading
 from pathlib import Path
 
+import pytest
+
 import flrq
 from flrq import cli
 from flrq.cli import main
@@ -60,24 +62,27 @@ def test_traced_run_keeps_bytes_and_counter_identities(tmp_path):
     assert values["quantize.clip_candidates"] == 6 * len(CLIP_GRID)
 
 
-def test_reader_calibration_is_traced(tmp_path, monkeypatch):
-    # At --threads 1 the main thread calibrates a layer that waits for the worker;
-    # the tracer must see its channel_mean there, and every identity must still hold.
+@pytest.mark.parametrize("threads", [1, 2])
+def test_reader_calibration_is_traced(tmp_path, monkeypatch, threads):
+    # The main thread calibrates every layer, the next one while a worker runs layer 0;
+    # the tracer must see each channel_mean there, and every identity must still hold.
     tracer, layer_metrics = load_benchmark("tracer"), load_benchmark("layer_metrics")
     assert main(["gen-synth", "--family", "outlier_channels", "--m", "96", "--n", "160",
                  "--tokens", "64", "--layers", "3", "--seed", "5",
                  "--out-dir", str(tmp_path / "in")]) == 0
     argv = ["quantize", "--in", str(tmp_path / "in"), "--d", "2", "--epochs", "3",
-            "--threads", "1"]
+            "--threads", str(threads)]
     assert main([*argv, "--out-dir", str(tmp_path / "plain")]) == 0
-    reader_calibrated = threading.Event()
+    reader_calibrated, main_means = threading.Event(), []
 
     class Recorder(tracer.Recorder):  # marks each span with whether the main thread ran it
         def enter(self, name, site):
             span = super().enter(name, site)
             span["main"] = threading.current_thread() is threading.main_thread()
             if span["main"] and name == "blc.channel_mean":
-                reader_calibrated.set()
+                main_means.append(span)
+                if len(main_means) == 2:  # layer 1's
+                    reader_calibrated.set()
             return span
 
     for mod_name, attr in tracer.BINDINGS:  # each untraced binding is restored after the test
@@ -87,7 +92,7 @@ def test_reader_calibration_is_traced(tmp_path, monkeypatch):
     tracer.install(rec)
     traced_layer = cli.flrq_layer
 
-    def gated_layer(w, calib, cfg):  # --seed 0: layer 0 runs once the reader has calibrated
+    def gated_layer(w, calib, cfg):  # --seed 0: layer 0 runs once the reader has calibrated 1
         if cfg.seed == 0:
             assert reader_calibrated.wait(timeout=30)
         return traced_layer(w, calib, cfg)
@@ -98,7 +103,7 @@ def test_reader_calibration_is_traced(tmp_path, monkeypatch):
 
     ix = layer_metrics.Spans(rec.spans)
     on_main = [s["main"] for s in ix.spans if s["name"] == "blc.channel_mean"]
-    assert len(on_main) == 3 and True in on_main and False in on_main
+    assert on_main == [True] * 3
     values = layer_metrics.compute(ix, 0.0, 0.0)
     assert values["blc.channel_scaling_s"] > 0
     meta_epochs = sum(len(json.loads(meta.read_text())["blc_trace"])
