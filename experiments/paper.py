@@ -1,10 +1,10 @@
 """The paper's experiments, run over the flrq library.
 
-Subcommands: rank-sweep (rank vs amax/error curves) and ablate (trend tables:
-it, blc, x, fixed-vs-flex, and svd: exact truncation vs sketch deflation).
-Both run quantize's layer loop (cli.each_layer) over an --in tree with one
-worker and write one row set per layer. Run from the repository root with
-PYTHONPATH=src (or flrq installed): python experiments/paper.py COMMAND ... Outputs are
+One command, ablate, writes the table --which names: rank (rank vs amax/error
+curves), it, blc, x, fixed-vs-flex, or svd (exact truncation vs sketch deflation).
+It runs quantize's layer loop (cli.each_layer) over an --in tree with one worker
+and writes one row set per layer. Run from the repository root with PYTHONPATH=src
+(or flrq installed): python experiments/paper.py ablate --which NAME ... Outputs are
 deterministic for a fixed --seed. Exit codes are flrq's: 0 ok, 1 usage,
 2 data/format, 3 numerical failure.
 """
@@ -21,30 +21,26 @@ from pathlib import Path
 
 import numpy as np
 
-from flrq import LowRankFactors, NumericalError, amax, cli, components, deflate
-from flrq import flrq_layer, fro_norm, layer_seed, select_rank
+from flrq import cli
+from flrq.blc import flrq_layer
+from flrq.errors import NumericalError
 from flrq.io import extra_bits
+from flrq.linalg import amax, fro_norm
 from flrq.quantize import BIT_WIDTHS
-from flrq.rankselect import D_FP
+from flrq.rankselect import D_FP, components, deflate, select_rank
+from flrq.sketch import LowRankFactors, layer_seed
 
-ABLATIONS = ("it", "blc", "x", "fixed-vs-flex", "svd")
+ABLATIONS = ("rank", "it", "blc", "x", "fixed-vs-flex", "svd")
 
 SVD_DIM_LIMIT = 1024  # the exact SVD is a desk-scale check
 SVD_RANK, SVD_SKETCH_RUNS = 16, 10  # svd: rank min(16, m, n), sketch residual over 10 seeds
+SWEEP_RANK = 32  # rank: one row per rank 0 ... min(32, m, n)
 
 
 def build_parser() -> cli.Parser:
     p = cli.Parser(prog="paper.py", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    r = sub.add_parser("rank-sweep", help="rank vs amax/error curves, per layer")
-    r.set_defaults(run=cmd_rank_sweep)
-    cli.common(r)
-    r.add_argument("--in", dest="in_dir", type=Path, required=True)
-    r.add_argument("--max-rank", type=int, default=32)
-    r.add_argument("--d", type=int, default=4, choices=BIT_WIDTHS)
-
-    a = sub.add_parser("ablate", help="run one of the ablations, per layer")
+    a = sub.add_parser("ablate", help="run one of the experiments, per layer")
     a.set_defaults(run=cmd_ablate)
     cli.common(a)
     a.add_argument("--which", choices=ABLATIONS, required=True)
@@ -53,59 +49,45 @@ def build_parser() -> cli.Parser:
     return p
 
 
-def write_rows(args, stem: str, rows_of) -> int:
-    """Collect ``rows_of(args, idx, w, calib, cfg)`` over the layers of --in through
-    quantize's layer loop, with one worker; write them as <stem>.csv and <stem>.json."""
-    names, per_layer = cli.each_layer(args, lambda *layer: rows_of(args, *layer))
+def cmd_ablate(args) -> int:
+    """Collect the rows of --which over the layers of --in through quantize's layer loop,
+    with one worker; write them as ablate_<which>.csv and .json."""
+    names, per_layer = cli.each_layer(args, lambda *layer: ablation_rows(args, *layer),
+                                      calibrated=args.which != "svd")  # svd reads only W
     rows = [row for rows in per_layer for row in rows]
 
+    stem = f"ablate_{args.which.replace('-', '_')}"
     args.out_dir.mkdir(parents=True, exist_ok=True)
     with open(args.out_dir / f"{stem}.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(rows[0].keys())
         writer.writerows(row.values() for row in rows)
     echo = cli.config_echo(args, layers=names)
-    (args.out_dir / f"{stem}.json").write_text(json.dumps({"config": echo, "rows": rows},
-                                                          indent=2) + "\n")
-    cli.log(f"{args.command}: {len(rows)} rows -> {args.out_dir / f'{stem}.json'}")
+    record = args.out_dir / f"{stem}.json"
+    record.write_text(json.dumps({"config": echo, "rows": rows}, indent=2) + "\n")
+    cli.log(f"ablate: {len(rows)} rows -> {record}")
     return 0
 
 
-def cmd_rank_sweep(args) -> int:
-    if args.max_rank < 0:  # 0 is legal: the baseline row alone
-        raise cli.UsageError(f"--max-rank must be >= 0, got {args.max_rank}")
-    return write_rows(args, "rank_sweep", sweep_rows)
-
-
-def cmd_ablate(args) -> int:
-    return write_rows(args, f"ablate_{args.which.replace('-', '_')}", ablation_rows)
-
-
-def sweep_rows(args, idx: int, w, calib, cfg) -> list[dict]:
-    """Layer ``idx``'s amax envelope and plain rel_error after each of its first ranks."""
-    max_rank = min(args.max_rank, *w.shape)
-    if max_rank < args.max_rank:
-        cli.log(f"layer {idx}: warning: clamping --max-rank {args.max_rank} "
-                f"to min(m, n) = {max_rank}")
-
-    envelope = amax(w)
-    error = cli.plain_rel_error(w, calib, LowRankFactors.empty(*w.shape), cfg)
-    rows = [{"layer": idx, "r": 0, "amax": envelope, "rel_error": error}]
-    pairs = []
-    for pair, residual in islice(components(w, cfg), max_rank):
-        pairs.append(pair)
-        envelope = min(envelope, amax(residual))
-        prefix = LowRankFactors.from_pairs(pairs, *w.shape)
-        rows.append({"layer": idx, "r": len(pairs), "amax": envelope,
-                     "rel_error": cli.plain_rel_error(w, calib, prefix, cfg)})
-    if len(pairs) < max_rank:
-        cli.log(f"layer {idx}: residual exhausted at rank {len(pairs)}; stopping sweep early")
-    return rows
-
-
 def ablation_rows(args, idx: int, w, calib, base) -> list[dict]:
-    """Layer ``idx``'s rows of the ablation --which; ``calib`` and ``base`` are the layer's."""
+    """Layer ``idx``'s rows of the ablation --which; ``calib`` (None for svd) and ``base``
+    are the layer's."""
     m, n = w.shape
+    if args.which == "rank":  # the amax envelope and plain rel_error after each of the first ranks
+        max_rank = min(SWEEP_RANK, m, n)
+        envelope = amax(w)
+        error = cli.plain_rel_error(w, calib, LowRankFactors.empty(m, n), base)
+        rows = [{"layer": idx, "r": 0, "amax": envelope, "rel_error": error}]
+        pairs = []
+        for pair, residual in islice(components(w, base), max_rank):
+            pairs.append(pair)
+            envelope = min(envelope, amax(residual))
+            prefix = LowRankFactors.from_pairs(pairs, m, n)
+            rows.append({"layer": idx, "r": len(pairs), "amax": envelope,
+                         "rel_error": cli.plain_rel_error(w, calib, prefix, base)})
+        if len(pairs) < max_rank:
+            cli.log(f"layer {idx}: residual exhausted at rank {len(pairs)}; stopping sweep early")
+        return rows
     if args.which == "it":
         # sketch_residual (fixed-rank extraction quality) is the monotone
         # column; the end-to-end rel_error also trends down but can wobble

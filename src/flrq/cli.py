@@ -3,8 +3,9 @@
 Subcommands: gen-synth (make synthetic layers) and quantize (full pipeline).
 Each is deterministic for a fixed --seed, whatever --threads and the BLAS
 thread count are (README). Exit codes: 0 ok, 1 usage, 2 data/format, 3
-numerical failure. The paper's experiments (experiments/paper.py) reuse the parser,
-the layer loop (each_layer), config helpers and exit-code mapping defined here.
+numerical failure. The paper's experiments (experiments/paper.py ablate) reuse the
+parser, the layer loop (each_layer), config_echo, plain_rel_error and the exit-code
+mapping defined here.
 """
 
 from __future__ import annotations
@@ -73,13 +74,13 @@ def build_parser() -> Parser:
     g = sub.add_parser("gen-synth", help="generate synthetic layers")
     g.set_defaults(run=cmd_gen_synth)
     common(g)
-    g.add_argument("--family", choices=FAMILIES, default="gaussian")
+    g.add_argument("--family", choices=FAMILIES, default=SynthSpec.family)
     g.add_argument("--m", type=int, default=64)
     g.add_argument("--n", type=int, default=64)
-    g.add_argument("--tokens", type=int, default=64)
+    g.add_argument("--tokens", type=int, default=SynthSpec.tokens)
     g.add_argument("--layers", type=count, default=1)
-    g.add_argument("--outlier-count", type=int, default=4)
-    g.add_argument("--outlier-boost", type=float, default=10.0)
+    g.add_argument("--outlier-count", type=int, default=SynthSpec.outlier_count)
+    g.add_argument("--outlier-boost", type=float, default=SynthSpec.outlier_boost)
 
     q = sub.add_parser("quantize", help="quantize a directory of layers")
     q.set_defaults(run=cmd_quantize)
@@ -87,10 +88,10 @@ def build_parser() -> Parser:
     q.add_argument("--threads", type=count, default=1,
                    help="worker threads, one layer each")
     q.add_argument("--in", dest="in_dir", type=Path, required=True)
-    q.add_argument("--d", type=int, default=4, choices=BIT_WIDTHS)
-    q.add_argument("--x", type=float, default=0.2)
-    q.add_argument("--it", type=int, default=2)
-    q.add_argument("--epochs", type=int, default=None)
+    q.add_argument("--d", type=int, default=FlrqConfig.d, choices=BIT_WIDTHS)
+    q.add_argument("--x", type=float, default=FlrqConfig.x)
+    q.add_argument("--it", type=int, default=FlrqConfig.it)
+    q.add_argument("--epochs", type=int, default=FlrqConfig.epochs)
     return p
 
 
@@ -146,11 +147,6 @@ def _fields_of(cls, args) -> dict:
     return {k: v for k, v in vars(args).items() if k in names}
 
 
-def flrq_config(args) -> FlrqConfig:
-    """The command's FlrqConfig, checked before any input is read."""
-    return FlrqConfig(**_fields_of(FlrqConfig, args))
-
-
 def plain_rel_error(w, calib: Calibration, factors: LowRankFactors, cfg: FlrqConfig) -> float:
     """Relative output error of plainly quantizing W - LR and adding LR back."""
     q = quantize_matrix(w - factors.reconstruct(), cfg.d)
@@ -171,22 +167,23 @@ def cmd_gen_synth(args) -> int:
     return 0
 
 
-def each_layer(args, work, workers: int = 1) -> tuple[list[str], list]:
+def each_layer(args, work, workers: int = 1, calibrated: bool = True) -> tuple[list[str], list]:
     """Run ``work(idx, w, calib, cfg)`` on every layer of --in over ``workers`` threads.
 
-    Layer ``idx``'s ``cfg`` is the command's config seeded ``layer_seed(--seed, idx)``.
+    Layer ``idx``'s ``cfg`` is the command's config seeded ``layer_seed(--seed, idx)``, and
+    its ``calib`` is ``calibrate(w, x)``, or None when not ``calibrated``.
     Returns the layers' names and results in layer order. A layer's failure is raised
     under its directory name; after one, no layer is started, the running ones finish,
     and the lowest failing layer's error is raised, so the error does not depend on
     ``workers``.
     """
-    cfg = flrq_config(args)
+    cfg = FlrqConfig(**_fields_of(FlrqConfig, args))  # checked before any input is read
     layers = discover_layers(args.in_dir)
     workers = min(workers, len(layers))
 
-    def calibrated(path: Path):
+    def read(path: Path):
         w, x = read_layer_inputs(path)
-        return w, calibrate(w, x)  # the one pass over x; it is freed on return
+        return w, calibrate(w, x) if calibrated else None  # the one pass over x; freed on return
 
     def collect(futures) -> None:
         for f in futures:
@@ -204,7 +201,7 @@ def each_layer(args, work, workers: int = 1) -> tuple[list[str], list]:
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for idx, path in enumerate(layers):
             try:
-                w, calib = calibrated(path)
+                w, calib = read(path)
             except LAYER_ERRORS as exc:
                 failed[idx] = exc
             if len(running) == workers and not failed:

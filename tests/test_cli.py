@@ -59,8 +59,9 @@ def write_layer(directory: Path, w, x) -> Path:
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
 
-EXPERIMENTS = ("rank-sweep", "ablate")  # commands of experiments/paper.py
-PAPER_COMMANDS = (*EXPERIMENTS, "compare-svd")  # and its retired one, now ablate --which svd
+EXPERIMENTS = ("ablate",)  # commands of experiments/paper.py
+# and its retired ones, now ablate --which rank and ablate --which svd
+PAPER_COMMANDS = (*EXPERIMENTS, "rank-sweep", "compare-svd")
 
 
 def run(argv) -> int:
@@ -90,8 +91,6 @@ RETIRED_FLAGS = {
     "alpha-exponent-nan": ["quantize", "--alpha-exponent", "nan"],
     "d-fp-32": ["quantize", "--d-fp", "32"],
     "slope-window-1": ["quantize", "--slope-window", "1"],
-    "rank-sweep-group-size": ["rank-sweep", "--group-size", "64"],
-    "rank-sweep-it": ["rank-sweep", "--it", "2"],
     "gen-synth-f32": ["gen-synth", "--f32"],
     "gen-synth-nu-inf": ["gen-synth", "--nu", "inf"],
     # ablate reads --in; the generator flags belong to gen-synth alone.
@@ -104,6 +103,10 @@ RETIRED_COMMANDS = {
     "compare-svd-seeds-0": ["compare-svd", "--seeds", "0"],
     "compare-svd-seeds-negative": ["compare-svd", "--seeds", "-1"],
     "compare-svd-threads": ["compare-svd", "--threads", "2"],
+    "rank-sweep-group-size": ["rank-sweep", "--group-size", "64"],
+    "rank-sweep-it": ["rank-sweep", "--it", "2"],
+    "rank-sweep-max-rank-negative": ["rank-sweep", "--max-rank", "-1"],
+    "rank-sweep-threads": ["rank-sweep", "--threads", "2"],
 }
 BAD_FLAGS = {
     **RETIRED_FLAGS,
@@ -121,12 +124,10 @@ BAD_FLAGS = {
         "gen-synth", "--family", "outlier_channels", "--outlier-boost", "inf",
     ],
     "gen-synth-m-0": ["gen-synth", "--m", "0"],
-    "rank-sweep-max-rank-negative": ["rank-sweep", "--max-rank", "-1"],  # 0 is legal
     # count flags: none of them can be 0 or negative
     "gen-synth-layers-negative": ["gen-synth", "--layers", "-1"],
     # --threads belongs to quantize alone; elsewhere it would be silently ignored.
     "gen-synth-threads": ["gen-synth", "--threads", "2"],
-    "rank-sweep-threads": ["rank-sweep", "--threads", "2"],
     "ablate-threads": ["ablate", "--which", "it", "--threads", "2"],
 }
 READS_LAYERS = ("quantize", *PAPER_COMMANDS)  # the commands that take --in, or took it
@@ -459,8 +460,8 @@ class TestQuantizeCommand:
         assert main(["quantize", "--in", ".", "--out-dir", str(out)]) == 0
         assert json.loads((out / "report.json").read_text())["config"]["layers"] == ["layer_001"]
         assert sorted(p.name for p in out.iterdir()) == ["layer_001", "report.json"]
-        assert run(["rank-sweep", "--in", ".", "--max-rank", "1", "--out-dir", str(out)]) == 0
-        sweep = json.loads((out / "rank_sweep.json").read_text())
+        assert run(["ablate", "--which", "rank", "--in", ".", "--out-dir", str(out)]) == 0
+        sweep = json.loads((out / "ablate_rank.json").read_text())
         assert sweep["config"]["layers"] == ["layer_001"]
 
     def test_gapped_tree_passes_benchmark_verify(self, tmp_path):
@@ -489,38 +490,30 @@ class TestRankSweep:
         w += 0.01 * g.standard_normal((48, 64))
         layer = write_layer(tmp_path / "layer", w, g.standard_normal((64, 16)))
         out = tmp_path / "sweep"
-        rc = paper.main(["rank-sweep", "--in", str(layer), "--max-rank", "4",
+        rc = paper.main(["ablate", "--which", "rank", "--in", str(layer), "--d", "4",
                          "--seed", "1", "--out-dir", str(out)])
         assert rc == 0
-        with open(out / "rank_sweep.csv", newline="") as fh:
+        with open(out / "ablate_rank.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
+        assert [int(r["r"]) for r in rows] == list(range(33))
         errs = [float(r["rel_error"]) for r in rows]
         assert errs[1] <= 0.1 * errs[0]
         amaxes = [float(r["amax"]) for r in rows]
         assert all(b <= a + 1e-12 for a, b in zip(amaxes, amaxes[1:]))
 
-    def test_max_rank_zero_gives_baseline_row(self, synth_dir, tmp_path):
+    def test_small_layer_swept_to_its_rank_silently(self, tmp_path, capsys):
+        # A layer with min(m, n) < 32 gives the rows r = 0 ... min(m, n), and no warning.
+        g = np.random.default_rng(0)
+        layer = write_layer(tmp_path / "small", g.standard_normal((6, 20)),
+                            g.standard_normal((20, 8)))
         out = tmp_path / "sweep"
-        rc = paper.main(["rank-sweep", "--in", str(synth_dir / "layer_000"),
-                         "--max-rank", "0", "--seed", "1", "--out-dir", str(out)])
+        rc = paper.main(["ablate", "--which", "rank", "--in", str(layer), "--seed", "1",
+                         "--out-dir", str(out)])
         assert rc == 0
-        with open(out / "rank_sweep.csv", newline="") as fh:
+        with open(out / "ablate_rank.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
-        assert len(rows) == 1
-        assert rows[0]["r"] == "0"
-
-    def test_max_rank_clamped_with_warning(self, synth_dir, tmp_path, capsys):
-        out = tmp_path / "sweep"
-        rc = paper.main(["rank-sweep", "--in", str(synth_dir / "layer_000"),
-                         "--max-rank", "1000", "--seed", "1", "--out-dir", str(out)])
-        assert rc == 0
-        assert "clamping" in capsys.readouterr().err
-        rc = paper.main(["rank-sweep", "--in", str(synth_dir), "--max-rank", "1000",
-                         "--seed", "1", "--out-dir", str(out)])
-        assert rc == 0
-        warnings = [line for line in capsys.readouterr().err.splitlines() if "clamping" in line]
-        assert warnings == [f"[flrq] layer {idx}: warning: clamping --max-rank 1000 to "
-                            f"min(m, n) = 64" for idx in range(2)]
+        assert [int(r["r"]) for r in rows] == list(range(7))
+        assert "warning" not in capsys.readouterr().err
 
 
 class TestAblate:
@@ -531,6 +524,21 @@ class TestAblate:
         err = capsys.readouterr().err
         for name in ("it", "blc", "x", "fixed-vs-flex"):
             assert name in err
+
+    def test_svd_never_calibrates(self, tmp_path, monkeypatch):
+        # svd reads only W, so no layer is calibrated, and a layer over the exact-SVD
+        # guard is refused before any calibration.
+        calibrated = []
+        monkeypatch.setattr(cli, "calibrate", lambda w, x: calibrated.append(w.shape))
+        src = gen_synth(tmp_path / "in", "--layers", "2", "--m", "16", "--n", "24")
+        assert paper.main(["ablate", "--which", "svd", "--in", str(src),
+                           "--out-dir", str(tmp_path / "out")]) == 0
+        g = np.random.default_rng(0)
+        big = write_layer(tmp_path / "big", g.standard_normal((1025, 1025)),
+                          g.standard_normal((1025, 1)))
+        assert paper.main(["ablate", "--which", "svd", "--in", str(big),
+                           "--out-dir", str(tmp_path / "big_out")]) == 3
+        assert calibrated == []
 
     def test_it_ablation_extraction_error_monotone(self, tmp_path):
         src = gen_synth(tmp_path / "in", "--family", "outlier_channels", "--layers", "2",
@@ -624,10 +632,10 @@ class TestCommands:
         proc = run_cli("--help")
         assert proc.returncode == 0 and "Traceback" not in proc.stderr
         assert "{gen-synth,quantize}" in proc.stdout
-        assert main(["rank-sweep", "--in", "layers"]) == 1  # now in experiments/paper.py
+        assert main(["rank-sweep", "--in", "layers"]) == 1  # now paper.py ablate --which rank
 
     def test_paper_driver_lists_the_experiments(self):
-        assert "{rank-sweep,ablate}" in paper.build_parser().format_help()
+        assert "{ablate}" in paper.build_parser().format_help()
 
     def test_readme_commands_parse(self):
         # A retired command or flag left in the README's examples fails here.
@@ -643,7 +651,19 @@ class TestCommands:
                         except cli.UsageError as exc:
                             pytest.fail(f"README: {line}: {exc}")
                         commands.append(args.command)
-        assert set(commands) == {"gen-synth", "quantize", "rank-sweep", "ablate"}
+        assert set(commands) == {"gen-synth", "quantize", "ablate"}
+
+    def test_readme_library_block_runs(self, capsys):
+        # The README's library example runs as written: a name it imports that the
+        # package no longer exports fails here.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        [block] = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+        g = np.random.default_rng(0)
+        namespace = {"W": g.standard_normal((24, 40)), "X": g.standard_normal((40, 64))}
+        exec(block, namespace)
+        rank, rel_error = capsys.readouterr().out.split()
+        assert int(rank) >= 0 and np.isfinite(float(rel_error))
+        assert namespace["W_hat"].shape == (24, 40)
 
 
 class TestExitCodes:
@@ -709,8 +729,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, w_scale, x_scale, cause", [
         (["quantize"], 1, 1e-310, "calibration activations underflow"),  # finite, nonzero X
-        (["ablate", "--which", "svd"], 1e160, 1, "output ||W X||_F overflows float64"),
-        # calibrate passes, so the residuals' own check must catch the overflow
+        # svd never calibrates, so the residuals' own check must catch the overflow
+        (["ablate", "--which", "svd"], 1e160, 1, "residual ||W - W_r||_F overflows float64"),
         (["ablate", "--which", "svd"], 1e160, 1e-160, "residual ||W - W_r||_F overflows float64"),
     ], ids=["quantize-x-1e-310", "ablate-svd-w-1e160", "ablate-svd-w-1e160-x-1e-160"])
     def test_out_of_range_layer_names_its_cause(self, tmp_path, argv, w_scale, x_scale, cause):
@@ -743,8 +763,8 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "argv", [["ablate", "--which", "x"], ["rank-sweep", "--max-rank", "4"]],
-        ids=["ablate", "rank-sweep"],
+        "argv", [["ablate", "--which", "x"], ["ablate", "--which", "rank"]],
+        ids=["ablate", "ablate-rank"],
     )
     def test_paper_driver_names_the_failing_layer(self, tmp_path, argv):
         g = np.random.default_rng(3)
@@ -776,10 +796,9 @@ class TestByteStable:
         "argv",
         [
             ["gen-synth", "--m", "16", "--n", "24", "--layers", "2", "--seed", "3"],
-            ["rank-sweep", "--max-rank", "4", "--seed", "1"],
             *(["ablate", "--which", which] for which in ABLATIONS),
         ],
-        ids=["gen-synth", "rank-sweep", *(f"ablate-{w}" for w in ABLATIONS)],
+        ids=["gen-synth", *(f"ablate-{w}" for w in ABLATIONS)],
     )
     def test_rerun_byte_identical(self, synth_dir, tmp_path, argv):
         layer = synth_dir / "layer_000"
@@ -793,8 +812,8 @@ class TestByteStable:
         assert tree_digest(outs[0]) == tree_digest(outs[1])
 
     @pytest.mark.parametrize(
-        "argv", [["rank-sweep", "--max-rank", "4"], ["ablate", "--which", "svd"]],
-        ids=["rank-sweep", "ablate-svd"],
+        "argv", [["ablate", "--which", "rank"], ["ablate", "--which", "svd"]],
+        ids=["ablate-rank", "ablate-svd"],
     )
     def test_tree_rows_repeat_each_layer_alone(self, tmp_path, argv):
         # Layer i of a tree run with --seed S gives the rows of layer i alone with --seed S ^ i.
@@ -821,8 +840,8 @@ class TestByteStable:
         sweeps = []
         for blas in ("1", "2"):
             out = tmp_path / f"out_{blas}"
-            proc = run_cli("rank-sweep", "--in", tmp_path / "in", "--max-rank", "8", "--d", "2",
+            proc = run_cli("ablate", "--which", "rank", "--in", tmp_path / "in", "--d", "2",
                            "--out-dir", out, OPENBLAS_NUM_THREADS=blas)
             assert proc.returncode == 0, proc.stderr
-            sweeps.append((out / "rank_sweep.csv").read_bytes())
+            sweeps.append((out / "ablate_rank.csv").read_bytes())
         assert sweeps[0] == sweeps[1]
