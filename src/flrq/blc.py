@@ -11,7 +11,7 @@ L L^T = X X^T (``calibrate``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -160,7 +160,9 @@ def layer_error(
         raise ValueError(f"quantized shape {q.shape} does not match weights {w.shape}")
     if factors.left.shape[0] != w.shape[0] or factors.right.shape[1] != w.shape[1]:
         raise ValueError("factor shapes do not match the weights")
-    approx = dequantize(q) + factors.reconstruct()
+    approx = dequantize(q)
+    if factors.rank:  # rank 0 adds a zero matrix
+        approx += factors.reconstruct()
     return product_norm(np.subtract(w, approx, out=approx), gram_factor(x))
 
 
@@ -176,10 +178,11 @@ def flrq_layer(w: np.ndarray, calib: Calibration, cfg: FlrqConfig) -> QuantizedL
     trace: list[EpochRecord] = []
     best = None  # (epoch, q, factors, rank_trace) of the lowest-error epoch so far
     w_q = None
+    rank0_epochs: list[int] = []
     for epoch in range(1, epochs + 1):
         # Epoch 1 extracts from W itself, later epochs from the dequantization residual.
         factors, rank_trace = scaled_flr(w if w_q is None else w - dequantize(w_q), alpha_vec, cfg)
-        rest = w - factors.reconstruct()
+        rest = w - factors.reconstruct() if factors.rank else w
         found = search_clip(rest, calib.l, cfg.d)
         w_q = quantize_matrix(rest, cfg.d) if found.q is None else found.q  # None: rest is all zero
         del rest  # freed before layer_error's temporaries
@@ -187,5 +190,14 @@ def flrq_layer(w: np.ndarray, calib: Calibration, cfg: FlrqConfig) -> QuantizedL
         trace.append(EpochRecord(epoch=epoch, error=err, p_clp=found.p_clp, rank=factors.rank))
         if best is None or err < trace[best[0] - 1].error:
             best = (epoch, w_q, factors, rank_trace)
+        if factors.rank == 0:
+            rank0_epochs.append(epoch)
+        if len(rank0_epochs) == 2:
+            break
+    # A rank-0 epoch quantizes W alone and epoch e + 1 depends only on epoch e's codes, so the
+    # trace repeats from there; the strict < above never picks a copy of an error already seen.
+    for epoch in range(len(trace) + 1, epochs + 1):  # none unless the loop broke
+        period = rank0_epochs[1] - rank0_epochs[0]
+        trace.append(replace(trace[epoch - period - 1], epoch=epoch))
     epoch, q, factors, rank_trace = best
     return QuantizedLayer(q, factors, trace, epoch, calib.wx_norm, rank_trace, warnings)

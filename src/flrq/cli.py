@@ -149,7 +149,7 @@ def _fields_of(cls, args) -> dict:
 
 def plain_rel_error(w, calib: Calibration, factors: LowRankFactors, cfg: FlrqConfig) -> float:
     """Relative output error of plainly quantizing W - LR and adding LR back."""
-    q = quantize_matrix(w - factors.reconstruct(), cfg.d)
+    q = quantize_matrix(w - factors.reconstruct() if factors.rank else w, cfg.d)
     return layer_error(w, q, factors, calib.l) / calib.wx_norm if calib.wx_norm > 0 else 0.0
 
 

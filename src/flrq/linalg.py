@@ -62,8 +62,14 @@ def gemv_t(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return a.T @ x
 
 
+RANK1_BLOCK_ROWS = 64  # rows per step of rank1_subtract: its outer-product block stays in cache
+
+
 def rank1_subtract(a: np.ndarray, u: np.ndarray, v: np.ndarray, out=None) -> np.ndarray:
-    """Return A - u v^T, written into ``out`` when given (``out=a`` updates A in place)."""
+    """Return A - u v^T, written into ``out`` when given (``out=a`` updates A in place).
+
+    One pass over A in RANK1_BLOCK_ROWS-row blocks, with the bytes of a - np.outer(u, v).
+    """
     if u.ndim != 1 or v.ndim != 1:
         raise ValueError("rank1_subtract expects 1-D factor vectors")
     if u.shape[0] != a.shape[0] or v.shape[0] != a.shape[1]:
@@ -71,14 +77,19 @@ def rank1_subtract(a: np.ndarray, u: np.ndarray, v: np.ndarray, out=None) -> np.
             f"rank1_subtract dimension mismatch: A is {a.shape}, "
             f"u has length {u.shape[0]}, v has length {v.shape[0]}"
         )
-    return np.subtract(a, np.outer(u, v), out=out)
+    if out is None:
+        out = np.empty(a.shape, np.result_type(a, u, v))
+    for start in range(0, a.shape[0], RANK1_BLOCK_ROWS):
+        rows = slice(start, start + RANK1_BLOCK_ROWS)
+        np.subtract(a[rows], u[rows, None] * v, out=out[rows])  # u[rows, None] * v: np.outer's block
+    return out
 
 
 def amax(a: np.ndarray) -> float:
-    """Largest absolute entry."""
+    """Largest absolute entry, +0.0 for a zero matrix; no np.abs temporary."""
     if a.size == 0:
         raise ValueError("amax of an empty matrix is undefined")
-    return float(np.abs(a).max())
+    return max(float(a.max()), -float(a.min())) + 0.0  # + 0.0 turns -0.0 into 0.0
 
 
 def fro_norm(a: np.ndarray) -> float:

@@ -64,9 +64,8 @@ def quantize_matrix(r: np.ndarray, d: int) -> QuantizedTensor:
     q = np.divide(_grouped(r), divisor[:, :, None])  # a view of r is never written
     np.round(q, out=q)
     zeros = np.where(live, np.round(-gmin / divisor), 0.0)
-    q += zeros[:, :, None]
-    # q holds small integers here, so clipping after the cast clips the same values.
-    codes = q.astype(np.int16)
+    # q + zeros holds small integers, so clipping after the cast clips the same values.
+    codes = np.add(q, zeros[:, :, None], out=np.empty(q.shape, np.int16), casting="unsafe")
     del q  # from here only the int16 codes are held: the clip works in place
     np.clip(codes, 0, hi, out=codes)
     codes = codes.reshape(m, codes.shape[1] * GROUP_SIZE)[:, :n]
@@ -76,8 +75,7 @@ def quantize_matrix(r: np.ndarray, d: int) -> QuantizedTensor:
 def dequantize(q: QuantizedTensor) -> np.ndarray:
     """Reconstruct the dense matrix from codes and group parameters."""
     m, n = q.shape
-    out = _grouped(q.codes).astype(np.float64)
-    out -= q.zeros[:, :, None]
+    out = np.subtract(_grouped(q.codes), q.zeros[:, :, None])  # float64, cast inside the subtract
     out *= q.scales[:, :, None]
     return np.ascontiguousarray(out.reshape(m, out.shape[1] * GROUP_SIZE)[:, :n])
 

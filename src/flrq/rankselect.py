@@ -26,6 +26,7 @@ from .sketch import LowRankFactors, Rank1Pair, make_rng, r1_step
 
 # Residual mass below this (relative to the input) counts as numerically zero.
 RESIDUAL_FLOOR = 1e-13
+SQRT_TINY = math.sqrt(np.finfo(np.float64).tiny)  # below this amax, squares underflow
 
 D_FP = 16  # bits charged per factor entry (and by the report per scale and zero)
 SLOPE_T = 1e-3  # the loop stops once the windowed amax slope falls below this
@@ -86,22 +87,40 @@ def slope(amax_history, window: int) -> float:
     return (hist[-1 - window] - hist[-1]) / (window * a0)
 
 
+def _at_floor(residual: np.ndarray, top: float, floor: float) -> bool:
+    """fro_norm(residual) <= floor, with top = amax(residual). amax <= fro_norm <= sqrt(mn) amax
+    (doubled, for rounding) decides it unless floor lies between, or amax^2 underflows."""
+    if 0.0 < top < SQRT_TINY or top <= floor < 2.0 * math.sqrt(residual.size) * top:
+        return fro_norm(residual) <= floor
+    return top <= floor
+
+
+def _deflation(a: np.ndarray, cfg: FlrqConfig) -> Iterator[tuple[Rank1Pair, np.ndarray, float]]:
+    """``components``, with each residual's amax: taken once, it serves the floor test too."""
+    rng = make_rng(cfg.seed)
+    floor = RESIDUAL_FLOOR * fro_norm(a)
+    residual, top = a, amax(a)
+    for _ in range(min(a.shape)):
+        if _at_floor(residual, top, floor):
+            return
+        pair = r1_step(residual, cfg, rng)
+        # The first subtraction writes a new array, the later ones overwrite it.
+        residual = rank1_subtract(residual, pair.left, pair.right, out=None if residual is a else residual)
+        top = amax(residual)
+        yield pair, residual, top
+
+
 def components(a: np.ndarray, cfg: FlrqConfig) -> Iterator[tuple[Rank1Pair, np.ndarray]]:
     """Rank-1 pairs of ``a`` in extraction order, each with the residual left after it.
 
     Lazy: a pair is extracted only when the caller asks for it, so a caller
     that stops early never pays for the next extraction. Ends after min(m, n)
-    pairs, or before an extraction once the residual is numerically zero.
+    pairs, or before an extraction once the residual is numerically zero. Past its
+    2*it + 2 GEMVs, a pair costs one pass over the residual (``rank1_subtract``) and
+    its amax, which the zero test and ``select_rank``'s envelope share.
     ``a`` is never written; each yielded residual is overwritten by the next step.
     """
-    rng = make_rng(cfg.seed)
-    floor = RESIDUAL_FLOOR * fro_norm(a)
-    residual = a.copy()
-    for _ in range(min(a.shape)):
-        if fro_norm(residual) <= floor:
-            return
-        pair = r1_step(residual, cfg, rng)
-        yield pair, rank1_subtract(residual, pair.left, pair.right, out=residual)
+    return ((pair, residual) for pair, residual, _ in _deflation(a, cfg))
 
 
 def deflate(a: np.ndarray, r: int, cfg: FlrqConfig) -> LowRankFactors:
@@ -131,8 +150,8 @@ def select_rank(w: np.ndarray, cfg: FlrqConfig) -> tuple[LowRankFactors, RankTra
     history = [w0]
     pairs: list[Rank1Pair] = []
     trace = RankTrace(stop_reason="max_rank")  # kept if no pair is left to extract
-    for r, (pair, candidate) in enumerate(components(w, cfg), start=1):
-        envelope = min(envelope, amax(candidate))
+    for r, (pair, _, top) in enumerate(_deflation(w, cfg), start=1):
+        envelope = min(envelope, top)
         history.append(envelope)
         q, k = qk(cfg.d, D_FP, m, n, r, w0, envelope)
         s = slope(history, SLOPE_WINDOW)

@@ -7,15 +7,18 @@ import numpy as np
 import pytest
 
 import flrq
+from flrq.blc import EpochRecord, QuantizedLayer
 from flrq.blc import alpha, calibrate, channel_mean, flrq_layer, gram_factor, layer_error
 from flrq.blc import CHANNEL_MEAN_CHUNK, CHANNEL_MEAN_EPS, scaled_flr
 from flrq.config import FlrqConfig
 from flrq.errors import NumericalError
+from flrq.io import write_bundle
 from flrq.linalg import fro_norm
 from flrq.quantize import GROUP_SIZE, dequantize, quantize_matrix, search_clip
 from flrq.rankselect import select_rank
 from flrq.sketch import LowRankFactors
 from flrq.synth import SynthSpec, gen_layer
+from test_cli import tree_digest
 
 
 # Script lines for the subprocess tests: import gram_factor and build a 256 x 2048 X (tokens > n).
@@ -275,6 +278,48 @@ def outlier_layer(seed, m=256, n=256, count=2, boost=30.0):
     spec = SynthSpec(m=m, n=n, family="outlier_channels", seed=seed, tokens=64,
                      outlier_count=count, outlier_boost=boost)
     return gen_layer(spec)
+
+
+def every_epoch(w, calib, cfg):
+    """flrq_layer's alternation with every epoch computed: (trace, best layer)."""
+    alpha_vec = alpha(calib.mean)
+    trace, best, w_q = [], None, None
+    for epoch in range(1, cfg.resolved_epochs() + 1):
+        factors, rank_trace = scaled_flr(w if w_q is None else w - dequantize(w_q), alpha_vec, cfg)
+        rest = w - factors.reconstruct()
+        found = search_clip(rest, calib.l, cfg.d)
+        w_q = quantize_matrix(rest, cfg.d) if found.q is None else found.q
+        trace.append(EpochRecord(epoch, layer_error(w, w_q, factors, calib.l), found.p_clp, factors.rank))
+        if best is None or trace[-1].error < trace[best[0] - 1].error:
+            best = (epoch, w_q, factors, rank_trace)
+    epoch, q, factors, rank_trace = best
+    return trace, QuantizedLayer(q, factors, trace, epoch, calib.wx_norm, rank_trace)
+
+
+# (m, n, tokens, seed) -> the ranks of the 20 2-bit epochs, so where rank 0 recurs.
+REPLAY_LAYERS = {
+    "period-1": ((128, 256, 128, 1027), [2] + [0] * 19),  # alt2bit seed 4 layer 3's seed, smaller
+    "period-2": ((64, 128, 32, 18), [0, 1] * 10),
+    "period-3": ((64, 128, 32, 20), ([0, 1, 1] * 7)[:20]),
+    "one-rank-0": ((64, 128, 32, 0), [0] + [1] * 19),
+    "no-rank-0": ((64, 128, 32, 3), [1] * 20),
+}
+
+
+class TestReplay:
+    @pytest.mark.parametrize("case", REPLAY_LAYERS.values(), ids=REPLAY_LAYERS.keys())
+    def test_copied_epochs_equal_computed_ones(self, case, tmp_path):
+        (m, n, tokens, seed), ranks = case
+        w, x = gen_layer(SynthSpec(m=m, n=n, family="outlier_channels", seed=seed, tokens=tokens))
+        calib, cfg = calibrate(w, x), FlrqConfig(d=2, seed=seed)
+        layer = flrq_layer(w, calib, cfg)
+        trace, expected = every_epoch(w, calib, cfg)
+        assert [r.rank for r in trace] == ranks
+        assert layer.blc_trace == trace
+        assert layer.best_epoch == expected.best_epoch
+        write_bundle(tmp_path / "replayed", layer)
+        write_bundle(tmp_path / "computed", expected)
+        assert tree_digest(tmp_path / "replayed") == tree_digest(tmp_path / "computed")
 
 
 class TestFlrqLayer:

@@ -3,6 +3,7 @@ import pytest
 
 from flrq.errors import NumericalError
 from flrq.linalg import (
+    RANK1_BLOCK_ROWS,
     amax,
     as_matrix,
     fro_norm,
@@ -115,6 +116,15 @@ class TestRank1Subtract:
         with pytest.raises(ValueError):
             rank1_subtract(np.zeros((2, 3)), np.zeros(3), np.zeros(3))
 
+    @pytest.mark.parametrize("m", [1, RANK1_BLOCK_ROWS - 1, RANK1_BLOCK_ROWS + 1, 3 * RANK1_BLOCK_ROWS + 7])
+    def test_blocks_give_the_bytes_of_the_whole_outer_product(self, m):
+        g = np.random.default_rng(m)
+        a, u, v = g.standard_normal((m, 37)), g.standard_normal(m), g.standard_normal(37)
+        expected = (a - np.outer(u, v)).tobytes()
+        assert rank1_subtract(a, u, v).tobytes() == expected
+        assert rank1_subtract(a, u, v, out=a) is a
+        assert a.tobytes() == expected
+
 
 class TestAmaxFro:
     def test_amax_scan(self):
@@ -122,6 +132,15 @@ class TestAmaxFro:
 
     def test_amax_zero_matrix(self):
         assert amax(np.zeros((3, 3))) == 0.0
+
+    @pytest.mark.parametrize("entries", [[-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0]])
+    def test_amax_of_signed_zeros_is_positive_zero(self, entries):
+        assert np.copysign(1.0, amax(np.array([entries]))) == 1.0
+
+    def test_amax_matches_the_largest_absolute_entry(self):
+        g = np.random.default_rng(5)
+        for a in (g.standard_normal((7, 9)), -np.abs(g.standard_normal((3, 4))), np.abs(g.standard_normal((4, 3)))):
+            assert amax(a) == np.abs(a).max()
 
     def test_amax_single_element(self):
         assert amax(np.array([[-7.0]])) == 7.0
