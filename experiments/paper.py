@@ -75,13 +75,11 @@ def ablation_rows(args, idx: int, w, calib, base) -> list[dict]:
     m, n = w.shape
     if args.which == "rank":  # the amax envelope and plain rel_error after each of the first ranks
         max_rank = min(SWEEP_RANK, m, n)
-        envelope = amax(w)
         error = cli.plain_rel_error(w, calib, LowRankFactors.empty(m, n), base)
-        rows = [{"layer": idx, "r": 0, "amax": envelope, "rel_error": error}]
+        rows = [{"layer": idx, "r": 0, "amax": amax(w), "rel_error": error}]
         pairs = []
-        for pair, residual in islice(components(w, base), max_rank):
+        for pair, _, envelope in islice(components(w, base), max_rank):
             pairs.append(pair)
-            envelope = min(envelope, amax(residual))
             prefix = LowRankFactors.from_pairs(pairs, m, n)
             rows.append({"layer": idx, "r": len(pairs), "amax": envelope,
                          "rel_error": cli.plain_rel_error(w, calib, prefix, base)})

@@ -18,7 +18,7 @@ import numpy as np
 from .config import FlrqConfig
 from .errors import NumericalError
 from .linalg import product_norm
-# clip is not called here, but benchmark/tracer.py wraps it as a blc name.
+# clip and quantize_matrix are not called here, but benchmark/tracer.py wraps them as blc names.
 from .quantize import QuantizedTensor, clip, dequantize, quantize_matrix, search_clip  # noqa: F401
 from .rankselect import RankTrace, select_rank
 from .sketch import LowRankFactors
@@ -96,27 +96,28 @@ def calibrate(w: np.ndarray, x: np.ndarray) -> Calibration:
 def channel_mean(x: np.ndarray) -> np.ndarray:
     """Per-channel mean of column-normalized absolute activations.
 
-    Each token (column) is scaled to unit L2 norm first; all-zero tokens are
-    skipped. A token whose squares underflow is scaled by a power of two (exactly)
-    before its norm is taken, unless its entries are all subnormal: those have lost
-    their precision already, and are skipped too. Entries are floored at a small
-    epsilon so downstream scaling stays finite. x is read once, in
-    CHANNEL_MEAN_CHUNK-token chunks, never copied.
+    Each token (column) is scaled to unit L2 norm. It is first scaled by the power of
+    two that puts its largest entry in [0.5, 1), which is exact, so its direction
+    survives squares that would underflow or overflow. A token with no normal entry
+    (all zero, or all subnormal: their precision is gone already) is skipped. Entries
+    are floored at a small epsilon so downstream scaling stays finite. x is read
+    once, in CHANNEL_MEAN_CHUNK-token chunks, never copied.
     """
     if x.size == 0:
         raise ValueError("activation matrix is empty")
     total, live_tokens = np.zeros(x.shape[0]), 0
     for start in range(0, x.shape[1], CHANNEL_MEAN_CHUNK):
         chunk = x[:, start:start + CHANNEL_MEAN_CHUNK]
-        norms = np.sqrt(np.add.reduce(chunk * chunk, axis=0))  # np.linalg.norm(chunk, axis=0)
-        a = np.abs(chunk.T, order="C")  # one row per token, so add.reduce sums them in order
-        small = np.flatnonzero(norms < np.sqrt(TINY))  # squares that are subnormal or zero
-        if small.size:
-            top = a[small].max(axis=1)
-            small, top = small[top >= TINY], top[top >= TINY]
-            a[small] = np.ldexp(a[small], -np.frexp(top)[1][:, None])  # largest entry in [0.5, 1)
-            norms[small] = np.sqrt(np.add.reduce(a[small] * a[small], axis=1))
-        a /= np.where(norms > 0.0, norms, 1.0)[:, None]  # an all-zero token adds exact zeros
+        scaled = np.abs(chunk)
+        top = scaled.max(axis=0)
+        exp = np.frexp(top)[1]
+        scale = np.ldexp(1.0, np.where(top < TINY, exp, -exp))  # below TINY, exp <= -1022: zeros
+        scaled *= scale  # a power of two: exact, as ldexp
+        norms = np.sqrt(np.add.reduce(np.square(scaled, out=scaled), axis=0))
+        del scaled  # one chunk-sized temporary at a time
+        a = np.abs(chunk.T, order="C")  # a row per token, summed in order
+        a *= scale[:, None]
+        a /= np.where(norms > 0.0, norms, 1.0)[:, None]  # a skipped token adds exact zeros
         a[0] += total
         total = np.add.reduce(a, axis=0)
         live_tokens += np.count_nonzero(norms)
@@ -177,19 +178,18 @@ def flrq_layer(w: np.ndarray, calib: Calibration, cfg: FlrqConfig) -> QuantizedL
 
     trace: list[EpochRecord] = []
     best = None  # (epoch, q, factors, rank_trace) of the lowest-error epoch so far
-    w_q = None
+    found = None  # the last epoch's clip search
     rank0_epochs: list[int] = []
     for epoch in range(1, epochs + 1):
         # Epoch 1 extracts from W itself, later epochs from the dequantization residual.
-        factors, rank_trace = scaled_flr(w if w_q is None else w - dequantize(w_q), alpha_vec, cfg)
+        factors, rank_trace = scaled_flr(w if found is None else w - dequantize(found.q), alpha_vec, cfg)
         rest = w - factors.reconstruct() if factors.rank else w
         found = search_clip(rest, calib.l, cfg.d)
-        w_q = quantize_matrix(rest, cfg.d) if found.q is None else found.q  # None: rest is all zero
         del rest  # freed before layer_error's temporaries
-        err = layer_error(w, w_q, factors, calib.l)
+        err = layer_error(w, found.q, factors, calib.l)
         trace.append(EpochRecord(epoch=epoch, error=err, p_clp=found.p_clp, rank=factors.rank))
         if best is None or err < trace[best[0] - 1].error:
-            best = (epoch, w_q, factors, rank_trace)
+            best = (epoch, found.q, factors, rank_trace)
         if factors.rank == 0:
             rank0_epochs.append(epoch)
         if len(rank0_epochs) == 2:

@@ -24,6 +24,9 @@ class FlrqConfig:
     epochs: int | None = None  # None: 20 at 2-bit, 1 at 3/4-bit
 
     def __post_init__(self):
+        for name in ("d", "it", "seed") + (("epochs",) if self.epochs is not None else ()):
+            if not hasattr(type(getattr(self, name)), "__index__"):  # as operator.index: numpy ints too
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.d not in BIT_WIDTHS:
             raise ValueError(f"bit width must be one of {BIT_WIDTHS}, got {self.d}")
         if not self.x >= 0.0:  # written so that NaN fails; inf means no cap

@@ -82,7 +82,7 @@ def write_container(c: TensorContainer) -> bytes:
             f"for dtype {c.dtype_code}"
         )
     head = MAGIC + struct.pack("<IBI", VERSION, c.dtype_code, len(c.dims))
-    head += struct.pack(f"<{len(c.dims)}Q", *c.dims) if c.dims else b""
+    head += struct.pack(f"<{len(c.dims)}Q", *c.dims)
     return head + c.payload
 
 
@@ -102,7 +102,7 @@ def read_container(data: bytes) -> TensorContainer:
         raise FormatError(f"unknown dtype code {dtype_code}")
     if len(data) < offset + 8 * ndim:
         raise TruncatedError("container dims are truncated")
-    dims = struct.unpack_from(f"<{ndim}Q", data, offset) if ndim else ()
+    dims = struct.unpack_from(f"<{ndim}Q", data, offset)
     offset += 8 * ndim
     expected = math.prod(dims) * _ELEMENT_SIZE[dtype_code]  # Python int: no wraparound
     payload = memoryview(data)[offset:]  # a view: the payload is not copied

@@ -81,17 +81,19 @@ def dequantize(q: QuantizedTensor) -> np.ndarray:
 
 
 def clip(w: np.ndarray, p_clp: float) -> np.ndarray:
-    """Saturate entries to [-p_clp, p_clp]."""
-    if p_clp <= 0.0:
-        raise ValueError(f"clip threshold must be positive, got {p_clp}")
+    """Saturate entries to [-p_clp, p_clp]; 0 zeroes every entry."""
+    if not p_clp >= 0.0:  # written so that NaN fails
+        raise ValueError(f"clip threshold must be >= 0, got {p_clp}")
     return np.clip(w, -p_clp, p_clp)
 
 
 @dataclass
 class ClipSearchResult:
+    """The search's outcome. An all-zero W searches the grid at threshold 0, to p_clp 0.0."""
+
     p_clp: float
     grid_errors: list[tuple[float, float]]  # (candidate threshold, output error)
-    q: QuantizedTensor | None = None  # the chosen candidate, quantized; None if none was tried
+    q: QuantizedTensor  # the chosen candidate, quantized
 
 
 def search_clip(w: np.ndarray, l: np.ndarray, d: int) -> ClipSearchResult:
@@ -107,9 +109,6 @@ def search_clip(w: np.ndarray, l: np.ndarray, d: int) -> ClipSearchResult:
         raise ValueError(f"activation shape {l.shape} does not conform to weights {w.shape}")
     rowmax = np.abs(w).max(axis=1)
     top = float(rowmax.max())
-    if top == 0.0:
-        # Nothing to clip; record an empty search.
-        return ClipSearchResult(p_clp=0.0, grid_errors=[])
     base, base_err = None, None
     best_p, best_rows, best_q, best_err = None, None, None, np.inf
     grid_errors: list[tuple[float, float]] = []

@@ -95,11 +95,21 @@ def _at_floor(residual: np.ndarray, top: float, floor: float) -> bool:
     return top <= floor
 
 
-def _deflation(a: np.ndarray, cfg: FlrqConfig) -> Iterator[tuple[Rank1Pair, np.ndarray, float]]:
-    """``components``, with each residual's amax: taken once, it serves the floor test too."""
+def components(a: np.ndarray, cfg: FlrqConfig) -> Iterator[tuple[Rank1Pair, np.ndarray, float]]:
+    """Rank-1 pairs of ``a`` in extraction order, each with the residual left after it and the
+    envelope: the running minimum of amax(a) and the amax of every residual so far.
+
+    Lazy: a pair is extracted only when the caller asks for it, so a caller
+    that stops early never pays for the next extraction. Ends after min(m, n)
+    pairs, or before an extraction once the residual is numerically zero. Past its
+    2*it + 2 GEMVs, a pair costs one pass over the residual (``rank1_subtract``) and
+    its amax, which the zero test and the envelope share.
+    ``a`` is never written; each yielded residual is overwritten by the next step.
+    """
     rng = make_rng(cfg.seed)
     floor = RESIDUAL_FLOOR * fro_norm(a)
     residual, top = a, amax(a)
+    envelope = top
     for _ in range(min(a.shape)):
         if _at_floor(residual, top, floor):
             return
@@ -107,20 +117,8 @@ def _deflation(a: np.ndarray, cfg: FlrqConfig) -> Iterator[tuple[Rank1Pair, np.n
         # The first subtraction writes a new array, the later ones overwrite it.
         residual = rank1_subtract(residual, pair.left, pair.right, out=None if residual is a else residual)
         top = amax(residual)
-        yield pair, residual, top
-
-
-def components(a: np.ndarray, cfg: FlrqConfig) -> Iterator[tuple[Rank1Pair, np.ndarray]]:
-    """Rank-1 pairs of ``a`` in extraction order, each with the residual left after it.
-
-    Lazy: a pair is extracted only when the caller asks for it, so a caller
-    that stops early never pays for the next extraction. Ends after min(m, n)
-    pairs, or before an extraction once the residual is numerically zero. Past its
-    2*it + 2 GEMVs, a pair costs one pass over the residual (``rank1_subtract``) and
-    its amax, which the zero test and ``select_rank``'s envelope share.
-    ``a`` is never written; each yielded residual is overwritten by the next step.
-    """
-    return ((pair, residual) for pair, residual, _ in _deflation(a, cfg))
+        envelope = min(envelope, top)
+        yield pair, residual, envelope
 
 
 def deflate(a: np.ndarray, r: int, cfg: FlrqConfig) -> LowRankFactors:
@@ -132,7 +130,7 @@ def deflate(a: np.ndarray, r: int, cfg: FlrqConfig) -> LowRankFactors:
     m, n = a.shape
     if not 1 <= r <= min(m, n):
         raise ValueError(f"rank must be in [1, {min(m, n)}], got {r}")
-    return LowRankFactors.from_pairs([pair for pair, _ in islice(components(a, cfg), r)], m, n)
+    return LowRankFactors.from_pairs([pair for pair, _, _ in islice(components(a, cfg), r)], m, n)
 
 
 def select_rank(w: np.ndarray, cfg: FlrqConfig) -> tuple[LowRankFactors, RankTrace]:
@@ -146,12 +144,10 @@ def select_rank(w: np.ndarray, cfg: FlrqConfig) -> tuple[LowRankFactors, RankTra
     """
     m, n = w.shape
     w0 = amax(w)
-    envelope = w0
     history = [w0]
     pairs: list[Rank1Pair] = []
     trace = RankTrace(stop_reason="max_rank")  # kept if no pair is left to extract
-    for r, (pair, _, top) in enumerate(_deflation(w, cfg), start=1):
-        envelope = min(envelope, top)
+    for r, (pair, _, envelope) in enumerate(components(w, cfg), start=1):
         history.append(envelope)
         q, k = qk(cfg.d, D_FP, m, n, r, w0, envelope)
         s = slope(history, SLOPE_WINDOW)

@@ -22,8 +22,6 @@ from .config import FlrqConfig
 from .errors import NumericalError
 from .linalg import gemv, gemv_t
 
-MAX_PROBE_REDRAWS = 3
-
 
 @dataclass(frozen=True)
 class Rank1Pair:
@@ -78,22 +76,18 @@ def _rescaled(v: np.ndarray) -> np.ndarray:
 def r1_step(a: np.ndarray, cfg: FlrqConfig, rng: np.random.Generator) -> Rank1Pair:
     """Extract one rank-1 pair from ``a`` using 2*it + 2 matrix-vector products.
 
-    The probe p = (A A^T)^it A s is built by alternating gemv/gemv_t calls;
-    k = A^T p then gives left = (|k| / |p|^2) p and right = k / |k|. Both are degree 0
-    in p, so p is rescaled exactly after every product: the pair of 2^e A is (2^e left, right).
-    A zero ``a`` collapses every probe and raises NumericalError.
+    The probe p = (A A^T)^it A s is built from one Gaussian draw s by alternating
+    gemv/gemv_t calls; k = A^T p then gives left = (|k| / |p|^2) p and right = k / |k|.
+    Both are degree 0 in p, so p is rescaled exactly after every product: the pair of
+    2^e A is (2^e left, right), and no scale of A underflows the probe. A probe that
+    collapses to zero (always, for a zero ``a``) raises NumericalError.
     """
-    n = a.shape[1]
-    for _ in range(MAX_PROBE_REDRAWS + 1):
-        s = rng.standard_normal(n)
-        p = _rescaled(gemv(a, s))
-        for _ in range(cfg.it):
-            p = _rescaled(gemv(a, _rescaled(gemv_t(a, p))))
-        p_norm_sq = float(p @ p)
-        if p_norm_sq > 0.0:
-            break
-    else:
-        raise NumericalError("sketch probe collapsed after redraws")
+    p = _rescaled(gemv(a, rng.standard_normal(a.shape[1])))
+    for _ in range(cfg.it):
+        p = _rescaled(gemv(a, _rescaled(gemv_t(a, p))))
+    p_norm_sq = float(p @ p)
+    if not p_norm_sq > 0.0:  # written so that NaN fails too
+        raise NumericalError("sketch probe collapsed")
     k = gemv_t(a, p)
     k_norm = float(np.sqrt(k @ k))
     left = (k_norm / p_norm_sq) * p

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +101,14 @@ class TestChannelMean:
         assert np.allclose(channel_mean(small), channel_mean(x), rtol=1e-14, atol=0)
         small[:, [1, 3, 4, 6]] *= 1e-150  # subnormal entries: their precision is gone, skipped
         assert np.allclose(channel_mean(small), channel_mean(x[:, [0, 2, 5, 7]]), rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("k", [-600, -100, 100, 600])
+    def test_power_of_two_scale_keeps_the_bytes(self, k):
+        # At 2^-600 every token's squares underflow, at 2^600 they overflow.
+        x = np.random.default_rng(3).standard_normal((40, 300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert channel_mean(np.ldexp(x, k)).tobytes() == channel_mean(x).tobytes()
 
     def test_underflowing_tokens_are_named(self):
         x = np.random.default_rng(2).standard_normal((16, 8)) * 1e-310  # finite, nonzero, x*x == 0

@@ -418,6 +418,17 @@ class TestQuantizeCommand:
         back, _ = read_bundle(out / "dead")
         assert back.warnings == ["1 zero-activation channel(s) floored at 1e-08"]
 
+    def test_overflowing_tokens_are_not_floored(self, tmp_path):
+        # X's squares overflow; W is scaled down by as much, so ||W X||_F stays finite.
+        g = np.random.default_rng(0)
+        w, x = g.standard_normal((24, 64)), g.standard_normal((64, 48))
+        layer = write_layer(tmp_path / "big", np.ldexp(w, -600), np.ldexp(x, 600))
+        proc = run_cli("quantize", "--in", layer, "--out-dir", tmp_path / "out")
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        meta = json.loads((tmp_path / "out" / "big" / "meta.json").read_text())
+        assert not any("floored" in warning for warning in meta["warnings"])
+
     @pytest.mark.parametrize("flag, value", [("--x", "inf"), ("--x", "1e309")])
     def test_infinite_flag_echo_is_strict_json(self, synth_dir, tmp_path, flag, value):
         out = tmp_path / "out"

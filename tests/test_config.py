@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from flrq.config import FlrqConfig
@@ -10,6 +11,7 @@ BAD_VALUES = {
     "x-nan": {"x": float("nan")},
     "it-negative": {"it": -1},
     "epochs-0": {"epochs": 0},
+    "d-none": {"d": None},
 }
 
 
@@ -22,6 +24,16 @@ class TestFlrqConfig:
     def test_fields_are_the_knobs_callers_set(self):
         names = {f.name for f in dataclasses.fields(FlrqConfig)}
         assert names == {"d", "x", "it", "seed", "epochs"}
+
+    # Integer fields take Python and numpy ints only: a float would fail deep in the pipeline.
+    @pytest.mark.parametrize("field", ["d", "it", "seed", "epochs"])
+    def test_non_integer_is_named(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            FlrqConfig(**{field: 3.0})
+
+    def test_numpy_integers_are_accepted(self):
+        cfg = FlrqConfig(d=np.int64(3), it=np.int32(1), seed=np.uint64(7), epochs=np.int16(2))
+        assert (cfg.d, cfg.it, cfg.seed, cfg.resolved_epochs()) == (3, 1, 7, 2)
 
     def test_infinite_memory_cap_means_no_cap(self):
         assert FlrqConfig(x=float("inf")).x == float("inf")

@@ -182,11 +182,14 @@ class TestClip:
         once = clip(w, 1.5)
         assert np.array_equal(clip(once, 1.5), once)
 
-    def test_rejects_nonpositive_threshold(self):
-        with pytest.raises(ValueError):
-            clip(np.ones((2, 2)), 0.0)
+    def test_rejects_negative_and_nan_threshold(self):
         with pytest.raises(ValueError):
             clip(np.ones((2, 2)), -1.0)
+        with pytest.raises(ValueError):
+            clip(np.ones((2, 2)), float("nan"))
+
+    def test_zero_threshold_zeroes_every_entry(self):
+        assert np.array_equal(clip(np.array([[-2.0, 0.0, 3.0]]), 0.0), np.zeros((1, 3)))
 
 
 def reference_search_clip(w, l, d):
@@ -299,9 +302,13 @@ class TestSearchClip:
                 pytest.raises(NumericalError, match="no clip threshold gives a finite"):
             search_clip(w, x, 3)
 
-    def test_zero_matrix_returns_empty_search(self):
-        res = search_clip(np.zeros((2, 4)), np.ones((4, 2)), 4)
+    def test_zero_matrix_searches_the_grid_at_zero(self):
+        # An all-zero remainder (a pruned layer) takes the ordinary grid at threshold 0.
+        w = np.zeros((2, 4))
+        res = search_clip(w, np.ones((4, 2)), 4)
         assert isinstance(res, ClipSearchResult)
         assert res.p_clp == 0.0
-        assert res.grid_errors == []
-        assert res.q is None
+        assert res.grid_errors == [(0.0, 0.0)] * len(CLIP_GRID)
+        plain = quantize_matrix(w, 4)
+        for name in ("codes", "scales", "zeros"):
+            assert getattr(res.q, name).tobytes() == getattr(plain, name).tobytes()

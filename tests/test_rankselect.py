@@ -176,18 +176,26 @@ class TestComponents:
     def test_yields_min_dim_pairs_with_running_residuals(self):
         w = np.random.default_rng(9).standard_normal((12, 20))
         residual, count = w, 0
-        for pair, after in components(w, FlrqConfig(seed=3)):
+        for pair, after, _ in components(w, FlrqConfig(seed=3)):
             residual = rank1_subtract(residual, pair.left, pair.right)
             assert after.tobytes() == residual.tobytes()
             count += 1
         assert count == 12
 
     @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_envelope_is_the_running_min_of_residual_amax(self, case):
+        w, cfg = case
+        expected = amax(w)
+        for _, residual, envelope in components(w, cfg):
+            expected = min(expected, amax(residual))
+            assert envelope == expected
+
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
     def test_input_kept_and_residuals_match_out_of_place(self, case):
         # One working residual is updated in place; a is never written.
         w, cfg = case
         a, expected = w.copy(), w
-        for pair, residual in components(a, cfg):
+        for pair, residual, _ in components(a, cfg):
             expected = expected - np.outer(pair.left, pair.right)
             assert residual.tobytes() == expected.tobytes()
         assert a.tobytes() == w.tobytes()
@@ -212,7 +220,7 @@ class TestOnePassDeflation:
         g = np.random.default_rng(k)
         a = np.ldexp(g.integers(-4, 5, (24, k)) @ g.integers(-4, 5, (k, 40)).astype(float), scale)
         cfg = FlrqConfig(seed=k)
-        got = [pair for pair, _ in components(a, cfg)]
+        got = [pair for pair, _, _ in components(a, cfg)]
         expected = fro_rule_pairs(a, cfg)
         assert len(got) == len(expected)
         assert all(p.left.tobytes() == q.left.tobytes() and p.right.tobytes() == q.right.tobytes()

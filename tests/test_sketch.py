@@ -44,6 +44,14 @@ class TestR1Step:
         with pytest.raises(NumericalError):
             r1_step(np.zeros((4, 4)), FlrqConfig(seed=0), make_rng(0))
 
+    def test_zero_matrix_draws_one_probe(self):
+        # The probe is drawn once: a collapse raises rather than redrawing.
+        rng, expected = make_rng(0), make_rng(0)
+        with pytest.raises(NumericalError, match="collapsed"):
+            r1_step(np.zeros((4, 6)), FlrqConfig(seed=0), rng)
+        expected.standard_normal(6)
+        assert rng.standard_normal() == expected.standard_normal()
+
     def test_deterministic_for_fixed_seed(self):
         a = gaussian((10, 14), 2)
         p1 = r1_step(a, FlrqConfig(it=2, seed=9), make_rng(9))
