@@ -101,25 +101,21 @@ def channel_mean(x: np.ndarray) -> np.ndarray:
     survives squares that would underflow or overflow. A token with no normal entry
     (all zero, or all subnormal: their precision is gone already) is skipped. Entries
     are floored at a small epsilon so downstream scaling stays finite. x is read
-    once, in CHANNEL_MEAN_CHUNK-token chunks, never copied.
+    once, in CHANNEL_MEAN_CHUNK-token chunks, never copied or transposed: each chunk's
+    tokens are summed in order by a cumulative sum along its rows.
     """
     if x.size == 0:
         raise ValueError("activation matrix is empty")
     total, live_tokens = np.zeros(x.shape[0]), 0
     for start in range(0, x.shape[1], CHANNEL_MEAN_CHUNK):
-        chunk = x[:, start:start + CHANNEL_MEAN_CHUNK]
-        scaled = np.abs(chunk)
-        top = scaled.max(axis=0)
+        a = np.abs(x[:, start:start + CHANNEL_MEAN_CHUNK])
+        top = a.max(axis=0)
         exp = np.frexp(top)[1]
-        scale = np.ldexp(1.0, np.where(top < TINY, exp, -exp))  # below TINY, exp <= -1022: zeros
-        scaled *= scale  # a power of two: exact, as ldexp
-        norms = np.sqrt(np.add.reduce(np.square(scaled, out=scaled), axis=0))
-        del scaled  # one chunk-sized temporary at a time
-        a = np.abs(chunk.T, order="C")  # a row per token, summed in order
-        a *= scale[:, None]
-        a /= np.where(norms > 0.0, norms, 1.0)[:, None]  # a skipped token adds exact zeros
-        a[0] += total
-        total = np.add.reduce(a, axis=0)
+        a *= np.ldexp(1.0, np.where(top < TINY, exp, -exp))  # a power of two: exact; zeros below TINY
+        norms = np.sqrt(np.add.reduce(np.square(a), axis=0))
+        a /= np.where(norms > 0.0, norms, 1.0)  # a skipped token adds exact zeros
+        a[:, 0] += total
+        total = np.cumsum(a, axis=1, out=a)[:, -1].copy()  # tokens added one after another
         live_tokens += np.count_nonzero(norms)
     if not live_tokens:
         raise NumericalError("calibration activations underflow: every nonzero token is subnormal"

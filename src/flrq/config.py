@@ -10,6 +10,7 @@ and ``CLIP_GRID``, ``rankselect.D_FP``, ``SLOPE_T`` and ``SLOPE_WINDOW``, and
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 from .quantize import BIT_WIDTHS
@@ -29,8 +30,8 @@ class FlrqConfig:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.d not in BIT_WIDTHS:
             raise ValueError(f"bit width must be one of {BIT_WIDTHS}, got {self.d}")
-        if not self.x >= 0.0:  # written so that NaN fails; inf means no cap
-            raise ValueError(f"memory cap x must be >= 0, got {self.x}")
+        if not (isinstance(self.x, numbers.Real) and self.x >= 0.0):  # NaN fails; inf means no cap
+            raise ValueError(f"memory cap x must be a number >= 0, got {self.x!r}")
         if self.it < 0:
             raise ValueError("power-iteration count must be >= 0")
         if self.epochs is not None and self.epochs < 1:

@@ -96,7 +96,32 @@ def fro_norm(a: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.square(a))))
 
 
+TRI_BLOCKS = 4  # column blocks of a lower-triangular factor, with edges n * j // TRI_BLOCKS
+
+
+def _times_factor(a: np.ndarray, l: np.ndarray) -> np.ndarray:
+    """a @ l. When l is square and zero above its diagonal blocks (a lower-triangular Gram
+    factor), column block j is a[:, lo:] @ l[lo:, lo:hi], skipping those zero blocks (3/8
+    of the multiplies); otherwise it is a @ l itself. The split depends on n and l's zeros
+    alone."""
+    n = l.shape[0]
+    edges = [n * j // TRI_BLOCKS for j in range(TRI_BLOCKS + 1)]
+    if l.shape[1] != n or any(l[:lo, lo:hi].any() for lo, hi in zip(edges[1:], edges[2:])):
+        return a @ l
+    out = np.empty((a.shape[0], n), np.result_type(a, l))
+    for lo, hi in zip(edges, edges[1:]):
+        np.matmul(a[:, lo:], l[lo:, lo:hi], out=out[:, lo:hi])
+    return out
+
+
+def row_sq_norms(a: np.ndarray, l: np.ndarray) -> np.ndarray:
+    """Per-row sums of (a @ l)**2, through the triangular blocks of l when it has them."""
+    prod = _times_factor(a, l)
+    return np.square(prod, out=prod).sum(axis=1)
+
+
 def product_norm(a: np.ndarray, b: np.ndarray) -> float:
-    """fro_norm(a @ b), squaring the product in place: one temporary instead of two."""
-    prod = a @ b
+    """fro_norm(a @ b), squaring the product in place: one temporary instead of two. A
+    lower-triangular b is multiplied block by block, as in row_sq_norms."""
+    prod = _times_factor(a, b)
     return float(np.sqrt(np.sum(np.square(prod, out=prod))))

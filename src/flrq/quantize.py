@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
+from .linalg import row_sq_norms
 
 BIT_WIDTHS = (2, 3, 4)
 
@@ -99,7 +100,9 @@ class ClipSearchResult:
 def search_clip(w: np.ndarray, l: np.ndarray, d: int) -> ClipSearchResult:
     """Grid-search the clip threshold minimizing ||(W - dequant(quant(clip(W)))) L||_F.
 
-    L is the layer's Gram factor (``blc.gram_factor``), so this is the output error through X.
+    L is the layer's Gram factor (``blc.gram_factor``), so this is the output error through X;
+    the row errors come from ``linalg.row_sq_norms``, which skips L's zero blocks when it is
+    the lower-triangular factor of tokens > n.
     Candidates are ratio * amax(W) for each ratio of CLIP_GRID; ties break toward the
     larger threshold. The first ratio quantizes every row; a later threshold p redoes only
     the rows with an entry above p, and the rest keep the first's codes and row errors.
@@ -118,8 +121,7 @@ def search_clip(w: np.ndarray, l: np.ndarray, d: int) -> ClipSearchResult:
         w_rows = w[rows]
         q = quantize_matrix(clip(w_rows, p), d)
         diff = dequantize(q)
-        prod = np.subtract(w_rows, diff, out=diff) @ l
-        row_err = np.square(prod, out=prod).sum(axis=1)
+        row_err = row_sq_norms(np.subtract(w_rows, diff, out=diff), l)
         if base is None:
             base, base_err = q, row_err
         errs = base_err.copy()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import flrq
+from flrq import linalg
 from flrq.blc import EpochRecord, QuantizedLayer
 from flrq.blc import alpha, calibrate, channel_mean, flrq_layer, gram_factor, layer_error
 from flrq.blc import CHANNEL_MEAN_CHUNK, CHANNEL_MEAN_EPS, scaled_flr
@@ -37,6 +38,27 @@ def run_python(script: str, **env_vars) -> str:
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
                           check=True)
     return proc.stdout
+
+
+def transposed_channel_mean(x):
+    """channel_mean through a transposed copy of each chunk, a row per token, summed in
+    order by add.reduce over the rows: the reference bytes of the in-place cumulative sum."""
+    total, live_tokens = np.zeros(x.shape[0]), 0
+    for start in range(0, x.shape[1], CHANNEL_MEAN_CHUNK):
+        chunk = x[:, start:start + CHANNEL_MEAN_CHUNK]
+        scaled = np.abs(chunk)
+        top = scaled.max(axis=0)
+        exp = np.frexp(top)[1]
+        scale = np.ldexp(1.0, np.where(top < np.finfo(np.float64).tiny, exp, -exp))
+        scaled *= scale
+        norms = np.sqrt(np.add.reduce(np.square(scaled, out=scaled), axis=0))
+        a = np.abs(chunk.T, order="C")
+        a *= scale[:, None]
+        a /= np.where(norms > 0.0, norms, 1.0)[:, None]
+        a[0] += total
+        total = np.add.reduce(a, axis=0)
+        live_tokens += np.count_nonzero(norms)
+    return np.maximum(total / live_tokens, CHANNEL_MEAN_EPS)
 
 
 class TestChannelMean:
@@ -110,6 +132,24 @@ class TestChannelMean:
             warnings.simplefilter("error")
             assert channel_mean(np.ldexp(x, k)).tobytes() == channel_mean(x).tobytes()
 
+    # Tokens: 777 leaves a ragged last chunk of 9. Zeroed: scattered, one whole chunk, the
+    # first of a chunk. Scaled by 2^k: at 2^-600 squares underflow, at 2^600 they overflow.
+    TRANSPOSED = {
+        "ragged-777": (777, [], 0),
+        "zero-tokens": (777, [0, 5, CHANNEL_MEAN_CHUNK, 776], 0),
+        "zero-chunk": (3 * CHANNEL_MEAN_CHUNK, range(CHANNEL_MEAN_CHUNK, 2 * CHANNEL_MEAN_CHUNK), 0),
+        "scaled-2^-600": (777, [3], -600),
+        "scaled-2^600": (777, [3], 600),
+    }
+
+    @pytest.mark.parametrize("case", TRANSPOSED.values(), ids=TRANSPOSED.keys())
+    def test_bytes_match_the_transposed_sum(self, case):
+        tokens, zeroed, k = case
+        x = np.random.default_rng(tokens).standard_normal((40, tokens)) * np.arange(1.0, 41.0)[:, None]
+        x[:, list(zeroed)] = 0.0
+        x = np.ldexp(x, k)
+        assert channel_mean(x).tobytes() == transposed_channel_mean(x).tobytes()
+
     def test_underflowing_tokens_are_named(self):
         x = np.random.default_rng(2).standard_normal((16, 8)) * 1e-310  # finite, nonzero, x*x == 0
         with pytest.raises(NumericalError, match="underflow"):
@@ -136,6 +176,17 @@ class TestGramFactor:
         q = quantize_matrix(w, 3)
         factors = LowRankFactors(g.standard_normal((24, 2)), g.standard_normal((2, n)))
         assert layer_error(w, q, factors, x) == layer_error(w, q, factors, gram_factor(x))
+
+    def test_square_x_layer_has_the_bytes_of_the_full_product(self, tmp_path, monkeypatch):
+        # tokens = n: X is square but not triangular, so every error must take the full
+        # a @ L. Replacing the blocked product by a @ L must change no byte.
+        w, x = gen_layer(SynthSpec(m=64, n=GROUP_SIZE, family="outlier_channels", seed=8,
+                                   tokens=GROUP_SIZE))
+        cfg = FlrqConfig(d=2, seed=8, epochs=3)
+        write_bundle(tmp_path / "kernel", flrq_layer(w, calibrate(w, x), cfg))
+        monkeypatch.setattr(linalg, "_times_factor", lambda a, l: a @ l)
+        write_bundle(tmp_path / "full", flrq_layer(w, calibrate(w, x), cfg))
+        assert tree_digest(tmp_path / "kernel") == tree_digest(tmp_path / "full")
 
     def test_calibrate_rejects_nonconforming_shapes(self):
         with pytest.raises(ValueError):

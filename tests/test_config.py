@@ -31,6 +31,11 @@ class TestFlrqConfig:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             FlrqConfig(**{field: 3.0})
 
+    @pytest.mark.parametrize("x", ["0.1", None, [1]], ids=["str", "none", "list"])
+    def test_non_number_x_is_named(self, x):
+        with pytest.raises(ValueError, match="x must be a number"):
+            FlrqConfig(x=x)
+
     def test_numpy_integers_are_accepted(self):
         cfg = FlrqConfig(d=np.int64(3), it=np.int32(1), seed=np.uint64(7), epochs=np.int16(2))
         assert (cfg.d, cfg.it, cfg.seed, cfg.resolved_epochs()) == (3, 1, 7, 2)

@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
 
+from flrq.blc import gram_factor, layer_error
 from flrq.errors import NumericalError
 from flrq.linalg import (
     RANK1_BLOCK_ROWS,
+    TRI_BLOCKS,
     amax,
     as_matrix,
     fro_norm,
     gemv,
     gemv_t,
+    product_norm,
     rank1_subtract,
+    row_sq_norms,
 )
+from flrq.quantize import quantize_matrix
+from flrq.sketch import LowRankFactors
 from paper import SVD_DIM_LIMIT, check_svd_size
 
 
@@ -168,6 +174,74 @@ class TestAmaxFro:
         a = np.zeros((3, 4))
         a[1, 2] = -5.0
         assert amax(a) == fro_norm(a)
+
+
+def activations(n, tokens, seed=0):
+    """n x tokens X, or a lower-triangular n x n X for tokens == "tril"."""
+    g = np.random.default_rng(seed)
+    return np.tril(g.standard_normal((n, n))) if tokens == "tril" else g.standard_normal((n, tokens))
+
+
+def full_row_sq_norms(a, l):
+    """The row errors through the full product, which the kernel's full path must equal."""
+    prod = a @ l
+    return np.square(prod, out=prod).sum(axis=1)
+
+
+def full_product_norm(a, b):
+    prod = a @ b
+    return float(np.sqrt(np.sum(np.square(prod, out=prod))))
+
+
+def skipped_blocks(n):
+    """(rows, cols) of each block above l's diagonal blocks, which the triangular path skips."""
+    edges = [n * j // TRI_BLOCKS for j in range(TRI_BLOCKS + 1)]
+    return [(slice(0, lo), slice(lo, hi)) for lo, hi in zip(edges[1:], edges[2:])]
+
+
+# n in {130, 257}: TRI_BLOCKS does not divide it. Tokens below, at and above n, and a square
+# lower-triangular X, which gram_factor passes through unchanged.
+SHAPES = [(n, t) for n in (130, 257) for t in (n // 2, n, 3 * n, "tril")]
+
+
+class TestRowSqNorms:
+    @pytest.mark.parametrize("n,tokens", SHAPES)
+    def test_matches_the_full_product(self, n, tokens):
+        a, l = np.random.default_rng(n).standard_normal((40, n)), gram_factor(activations(n, tokens))
+        expected = np.square(a @ l).sum(1)
+        assert np.allclose(row_sq_norms(a, l), expected, rtol=1e-14, atol=0)
+        assert product_norm(a, l) == pytest.approx(np.sqrt(expected.sum()), rel=1e-14)
+
+    @pytest.mark.parametrize("n,tokens", [s for s in SHAPES if s[1] != "tril" and s[1] <= s[0]])
+    def test_non_triangular_bytes_are_the_full_products(self, n, tokens):
+        # tokens <= n: gram_factor returns X, which is not square, or square but full.
+        a, l = np.random.default_rng(n).standard_normal((40, n)), gram_factor(activations(n, tokens))
+        assert row_sq_norms(a, l).tobytes() == full_row_sq_norms(a, l).tobytes()
+        assert product_norm(a, l) == full_product_norm(a, l)
+
+    @pytest.mark.parametrize("n", [130, 257])
+    def test_any_nonzero_in_a_skipped_block_takes_the_full_product(self, n):
+        a = np.random.default_rng(n).standard_normal((40, n))
+        for rows, cols in skipped_blocks(n):
+            for i, j in ((rows.stop - 1, cols.start), (0, cols.stop - 1)):  # block corners
+                l = gram_factor(activations(n, 3 * n))
+                l[i, j] = 1.0
+                assert row_sq_norms(a, l).tobytes() == full_row_sq_norms(a, l).tobytes()
+                assert product_norm(a, l) == full_product_norm(a, l)
+
+    @pytest.mark.parametrize("n,tokens", SHAPES)
+    def test_layer_error_same_through_x_or_factor(self, n, tokens):
+        g = np.random.default_rng(n)
+        w, x = g.standard_normal((24, n)), activations(n, tokens)
+        factors = LowRankFactors(g.standard_normal((24, 2)), g.standard_normal((2, n)))
+        q = quantize_matrix(w, 3)
+        assert layer_error(w, q, factors, x) == layer_error(w, q, factors, gram_factor(x))
+
+    def test_tiny_factors(self):
+        # n < TRI_BLOCKS leaves some column blocks empty.
+        for n in (1, 2, 3):
+            a, l = np.arange(1.0, 2 * n + 1).reshape(2, n), np.tril(np.ones((n, n)))
+            assert np.array_equal(row_sq_norms(a, l), np.square(a @ l).sum(1))
 
 
 def thin_svd(a):
