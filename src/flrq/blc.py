@@ -181,19 +181,20 @@ def flrq_layer(w: np.ndarray, calib: Calibration, cfg: FlrqConfig) -> QuantizedL
         factors, rank_trace = scaled_flr(w if found is None else w - dequantize(found.q), alpha_vec, cfg)
         rest = w - factors.reconstruct() if factors.rank else w
         found = search_clip(rest, calib.l, cfg.d)
-        del rest  # freed before layer_error's temporaries
-        err = layer_error(w, found.q, factors, calib.l)
-        trace.append(EpochRecord(epoch=epoch, error=err, p_clp=found.p_clp, rank=factors.rank))
-        if best is None or err < trace[best[0] - 1].error:
+        del rest  # freed before the next epoch's residual
+        trace.append(EpochRecord(epoch=epoch, error=found.error, p_clp=found.p_clp, rank=factors.rank))
+        if best is None or found.error < trace[best[0] - 1].error:
             best = (epoch, found.q, factors, rank_trace)
         if factors.rank == 0:
             rank0_epochs.append(epoch)
         if len(rank0_epochs) == 2:
             break
+    epoch, q, factors, rank_trace = best
+    # The returned record gets layer_error's bits, which a search error can miss in its last ulps.
+    trace[epoch - 1].error = layer_error(w, q, factors, calib.l)
     # A rank-0 epoch quantizes W alone and epoch e + 1 depends only on epoch e's codes, so the
     # trace repeats from there; the strict < above never picks a copy of an error already seen.
-    for epoch in range(len(trace) + 1, epochs + 1):  # none unless the loop broke
+    for e in range(len(trace) + 1, epochs + 1):  # none unless the loop broke
         period = rank0_epochs[1] - rank0_epochs[0]
-        trace.append(replace(trace[epoch - period - 1], epoch=epoch))
-    epoch, q, factors, rank_trace = best
+        trace.append(replace(trace[e - period - 1], epoch=e))
     return QuantizedLayer(q, factors, trace, epoch, calib.wx_norm, rank_trace, warnings)

@@ -93,6 +93,7 @@ class ClipSearchResult:
     """The search's outcome. An all-zero W searches the grid at threshold 0, to p_clp 0.0."""
 
     p_clp: float
+    error: float  # the chosen candidate's output error: its grid_errors entry
     grid_errors: list[tuple[float, float]]  # (candidate threshold, output error)
     q: QuantizedTensor  # the chosen candidate, quantized
 
@@ -134,4 +135,4 @@ def search_clip(w: np.ndarray, l: np.ndarray, d: int) -> ClipSearchResult:
         raise NumericalError("no clip threshold gives a finite output error")
     for name in ("codes", "scales", "zeros"):
         getattr(base, name)[best_rows] = getattr(best_q, name)
-    return ClipSearchResult(p_clp=best_p, grid_errors=grid_errors, q=base)
+    return ClipSearchResult(p_clp=best_p, error=best_err, grid_errors=grid_errors, q=base)

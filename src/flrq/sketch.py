@@ -78,8 +78,9 @@ def r1_step(a: np.ndarray, cfg: FlrqConfig, rng: np.random.Generator) -> Rank1Pa
 
     The probe p = (A A^T)^it A s is built from one Gaussian draw s by alternating
     gemv/gemv_t calls; k = A^T p then gives left = (|k| / |p|^2) p and right = k / |k|.
-    Both are degree 0 in p, so p is rescaled exactly after every product: the pair of
-    2^e A is (2^e left, right), and no scale of A underflows the probe. A probe that
+    Both are degree 0 in p, so p is rescaled exactly after every product; k is rescaled
+    too, and its power of two goes back into left. So the pair of 2^e A is (2^e left,
+    right), and no scale of A underflows the probe or over- or underflows |k|. A probe that
     collapses to zero (always, for a zero ``a``) raises NumericalError.
     """
     p = _rescaled(gemv(a, rng.standard_normal(a.shape[1])))
@@ -89,7 +90,9 @@ def r1_step(a: np.ndarray, cfg: FlrqConfig, rng: np.random.Generator) -> Rank1Pa
     if not p_norm_sq > 0.0:  # written so that NaN fails too
         raise NumericalError("sketch probe collapsed")
     k = gemv_t(a, p)
+    shift = int(np.frexp(np.abs(k).max())[1])
+    k = np.ldexp(k, -shift)  # amax(k) in [0.5, 1): k @ k neither overflows nor underflows
     k_norm = float(np.sqrt(k @ k))
-    left = (k_norm / p_norm_sq) * p
+    left = np.ldexp((k_norm / p_norm_sq) * p, shift)
     right = k / k_norm
     return Rank1Pair(left=left, right=right)

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -341,19 +342,27 @@ def outlier_layer(seed, m=256, n=256, count=2, boost=30.0):
 
 
 def every_epoch(w, calib, cfg):
-    """flrq_layer's alternation with every epoch computed: (trace, best layer)."""
+    """flrq_layer's alternation with every epoch computed: (trace, best layer, exact errors).
+
+    exact[i] is layer_error for epoch i + 1. A record holds its clip search's winning error,
+    and the best epoch is the first with the lowest of those. Then the best record, and every
+    record that repeats it, holds the exact error instead.
+    """
     alpha_vec = alpha(calib.mean)
-    trace, best, w_q = [], None, None
+    trace, exact, best, w_q = [], [], None, None
     for epoch in range(1, cfg.resolved_epochs() + 1):
         factors, rank_trace = scaled_flr(w if w_q is None else w - dequantize(w_q), alpha_vec, cfg)
-        rest = w - factors.reconstruct()
-        found = search_clip(rest, calib.l, cfg.d)
-        w_q = quantize_matrix(rest, cfg.d) if found.q is None else found.q
-        trace.append(EpochRecord(epoch, layer_error(w, w_q, factors, calib.l), found.p_clp, factors.rank))
+        found = search_clip(w - factors.reconstruct(), calib.l, cfg.d)
+        w_q = found.q
+        exact.append(layer_error(w, w_q, factors, calib.l))
+        trace.append(EpochRecord(epoch, min(err for _, err in found.grid_errors), found.p_clp, factors.rank))
         if best is None or trace[-1].error < trace[best[0] - 1].error:
             best = (epoch, w_q, factors, rank_trace)
     epoch, q, factors, rank_trace = best
-    return trace, QuantizedLayer(q, factors, trace, epoch, calib.wx_norm, rank_trace)
+    best_record = trace[epoch - 1]
+    trace = [replace(r, error=exact[epoch - 1]) if replace(r, epoch=epoch) == best_record else r
+             for r in trace]
+    return trace, QuantizedLayer(q, factors, trace, epoch, calib.wx_norm, rank_trace), exact
 
 
 # (m, n, tokens, seed) -> the ranks of the 20 2-bit epochs, so where rank 0 recurs.
@@ -373,13 +382,43 @@ class TestReplay:
         w, x = gen_layer(SynthSpec(m=m, n=n, family="outlier_channels", seed=seed, tokens=tokens))
         calib, cfg = calibrate(w, x), FlrqConfig(d=2, seed=seed)
         layer = flrq_layer(w, calib, cfg)
-        trace, expected = every_epoch(w, calib, cfg)
+        trace, expected, _ = every_epoch(w, calib, cfg)
         assert [r.rank for r in trace] == ranks
         assert layer.blc_trace == trace
         assert layer.best_epoch == expected.best_epoch
         write_bundle(tmp_path / "replayed", layer)
         write_bundle(tmp_path / "computed", expected)
         assert tree_digest(tmp_path / "replayed") == tree_digest(tmp_path / "computed")
+
+
+class TestEpochErrors:
+    def test_layer_error_runs_once_per_layer(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return layer_error(*args)
+
+        monkeypatch.setattr("flrq.blc.layer_error", counted)
+        w, x = outlier_layer(51, m=64, n=128)
+        for epochs in (1, 20):
+            calls.clear()
+            layer = flrq_layer(w, calibrate(w, x), FlrqConfig(d=2, seed=2, epochs=epochs))
+            assert len(calls) == 1
+            assert calls[0][1] is layer.q
+
+    @pytest.mark.parametrize("case", REPLAY_LAYERS.values(), ids=REPLAY_LAYERS.keys())
+    def test_records_are_within_ulps_of_their_exact_error(self, case):
+        (m, n, tokens, seed), _ = case
+        w, x = gen_layer(SynthSpec(m=m, n=n, family="outlier_channels", seed=seed, tokens=tokens))
+        calib, cfg = calibrate(w, x), FlrqConfig(d=2, seed=seed)
+        layer = flrq_layer(w, calib, cfg)
+        _, _, exact = every_epoch(w, calib, cfg)
+        assert len(layer.blc_trace) == len(exact) == 20
+        for record, err in zip(layer.blc_trace, exact):
+            assert record.error == pytest.approx(err, rel=1e-14, abs=0)
+        assert layer.best_error == exact[layer.best_epoch - 1]
+        assert layer.best_error == layer_error(w, layer.q, layer.factors, x)
 
 
 class TestFlrqLayer:
@@ -480,6 +519,20 @@ class TestFlrqLayer:
                      (got.q.scales, np.ldexp(base.q.scales, k)),
                      (got.factors.left, np.ldexp(base.factors.left, k))):
             assert a.tobytes() == b.tobytes()
+        assert got.rel_error == base.rel_error
+
+    @pytest.mark.parametrize("k", [-600, 600])
+    def test_weights_past_squares_range_keep_their_ranks(self, k):
+        # W * 2^k with X * 2^-k: W X is unchanged, while every square of W over- or underflows.
+        w, x = gen_layer(SynthSpec(m=64, n=128, family="outlier_channels", seed=3, tokens=64))
+        cfg = FlrqConfig(d=2, seed=1)
+        base = flrq_layer(w, calibrate(w, x), cfg)
+        ws = np.ldexp(w, k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = flrq_layer(ws, calibrate(ws, np.ldexp(x, -k)), cfg)
+        assert base.factors.rank == 1
+        assert [r.rank for r in got.blc_trace] == [r.rank for r in base.blc_trace]
         assert got.rel_error == base.rel_error
 
     def test_floored_channel_warning_recorded(self):

@@ -746,10 +746,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, w_scale, x_scale, cause", [
         (["quantize"], 1, 1e-310, "calibration activations underflow"),  # finite, nonzero X
-        # svd never calibrates, so the residuals' own check must catch the overflow
-        (["ablate", "--which", "svd"], 1e160, 1, "residual ||W - W_r||_F overflows float64"),
-        (["ablate", "--which", "svd"], 1e160, 1e-160, "residual ||W - W_r||_F overflows float64"),
-    ], ids=["quantize-x-1e-310", "ablate-svd-w-1e160", "ablate-svd-w-1e160-x-1e-160"])
+        # svd never calibrates, so the residuals' own check must catch the overflow. At 1e200 the
+        # sketch's rounding residual (about 1e184) is finite, but its squares overflow.
+        (["ablate", "--which", "svd"], 1e200, 1, "residual ||W - W_r||_F overflows float64"),
+        (["ablate", "--which", "svd"], 1e200, 1e-200, "residual ||W - W_r||_F overflows float64"),
+    ], ids=["quantize-x-1e-310", "ablate-svd-w-1e200", "ablate-svd-w-1e200-x-1e-200"])
     def test_out_of_range_layer_names_its_cause(self, tmp_path, argv, w_scale, x_scale, cause):
         g = np.random.default_rng(0)
         w, x = g.standard_normal((8, 16)), g.standard_normal((16, 32))

@@ -248,6 +248,8 @@ class TestSearchClip:
         assert [p for p, _ in res.grid_errors] == [p for p, _ in grid_errors]
         for (_, got), (_, want) in zip(res.grid_errors, grid_errors):
             assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0)
+        assert (res.p_clp, res.error) in res.grid_errors  # the winner's own entry
+        assert res.error == min(err for _, err in res.grid_errors)
 
     def test_lattice_exact_picks_full_range(self):
         w = np.array([[-7, 1, 3, 8]], dtype=float) * 0.5  # 15 steps of 0.5 at 4 bits

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,21 @@ class TestSlope:
 
 
 class TestSelectRank:
+    @pytest.mark.parametrize("k", [-600, 600])
+    def test_scale_past_squares_range_is_exact(self, k):
+        # At 2^+-600 every square of W over- or underflows; the decisions must not see it.
+        w = rank1_dominant(64, 64, 100)
+        cfg = FlrqConfig(d=4, seed=0)
+        base, base_trace = select_rank(w, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, trace = select_rank(np.ldexp(w, k), cfg)
+        assert base.rank == 1
+        assert (trace.selected_rank, trace.stop_reason) == (base_trace.selected_rank, base_trace.stop_reason)
+        assert got.right.tobytes() == base.right.tobytes()
+        assert got.left.tobytes() == np.ldexp(base.left, k).tobytes()
+        assert trace.steps == [dataclasses.replace(s, amax=math.ldexp(s.amax, k)) for s in base_trace.steps]
+
     def test_rank1_dominant_selects_one(self):
         for s in range(5):
             w = rank1_dominant(64, 64, 100 + s)
