@@ -99,8 +99,9 @@ def ablation_rows(args, idx: int, w, calib, base) -> list[dict]:
                          "rel_error": flrq_layer(w, calib, cfg).rel_error})
         return rows
     if args.which == "blc":
-        layer = flrq_layer(w, calib, dataclasses.replace(base, epochs=20))  # epoch 1: BLC off
-        on, off = layer.rel_error, dataclasses.replace(layer, best_epoch=1).rel_error
+        # BLC off is a single epoch; both errors are layer_error's.
+        on = flrq_layer(w, calib, dataclasses.replace(base, epochs=20)).rel_error
+        off = flrq_layer(w, calib, dataclasses.replace(base, epochs=1)).rel_error
         return [{"layer": idx, "blc_on_rel_error": on, "blc_off_rel_error": off,
                  "improved": on <= off}]
     if args.which == "x":

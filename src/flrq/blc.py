@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import FlrqConfig
 from .errors import NumericalError
-from .linalg import product_norm
+from .linalg import TINY, product_norm
 # clip and quantize_matrix are not called here, but benchmark/tracer.py wraps them as blc names.
 from .quantize import QuantizedTensor, clip, dequantize, quantize_matrix, search_clip  # noqa: F401
 from .rankselect import RankTrace, select_rank
@@ -25,7 +25,6 @@ from .sketch import LowRankFactors
 
 CHANNEL_MEAN_EPS = 1e-8
 CHANNEL_MEAN_CHUNK = 128  # tokens per step of channel_mean's pass over x
-TINY = np.finfo(np.float64).tiny  # the smallest normal float64
 
 
 @dataclass

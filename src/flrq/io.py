@@ -63,11 +63,10 @@ class TensorContainer:
         )
 
 
-def container_from_array(a: np.ndarray, f32: bool = False) -> TensorContainer:
+def container_from_array(a: np.ndarray) -> TensorContainer:
     a = np.asarray(a)
-    code = DTYPE_F32 if f32 else DTYPE_F64
-    payload = a.astype(_NUMPY_DTYPE[code]).tobytes()  # astype yields a C-order copy
-    return TensorContainer(dtype_code=code, dims=tuple(a.shape), payload=payload)
+    payload = a.astype("<f8").tobytes()  # astype yields a C-order copy
+    return TensorContainer(dtype_code=DTYPE_F64, dims=tuple(a.shape), payload=payload)
 
 
 def container_from_packed(packed: bytes) -> TensorContainer:

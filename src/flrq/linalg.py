@@ -30,6 +30,7 @@ def _pin_blas() -> int | None:
 
 
 BLAS_THREADS = _pin_blas()  # every flrq entry point imports this module, so all run pinned
+TINY = np.finfo(np.float64).tiny  # the smallest normal float64
 
 
 def as_matrix(data) -> np.ndarray:

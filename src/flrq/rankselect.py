@@ -21,13 +21,11 @@ import numpy as np
 
 from .config import FlrqConfig
 from .errors import NumericalError
-from .linalg import amax, fro_norm, rank1_subtract
+from .linalg import TINY, amax, rank1_subtract
 from .sketch import LowRankFactors, Rank1Pair, make_rng, r1_step
 
-# Residual mass below this (relative to the input) counts as numerically zero.
+# A residual amax at or below this (relative to the input's) counts as numerically zero.
 RESIDUAL_FLOOR = 1e-13
-TINY = np.finfo(np.float64).tiny  # the smallest normal float64
-SQRT_TINY = math.sqrt(TINY)  # below this amax, squares underflow
 
 D_FP = 16  # bits charged per factor entry (and by the report per scale and zero)
 SLOPE_T = 1e-3  # the loop stops once the windowed amax slope falls below this
@@ -88,39 +86,25 @@ def slope(amax_history, window: int) -> float:
     return (hist[-1 - window] - hist[-1]) / (window * a0)
 
 
-def _at_floor(residual: np.ndarray, top: float, floor: float, shift: int = 0) -> bool:
-    """fro_norm(2^shift residual) <= floor, with top = amax(2^shift residual). amax <= fro_norm <=
-    sqrt(mn) amax (doubled, for rounding) decides it unless floor lies between, or amax^2 underflows."""
-    if 0.0 < top < SQRT_TINY or top <= floor < 2.0 * math.sqrt(residual.size) * top:
-        return fro_norm(np.ldexp(residual, shift)) <= floor
-    return top <= floor
-
-
 def components(a: np.ndarray, cfg: FlrqConfig) -> Iterator[tuple[Rank1Pair, np.ndarray, float]]:
     """Rank-1 pairs of ``a`` in extraction order, each with the residual left after it and the
     envelope: the running minimum of amax(a) and the amax of every residual so far.
 
     Lazy: a pair is extracted only when the caller asks for it, so a caller
     that stops early never pays for the next extraction. Ends after min(m, n)
-    pairs, or before an extraction once the residual is numerically zero. Past its
-    2*it + 2 GEMVs, a pair costs one pass over the residual (``rank1_subtract``) and
-    its amax, which the zero test and the envelope share.
+    pairs, or before an extraction once the residual is numerically zero: its amax at
+    most max(RESIDUAL_FLOOR * amax(a), TINY). Past its 2*it + 2 GEMVs, a pair costs one
+    pass over the residual (``rank1_subtract``) and its amax, which the zero test and
+    the envelope share.
     ``a`` is never written; each yielded residual is overwritten by the next step.
     """
     rng = make_rng(cfg.seed)
     residual, top = a, amax(a)
-    envelope = top
-    if top < TINY / RESIDUAL_FLOOR:  # zero, or a residual at the floor would be subnormal
-        return
-    # The zero test scales every matrix by 2^shift, which puts amax(a) in [0.5, 1) and keeps
-    # squares in range. Its floor is below RESIDUAL_FLOOR sqrt(mn): taken once a residual nears it.
-    shift, floor = -math.frexp(top)[1], None
+    # No squares, so the test scales with a; an all-subnormal a has lost its precision already.
+    envelope, floor = top, max(RESIDUAL_FLOOR * top, TINY)
     for _ in range(min(a.shape)):
-        scaled_top = math.ldexp(top, shift)
-        if scaled_top <= 2.0 * RESIDUAL_FLOOR * math.sqrt(a.size):
-            floor = RESIDUAL_FLOOR * fro_norm(np.ldexp(a, shift)) if floor is None else floor
-            if _at_floor(residual, scaled_top, floor, shift):
-                return
+        if top <= floor:
+            return
         pair = r1_step(residual, cfg, rng)
         # The first subtraction writes a new array, the later ones overwrite it.
         residual = rank1_subtract(residual, pair.left, pair.right, out=None if residual is a else residual)

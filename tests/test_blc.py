@@ -521,7 +521,7 @@ class TestFlrqLayer:
             assert a.tobytes() == b.tobytes()
         assert got.rel_error == base.rel_error
 
-    @pytest.mark.parametrize("k", [-600, 600])
+    @pytest.mark.parametrize("k", [-600, 600, -1000, 1000])
     def test_weights_past_squares_range_keep_their_ranks(self, k):
         # W * 2^k with X * 2^-k: W X is unchanged, while every square of W over- or underflows.
         w, x = gen_layer(SynthSpec(m=64, n=128, family="outlier_channels", seed=3, tokens=64))

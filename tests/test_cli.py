@@ -19,7 +19,7 @@ import paper
 from flrq import blc, cli, linalg, quantize
 from flrq.cli import build_parser, main
 from flrq.config import FlrqConfig
-from flrq.io import container_from_array, read_bundle, write_container_file
+from flrq.io import DTYPE_F32, TensorContainer, container_from_array, read_bundle, write_container_file
 from paper import ABLATIONS
 
 
@@ -615,6 +615,21 @@ class TestAblate:
                 == [layer["rel_error"] for layer in report["layers"]])
         assert any(row["blc_on_rel_error"] < row["blc_off_rel_error"] for row in ablation["rows"])
 
+    def test_blc_off_repeats_a_single_epoch_quantize(self, tmp_path):
+        # BLC off is quantize --epochs 1: the same exact error, bit for bit.
+        src = gen_synth(tmp_path / "in", "--family", "outlier_channels", "--layers", "3",
+                        "--m", "128", "--n", "128", "--outlier-boost", "30",
+                        "--outlier-count", "2", "--seed", "7")
+        out = tmp_path / "out"
+        assert main(["quantize", "--in", str(src), "--d", "2", "--epochs", "1", "--seed", "7",
+                     "--out-dir", str(out / "q")]) == 0
+        assert paper.main(["ablate", "--which", "blc", "--in", str(src), "--d", "2",
+                           "--seed", "7", "--out-dir", str(out / "ab")]) == 0
+        report = json.loads((out / "q" / "report.json").read_text())
+        ablation = json.loads((out / "ab" / "ablate_blc.json").read_text())
+        assert ([row["blc_off_rel_error"] for row in ablation["rows"]]
+                == [layer["rel_error"] for layer in report["layers"]])
+
 
 class TestCompareSvd:
     def test_rank1_layer_both_residuals_vanish(self, tmp_path):
@@ -633,12 +648,9 @@ class TestCompareSvd:
     def test_guard_exceeded_is_numerical_error(self, tmp_path):
         layer = tmp_path / "layer"
         layer.mkdir()
-        w = np.ones((1030, 1030))
-        write_container_file(layer / "weights.flrqten", container_from_array(w, f32=True))
-        write_container_file(
-            layer / "activations.flrqten",
-            container_from_array(np.ones((1030, 2)), f32=True),
-        )
+        for name, shape in (("weights", (1030, 1030)), ("activations", (1030, 2))):
+            ones = np.ones(shape, "<f4").tobytes()
+            write_container_file(layer / f"{name}.flrqten", TensorContainer(DTYPE_F32, shape, ones))
         rc = paper.main(["ablate", "--which", "svd", "--in", str(layer),
                          "--out-dir", str(tmp_path / "cmp")])
         assert rc == 3

@@ -14,6 +14,7 @@ from flrq.blc import calibrate, flrq_layer
 from flrq.config import FlrqConfig
 from flrq.errors import BadMagicError, BadVersionError, FormatError, TruncatedError
 from flrq.io import (
+    DTYPE_F32,
     DTYPE_F64,
     MAGIC,
     TensorContainer,
@@ -57,7 +58,7 @@ class TestContainer:
 
     def test_roundtrip_f32(self):
         a = np.random.default_rng(1).standard_normal((4, 2)).astype(np.float32)
-        data = write_container(container_from_array(a, f32=True))
+        data = write_container(TensorContainer(DTYPE_F32, a.shape, a.astype("<f4").tobytes()))
         out = read_container(data)
         assert np.array_equal(out.to_array(), a.astype(np.float64))
 

@@ -9,7 +9,7 @@ import pytest
 from flrq import rankselect
 from flrq.config import FlrqConfig
 from flrq.errors import NumericalError
-from flrq.linalg import amax, fro_norm, rank1_subtract
+from flrq.linalg import amax, rank1_subtract
 from flrq.rankselect import (
     D_FP, RESIDUAL_FLOOR, SLOPE_T, SLOPE_WINDOW, STOP_REASONS, components, qk, select_rank, slope,
 )
@@ -217,43 +217,36 @@ class TestComponents:
         assert a.tobytes() == w.tobytes()
 
 
-def fro_rule_pairs(a, cfg):
-    """The pairs components yields, from a loop that tests every residual's fro_norm."""
+def amax_rule_pairs(a, cfg):
+    """The pairs components yields, from a loop that tests every residual's amax against amax(a)."""
     rng, residual, pairs = make_rng(cfg.seed), a.copy(), []
-    floor = RESIDUAL_FLOOR * fro_norm(a)
-    while len(pairs) < min(a.shape) and fro_norm(residual) > floor:
+    floor = max(RESIDUAL_FLOOR * np.abs(a).max(), np.finfo(np.float64).tiny)
+    while len(pairs) < min(a.shape) and np.abs(residual).max() > floor:
         pairs.append(r1_step(residual, cfg, rng))
         residual = residual - np.outer(pairs[-1].left, pairs[-1].right)
     return pairs
 
 
+def pair_bytes(pairs, scale=0):
+    return [(np.ldexp(p.left, scale).tobytes(), p.right.tobytes()) for p in pairs]
+
+
 class TestOnePassDeflation:
     @pytest.mark.parametrize("k", [1, 3])
-    # 2^-540: the residual's squares underflow; 2^-1000: so do a's, and its floor is 0;
-    # 2^-1070: a's entries are subnormal.
+    # 2^-540: the residual's squares underflow; 2^-1000: so do a's, and 1e-13 amax(a) is
+    # subnormal, so the floor is tiny; 2^-1070: a's entries are subnormal.
     @pytest.mark.parametrize("scale", [1, 100, -100, -540, -1000, -1070])
     def test_stops_where_the_fro_norm_rule_stops(self, k, scale):
+        # Exactly rank k: k pairs at 2^0, where a Frobenius-norm floor stops too; 2^scale times
+        # them at every scale whose entries are normal, and none at all below that.
         g = np.random.default_rng(k)
-        a = np.ldexp(g.integers(-4, 5, (24, k)) @ g.integers(-4, 5, (k, 40)).astype(float), scale)
+        a = g.integers(-4, 5, (24, k)) @ g.integers(-4, 5, (k, 40)).astype(float)
         cfg = FlrqConfig(seed=k)
-        got = [pair for pair, _, _ in components(a, cfg)]
-        expected = fro_rule_pairs(a, cfg)
-        assert len(got) == len(expected)
-        assert all(p.left.tobytes() == q.left.tobytes() and p.right.tobytes() == q.right.tobytes()
-                   for p, q in zip(got, expected))
-
-    def test_at_floor_is_the_fro_norm_test(self):
-        # Floors on both sides of amax, fro_norm and sqrt(mn) amax, at every scale. The rounded
-        # fro_norm of np.full((3, 7), c) exceeds the rounded sqrt(21) * c.
-        g = np.random.default_rng(6)
-        for scale in (0, 300, -300, -520, -540, -1060):
-            for residual in (g.standard_normal((5, 7)), np.full((3, 7), 0.501369250085074),
-                             np.eye(5, 7), np.zeros((5, 7))):
-                residual = np.ldexp(residual, scale)
-                top, fro = amax(residual), fro_norm(residual)
-                for bound in (top, fro, np.sqrt(residual.size) * top, 2 * np.sqrt(residual.size) * top):
-                    for floor in (np.nextafter(bound, 0.0), bound, np.nextafter(bound, np.inf)):
-                        assert rankselect._at_floor(residual, top, floor) == (fro <= floor)
+        expected = amax_rule_pairs(a, cfg)
+        assert len(expected) == k
+        assert pair_bytes(pair for pair, _, _ in components(a, cfg)) == pair_bytes(expected)
+        got = pair_bytes(pair for pair, _, _ in components(np.ldexp(a, scale), cfg))
+        assert got == ([] if scale == -1070 else pair_bytes(expected, scale))
 
     def test_zero_residual_amax_is_recorded_as_positive_zero(self):
         # The pair cancels w[0, 0] exactly; the other entries are -0.0 - (+0.0), and numpy

@@ -1,0 +1,76 @@
+"""Check that two checkouts of flrq write the same quantize bytes on the benchmark's workloads.
+
+    python3 tools/same_bytes.py PARENT_ROOT CHANGE_ROOT --seeds 1-20
+
+For each seed and each workload of this repository's ``benchmark/workloads.py``, the
+inputs are generated once (``benchmark/helper.py generate``, importing PARENT_ROOT's
+``src/``); then ``Workload.quantize_args`` runs once under each root's ``src/``. One
+line per tree says ``identical`` or names the files that differ. Exits 0 when every tree
+is identical, 1 on any difference, 2 when a command fails. Inputs and outputs go to a
+temporary directory that is removed at the end.
+"""
+
+from __future__ import annotations
+
+import argparse
+import filecmp
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
+sys.path.insert(0, str(BENCHMARK))
+
+from workloads import WORKLOADS  # noqa: E402
+
+
+def seed_range(text: str) -> range:
+    """'1-20' -> 1 ... 20; '3' -> 3."""
+    first, _, last = text.partition("-")
+    return range(int(first), int(last or first) + 1)
+
+
+def run(root: Path, argv: list[str]) -> None:
+    """Run ``argv`` with ``root``'s flrq on the path; exit 2 if it fails."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"{' '.join(argv)} under {root} exited {proc.returncode}:\n{proc.stderr}")
+
+
+def differing_files(a: Path, b: Path) -> list[str]:
+    """Relative paths present in only one tree, or with different bytes."""
+    files = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
+    other = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
+    changed = {p for p in files & other if not filecmp.cmp(a / p, b / p, shallow=False)}
+    return sorted(map(str, (files ^ other) | changed))
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    p.add_argument("parent", type=Path, help="root of the reference checkout")
+    p.add_argument("change", type=Path, help="root of the checkout under test")
+    p.add_argument("--seeds", type=seed_range, default=seed_range("1"), help="e.g. 1-20 (default 1)")
+    args = p.parse_args(argv)
+    roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    differ = 0
+    with tempfile.TemporaryDirectory(prefix="same_bytes-") as tmp:
+        for seed in args.seeds:
+            for wl in WORKLOADS.values():
+                work = Path(tmp) / f"{wl.name}-{seed}"
+                run(roots["parent"], [str(BENCHMARK / "helper.py"), "generate", wl.name, str(seed),
+                                      str(work / "in")])
+                for name, root in roots.items():
+                    run(root, ["-m", "flrq.cli", *wl.quantize_args(work / "in", work / name, seed)])
+                diff = differing_files(work / "parent", work / "change")
+                differ += bool(diff)
+                print(f"{wl.name} seed {seed}: {', '.join(diff) if diff else 'identical'}", flush=True)
+                shutil.rmtree(work)
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
