@@ -6,6 +6,8 @@ sketch, clip-search and group-quantize the remainder, then alternate the
 two halves keeping the epoch with the lowest calibration output error.
 """
 
+# linalg first: it asks for 1 OpenBLAS thread before numpy loads, so no idle thread pool starts.
+from . import linalg  # noqa: F401
 from .blc import QuantizedLayer, calibrate, flrq_layer, layer_error
 from .config import FlrqConfig
 from .errors import FlrqError, FormatError, NumericalError

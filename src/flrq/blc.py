@@ -76,7 +76,8 @@ def gram_factor(x: np.ndarray) -> np.ndarray:
     if x.shape[1] <= x.shape[0]:
         return x
     try:
-        return np.linalg.cholesky(x @ x.T)
+        g = x @ x.T  # exactly symmetric: numpy computes it by syrk and mirrors the triangle
+        return np.linalg.cholesky(g.T)  # g in the Fortran order LAPACK reads: no transposing copy
     except np.linalg.LinAlgError:
         return np.ascontiguousarray(np.linalg.qr(x.T, mode="r").T)
 

@@ -2,21 +2,31 @@
 
 All compute is 64-bit float; 32-bit appears only at the I/O boundary. Every
 kernel is pure, so values can move freely between threads.
+
+Imported before numpy with OPENBLAS_NUM_THREADS unset, it sets that variable to 1 (which
+child processes inherit), so OpenBLAS starts no server threads for the pin to leave idle.
+A process that loaded numpy first, or set the variable itself, keeps its environment.
 """
 
 from __future__ import annotations
 
 import ctypes
+import os
+import sys
 from pathlib import Path
 
-import numpy as np
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 
 
 def _pin_blas() -> int | None:
     """Pin numpy's bundled OpenBLAS to 1 thread, where its results depend on no thread count.
 
     Returns 1, or None (changing nothing) when that library or its thread call
-    cannot be found. The count is process-wide, so nothing restores it.
+    cannot be found. The count is process-wide, so nothing restores it. It is the only
+    guard when numpy loaded first or OPENBLAS_NUM_THREADS was set to another count.
     """
     libs = Path(np.__file__).parent.parent / "numpy.libs"
     try:

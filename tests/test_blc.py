@@ -193,6 +193,13 @@ class TestGramFactor:
         with pytest.raises(ValueError):
             calibrate(np.ones((2, 4)), np.ones((5, 3)))
 
+    @pytest.mark.parametrize("n", [130, 257])
+    def test_factor_has_the_bytes_of_a_bare_cholesky(self, n):
+        # gram_factor hands LAPACK the transpose of X X^T; being exactly symmetric, it is the same matrix.
+        x = np.random.default_rng(n).standard_normal((n, 3 * n))
+        assert x.flags.c_contiguous
+        assert gram_factor(x).tobytes() == np.linalg.cholesky(x @ x.T).tobytes()
+
     def test_zero_channel_falls_back_to_qr(self):
         x = np.random.default_rng(4).standard_normal((40, 200))
         x[7] = 0.0  # X X^T is singular, so its Cholesky factorization fails
@@ -241,6 +248,28 @@ print(before, pinned, get(), len(digests))
         if before != "2":
             pytest.skip("OpenBLAS does not run 2 threads here")
         assert (pinned, after, distinct) == ("1", "1", "1")
+
+    @pytest.mark.usefixtures("openblas")  # skips when numpy's OpenBLAS cannot be reached
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir() or (os.cpu_count() or 1) < 2,
+                        reason="needs /proc and 2 or more cores for OpenBLAS to start threads")
+    def test_import_before_numpy_starts_no_blas_threads(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(flrq.__file__).parents[1]))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        report = ("import os\nfrom flrq.linalg import BLAS_THREADS\n"
+                  "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'),"
+                  " BLAS_THREADS)")
+
+        def run(first: str, **env_vars) -> list[str]:
+            proc = subprocess.run([sys.executable, "-c", f"{first}\n{report}"], env={**env, **env_vars},
+                                  capture_output=True, text=True, check=True)
+            return proc.stdout.split()
+
+        # flrq imported first, variable unset: it is set to 1 and OpenBLAS starts no thread.
+        assert run("import flrq.cli") == ["1", "1", "1"]
+        # numpy imported first: its pool exists already, so the environment stays as it was.
+        assert run("import numpy\nimport flrq")[1:] == ["None", "1"]
+        # An explicit count is kept, and the pin still runs BLAS on 1 thread.
+        assert run("import flrq.cli", OPENBLAS_NUM_THREADS="2")[1:] == ["2", "1"]
 
 
 class TestAlpha:
