@@ -19,9 +19,9 @@ import time
 from itertools import islice
 from pathlib import Path
 
+from flrq import cli  # before numpy: flrq.linalg asks for 1 OpenBLAS thread before numpy loads
 import numpy as np
 
-from flrq import cli
 from flrq.blc import flrq_layer
 from flrq.errors import NumericalError
 from flrq.io import extra_bits

@@ -249,7 +249,8 @@ def _contradictions(meta: dict) -> Iterator[str]:
             yield f"{key} {meta[key]!r} differs from blc_trace[{best - 1}].{field}"
     if rt["selected_rank"] != meta["rank"]:
         yield f"rank_trace.selected_rank {rt['selected_rank']} is not rank {meta['rank']}"
-    tried = rt["selected_rank"] + (rt["stop_reason"] != "max_rank")  # the stopping step is kept
+    # A pair that fails k < q or the slope test keeps its step; the cap and the floor stop before one.
+    tried = rt["selected_rank"] + (rt["stop_reason"] in ("budget_qk", "slope"))
     if len(rt["steps"]) != tried:
         yield f"rank_trace.steps has {len(rt['steps'])} entries, expected {tried}"
 

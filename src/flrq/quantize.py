@@ -73,19 +73,31 @@ def quantize_matrix(r: np.ndarray, d: int) -> QuantizedTensor:
     return QuantizedTensor(np.ascontiguousarray(codes), scales, zeros, d)
 
 
-def dequantize(q: QuantizedTensor) -> np.ndarray:
-    """Reconstruct the dense matrix from codes and group parameters."""
-    m, n = q.shape
-    out = np.subtract(_grouped(q.codes), q.zeros[:, :, None])  # float64, cast inside the subtract
-    out *= q.scales[:, :, None]
-    return np.ascontiguousarray(out.reshape(m, out.shape[1] * GROUP_SIZE)[:, :n])
+def _group_parts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Views of ``a`` as (m, groups, width): its whole groups, then its ragged last group (none
+    when GROUP_SIZE divides n). Splitting columns never copies, so writes to them reach ``a``."""
+    m, n = a.shape
+    whole = n - n % GROUP_SIZE
+    return (a[:, :whole].reshape(m, whole // GROUP_SIZE, GROUP_SIZE),
+            a[:, whole:].reshape(m, int(whole < n), n - whole))
 
 
-def clip(w: np.ndarray, p_clp: float) -> np.ndarray:
-    """Saturate entries to [-p_clp, p_clp]; 0 zeroes every entry."""
+def dequantize(q: QuantizedTensor, out: np.ndarray | None = None) -> np.ndarray:
+    """Reconstruct the dense matrix from codes and group parameters, into ``out`` if given."""
+    out = np.empty(q.shape) if out is None else out
+    out[...] = q.codes  # small integers, exact in float64
+    whole = q.shape[1] // GROUP_SIZE
+    for part, cols in zip(_group_parts(out), (slice(None, whole), slice(whole, None))):
+        part -= q.zeros[:, cols, None]
+        part *= q.scales[:, cols, None]
+    return out
+
+
+def clip(w: np.ndarray, p_clp: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Saturate entries to [-p_clp, p_clp], into ``out`` if given; 0 zeroes every entry."""
     if not p_clp >= 0.0:  # written so that NaN fails
         raise ValueError(f"clip threshold must be >= 0, got {p_clp}")
-    return np.clip(w, -p_clp, p_clp)
+    return np.clip(w, -p_clp, p_clp, out=out)
 
 
 @dataclass
@@ -113,6 +125,7 @@ def search_clip(w: np.ndarray, l: np.ndarray, d: int) -> ClipSearchResult:
         raise ValueError(f"activation shape {l.shape} does not conform to weights {w.shape}")
     rowmax = np.abs(w).max(axis=1)
     top = float(rowmax.max())
+    scratch = np.empty(w.shape)  # each candidate's clipped rows, then their dequantization
     base, base_err = None, None
     best_p, best_rows, best_q, best_err = None, None, None, np.inf
     grid_errors: list[tuple[float, float]] = []
@@ -120,8 +133,9 @@ def search_clip(w: np.ndarray, l: np.ndarray, d: int) -> ClipSearchResult:
         p = rho * top
         rows = slice(None) if base is None else np.flatnonzero(rowmax > p)
         w_rows = w[rows]
-        q = quantize_matrix(clip(w_rows, p), d)
-        diff = dequantize(q)
+        clipped = clip(w_rows, p, out=scratch[:len(w_rows)])
+        q = quantize_matrix(clipped, d)
+        diff = dequantize(q, out=clipped)
         row_err = row_sq_norms(np.subtract(w_rows, diff, out=diff), l)
         if base is None:
             base, base_err = q, row_err

@@ -2,12 +2,12 @@
 
 The loop extracts rank-1 components from the running residual and keeps
 them while the effective-bit gain q from the shrinking amax outpaces the
-storage growth k of the factors (charged at D_FP bits per entry), subject
-to a hard memory cap (``FlrqConfig.x``) and a flatness test on the amax
-curve (its slope over SLOPE_WINDOW steps falls below SLOPE_T). Because the
-sketch is randomized, the amax used for q (and recorded in the trace) is
-the running minimum of the observed values, which keeps the decision
-sequence monotone.
+storage growth k of the factors (charged at D_FP bits per entry) and the
+amax curve is not yet flat (its slope over SLOPE_WINDOW steps is at least
+SLOPE_T). A hard memory cap (``FlrqConfig.x``) bounds how many components
+are drawn at all. Because the sketch is randomized, the amax used for q
+(and recorded in the trace) is the running minimum of the observed values,
+which keeps the decision sequence monotone.
 """
 
 from __future__ import annotations
@@ -86,22 +86,28 @@ def slope(amax_history, window: int) -> float:
     return (hist[-1 - window] - hist[-1]) / (window * a0)
 
 
+def residual_floor(top: float) -> float:
+    """The amax at or below which a residual of an input with amax ``top`` is numerically zero."""
+    # No squares, so the test scales with the input; an all-subnormal input has lost its precision.
+    return max(RESIDUAL_FLOOR * top, TINY)
+
+
 def components(a: np.ndarray, cfg: FlrqConfig) -> Iterator[tuple[Rank1Pair, np.ndarray, float]]:
     """Rank-1 pairs of ``a`` in extraction order, each with the residual left after it and the
     envelope: the running minimum of amax(a) and the amax of every residual so far.
 
     Lazy: a pair is extracted only when the caller asks for it, so a caller
-    that stops early never pays for the next extraction. Ends after min(m, n)
-    pairs, or before an extraction once the residual is numerically zero: its amax at
-    most max(RESIDUAL_FLOOR * amax(a), TINY). Past its 2*it + 2 GEMVs, a pair costs one
+    that stops early, or bounds it with ``islice`` as ``select_rank`` does at the memory
+    cap, never pays for the next extraction. Ends after min(m, n) pairs, or before an
+    extraction once the residual is numerically zero: its amax at most
+    ``residual_floor(amax(a))``. Past its 2*it + 2 GEMVs, a pair costs one
     pass over the residual (``rank1_subtract``) and its amax, which the zero test and
     the envelope share.
     ``a`` is never written; each yielded residual is overwritten by the next step.
     """
     rng = make_rng(cfg.seed)
     residual, top = a, amax(a)
-    # No squares, so the test scales with a; an all-subnormal a has lost its precision already.
-    envelope, floor = top, max(RESIDUAL_FLOOR * top, TINY)
+    envelope, floor = top, residual_floor(top)
     for _ in range(min(a.shape)):
         if top <= floor:
             return
@@ -125,21 +131,41 @@ def deflate(a: np.ndarray, r: int, cfg: FlrqConfig) -> LowRankFactors:
     return LowRankFactors.from_pairs([pair for pair, _, _ in islice(components(a, cfg), r)], m, n)
 
 
+def rank_cap(d: int, m: int, n: int, x: float) -> int:
+    """The largest r <= min(m, n) whose k, as ``qk`` computes it, is at most 1 + x.
+
+    k grows with r, so x * d * m * n / (D_FP * (m + n)) is the cap up to rounding (and past
+    min(m, n) for an infinite x); the loops move it a step at most, onto qk's own float test.
+    """
+    def fits(r: int) -> bool:
+        return qk(d, D_FP, m, n, r, 1.0, 1.0)[1] <= 1.0 + x
+
+    r = int(min(x * d * m * n / (D_FP * (m + n)), min(m, n)))
+    while r < min(m, n) and fits(r + 1):
+        r += 1
+    while r > 0 and not fits(r):
+        r -= 1
+    return r
+
+
 def select_rank(w: np.ndarray, cfg: FlrqConfig) -> tuple[LowRankFactors, RankTrace]:
     """Run the flexible-rank loop on one layer.
 
     Extracts rank-1 pairs from the residual; a pair is kept only if, with it
-    included, k < q, k <= 1 + x, and the amax slope is still >= SLOPE_T. The pair
-    that triggers a stop is discarded, so rank 0 is a valid outcome. A zero
-    matrix is already at the residual floor: it stops before any extraction
-    with reason ``max_rank``.
+    included, k < q and the amax slope is still >= SLOPE_T. The pair that
+    triggers a stop is discarded, so rank 0 is a valid outcome. The memory cap
+    k <= 1 + x bounds the loop instead of testing a pair: no pair past ``rank_cap``
+    is extracted, and the loop ends with ``memory_cap`` when the cap, not the residual
+    floor or min(m, n), ended it. A zero matrix is already at the residual floor: it
+    stops before any extraction with reason ``max_rank``.
     """
     m, n = w.shape
-    w0 = amax(w)
+    w0 = envelope = amax(w)
     history = [w0]
     pairs: list[Rank1Pair] = []
     trace = RankTrace(stop_reason="max_rank")  # kept if no pair is left to extract
-    for r, (pair, _, envelope) in enumerate(components(w, cfg), start=1):
+    cap = rank_cap(cfg.d, m, n, cfg.x)
+    for r, (pair, _, envelope) in enumerate(islice(components(w, cfg), cap), start=1):
         history.append(envelope)
         q, k = qk(cfg.d, D_FP, m, n, r, w0, envelope)
         s = slope(history, SLOPE_WINDOW)
@@ -147,12 +173,13 @@ def select_rank(w: np.ndarray, cfg: FlrqConfig) -> tuple[LowRankFactors, RankTra
         if k >= q:
             trace.stop_reason = "budget_qk"
             break
-        if k > 1.0 + cfg.x:
-            trace.stop_reason = "memory_cap"
-            break
         if s < SLOPE_T:
             trace.stop_reason = "slope"
             break
         pairs.append(pair)
+    else:  # every pair drawn was kept; the cap ended the loop if components held another one,
+        # that is, below min(m, n) and with the last residual (so the envelope) above the floor
+        if cap < min(m, n) and envelope > residual_floor(w0):
+            trace.stop_reason = "memory_cap"
     trace.selected_rank = len(pairs)
     return LowRankFactors.from_pairs(pairs, m, n), trace

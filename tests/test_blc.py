@@ -266,6 +266,10 @@ print(before, pinned, get(), len(digests))
 
         # flrq imported first, variable unset: it is set to 1 and OpenBLAS starts no thread.
         assert run("import flrq.cli") == ["1", "1", "1"]
+        # experiments/paper.py imports flrq before numpy too.
+        experiments = Path(flrq.__file__).parents[2] / "experiments"
+        assert run("import paper", PYTHONPATH=os.pathsep.join([env["PYTHONPATH"], str(experiments)])) == [
+            "1", "1", "1"]
         # numpy imported first: its pool exists already, so the environment stays as it was.
         assert run("import numpy\nimport flrq")[1:] == ["None", "1"]
         # An explicit count is kept, and the pin still runs BLAS on 1 thread.

@@ -363,6 +363,25 @@ class TestBundles:
         with pytest.raises(FormatError, match=path[-1]):
             read_bundle(tmp_path / "b")
 
+    @pytest.mark.parametrize("reason", ["budget_qk", "slope", "memory_cap", "max_rank"])
+    def test_trailing_step_only_after_a_failed_test(self, valid_bundle, tmp_path, reason):
+        # k >= q and a flat slope reject the pair they tested, whose step stays in the trace;
+        # the memory cap and the residual floor end the loop before drawing a pair.
+        trailing = reason in ("budget_qk", "slope")
+        trace = json.loads((valid_bundle / "meta.json").read_text())["rank_trace"]
+        steps, rank = trace["steps"], trace["selected_rank"]
+        assert len(steps) == rank + 1  # the valid bundle stopped on a failed test
+        for count in (rank, rank + 1):
+            bundle = tmp_path / f"{reason}-{count}"
+            shutil.copytree(valid_bundle, bundle)
+            edit_meta(bundle, ("rank_trace", "stop_reason"), reason)
+            edit_meta(bundle, ("rank_trace", "steps"), steps[:count])
+            if count == rank + trailing:
+                assert read_bundle(bundle)[0].rank_trace.stop_reason == reason
+            else:
+                with pytest.raises(FormatError, match=f"rank_trace.steps has {count} entries"):
+                    read_bundle(bundle)
+
     @pytest.mark.parametrize("path, value, field", CONTRADICTIONS.values(),
                              ids=CONTRADICTIONS.keys())
     def test_contradiction_rejected(self, tmp_path, path, value, field):

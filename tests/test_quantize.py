@@ -153,6 +153,25 @@ class TestDequantizeRoundTrip:
         q = quantize_matrix(np.zeros((3, 5)), 2)
         assert np.all(dequantize(q) == 0.0)
 
+    @pytest.mark.parametrize("n", [2 * GROUP_SIZE, 2 * GROUP_SIZE + 1], ids=["whole", "ragged"])
+    def test_into_out_writes_the_same_bytes(self, n):
+        # As search_clip calls it: into the leading rows of a larger scratch, and into the whole of one.
+        w = np.random.default_rng(n).standard_normal((6, n)) * 3.0
+        for rows in (6, 4):
+            q = quantize_matrix(w[:rows], 3)
+            scratch = np.full((6, n), np.nan)
+            out = scratch[:rows]
+            assert dequantize(q, out=out) is out
+            assert out.tobytes() == dequantize(q).tobytes()
+            assert np.isnan(scratch[rows:]).all()
+
+    def test_into_a_strided_out(self):
+        # Splitting the column axis into groups is a view of any layout, so writes reach out.
+        q = quantize_matrix(np.random.default_rng(1).standard_normal((4, 2 * GROUP_SIZE + 3)), 2)
+        out = np.empty((2 * GROUP_SIZE + 3, 4)).T
+        dequantize(q, out=out)
+        assert np.array_equal(out, dequantize(q))
+
 
 class TestMaxQuantError:
     def test_bounds_actual_error(self):
@@ -190,6 +209,13 @@ class TestClip:
 
     def test_zero_threshold_zeroes_every_entry(self):
         assert np.array_equal(clip(np.array([[-2.0, 0.0, 3.0]]), 0.0), np.zeros((1, 3)))
+
+    def test_into_out(self):
+        w = np.array([[-5.0, 2.0, 5.0]])
+        out = np.empty((1, 3))
+        assert clip(w, 3.0, out=out) is out
+        assert out.tobytes() == clip(w, 3.0).tobytes()
+        assert w.tolist() == [[-5.0, 2.0, 5.0]]
 
 
 def reference_search_clip(w, l, d):
@@ -250,6 +276,16 @@ class TestSearchClip:
             assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0)
         assert (res.p_clp, res.error) in res.grid_errors  # the winner's own entry
         assert res.error == min(err for _, err in res.grid_errors)
+
+    @pytest.mark.parametrize("n", [2 * GROUP_SIZE, 2 * GROUP_SIZE + 1], ids=["whole", "ragged"])
+    def test_never_writes_w(self, n):
+        g = np.random.default_rng(n)
+        w = g.standard_normal((16, n))
+        w[3, 7] = 40.0  # later thresholds redo row 3 only
+        before = w.tobytes()
+        w.flags.writeable = False  # a write raises
+        search_clip(w, gram_factor(g.standard_normal((n, n + 8))), 2)
+        assert w.tobytes() == before
 
     def test_lattice_exact_picks_full_range(self):
         w = np.array([[-7, 1, 3, 8]], dtype=float) * 0.5  # 15 steps of 0.5 at 4 bits

@@ -10,10 +10,12 @@ from flrq import rankselect
 from flrq.config import FlrqConfig
 from flrq.errors import NumericalError
 from flrq.linalg import amax, rank1_subtract
+from flrq.quantize import dequantize, quantize_matrix
 from flrq.rankselect import (
-    D_FP, RESIDUAL_FLOOR, SLOPE_T, SLOPE_WINDOW, STOP_REASONS, components, qk, select_rank, slope,
+    D_FP, RESIDUAL_FLOOR, SLOPE_T, SLOPE_WINDOW, STOP_REASONS, RankStep, components, qk, rank_cap,
+    select_rank, slope,
 )
-from flrq.sketch import make_rng, r1_step
+from flrq.sketch import LowRankFactors, make_rng, r1_step
 from flrq.synth import SynthSpec, gen_layer
 
 
@@ -169,6 +171,14 @@ class TestSelectRank:
         assert trace.stop_reason in ("budget_qk", "memory_cap", "slope", "max_rank")
 
 
+def counted_r1_steps(monkeypatch) -> list:
+    """Patch rankselect's r1_step to append to the returned list on each call."""
+    calls = []
+    step = rankselect.r1_step
+    monkeypatch.setattr(rankselect, "r1_step", lambda *a: calls.append(1) or step(*a))
+    return calls
+
+
 class TestComponents:
     CASES = {
         "slope": (rank1_dominant(256, 256, 3), FlrqConfig(d=4, seed=5)),
@@ -182,9 +192,7 @@ class TestComponents:
     def test_select_rank_never_extracts_ahead(self, monkeypatch, case):
         # One r1_step call per trace step: the stopping pair is the last one extracted.
         w, cfg = case
-        calls = []
-        step = rankselect.r1_step
-        monkeypatch.setattr(rankselect, "r1_step", lambda *a: calls.append(1) or step(*a))
+        calls = counted_r1_steps(monkeypatch)
         _, trace = select_rank(w, cfg)
         assert len(calls) == len(trace.steps)
         assert trace.stop_reason in STOP_REASONS  # what read_bundle accepts
@@ -250,10 +258,10 @@ class TestOnePassDeflation:
 
     def test_zero_residual_amax_is_recorded_as_positive_zero(self):
         # The pair cancels w[0, 0] exactly; the other entries are -0.0 - (+0.0), and numpy
-        # returns -0.0 as both the residual's max and its min.
+        # returns -0.0 as both the residual's max and its min. x = 2 lets k = 3 draw that pair.
         w = np.full((8, 8), -0.0)
         w[0, 0] = 2.0
-        _, trace = select_rank(w, FlrqConfig(d=2, seed=1))
+        _, trace = select_rank(w, FlrqConfig(d=2, x=2.0, seed=1))
         assert [s.amax for s in trace.steps] == [0.0]
         assert math.copysign(1.0, trace.steps[0].amax) == 1.0
 
@@ -290,3 +298,77 @@ class TestLoopOracle:
                 kept = r
             assert factors.rank == kept
             assert trace.selected_rank == kept
+
+
+def drawn_then_tested(w, cfg):
+    """The rank rule as a loop that draws every pair, then tests k < q, k <= 1 + x and the
+    slope in that order: (kept pairs, steps, stop reason)."""
+    m, n = w.shape
+    w0 = amax(w)
+    history, pairs, steps = [w0], [], []
+    for r, (pair, _, envelope) in enumerate(components(w, cfg), start=1):
+        history.append(envelope)
+        q, k = qk(cfg.d, D_FP, m, n, r, w0, envelope)
+        s = slope(history, SLOPE_WINDOW)
+        steps.append(RankStep(r=r, amax=envelope, q=q, k=k, slope=s))
+        for reason, failed in (("budget_qk", k >= q), ("memory_cap", k > 1.0 + cfg.x), ("slope", s < SLOPE_T)):
+            if failed:
+                return pairs, steps, reason
+        pairs.append(pair)
+    return pairs, steps, "max_rank"
+
+
+def outlier_layer(m, n, seed, remainder=False):
+    """A 2-bit workload's layer, or the remainder of its plain 2-bit quantization (a later epoch's input)."""
+    w, _ = gen_layer(SynthSpec(m=m, n=n, family="outlier_channels", seed=seed, tokens=8))
+    return w - dequantize(quantize_matrix(w, 2)) if remainder else w
+
+
+class TestCapBoundsTheLoop:
+    @pytest.mark.parametrize("d, m, n", [(2, 8, 8), (2, 512, 512), (3, 64, 96), (4, 1024, 1024), (2, 1, 7)])
+    def test_rank_cap_is_the_largest_rank_qk_allows(self, d, m, n):
+        ks = [qk(d, D_FP, m, n, r, 1.0, 1.0)[1] for r in range(min(m, n) + 1)]
+        # Every k - 1 exactly, and the floats just below and above it, where the rounding decides.
+        xs = {0.0, 0.2, 1e-300, 1e300, math.inf}
+        xs |= {f(k - 1.0) for k in ks for f in (lambda v: v, lambda v: math.nextafter(v, 0.0),
+                                               lambda v: math.nextafter(v, math.inf))}
+        for x in xs:
+            assert rank_cap(d, m, n, x) == max(r for r, k in enumerate(ks) if k <= 1.0 + x), x
+
+    def test_cap_bounds_the_extractions(self, monkeypatch):
+        # At d = 2, x = 0.2, k = 1 + r / 16 on 256 x 256: the cap is 3, and it ends the loop.
+        w = outlier_layer(256, 256, seed=2)
+        cfg = FlrqConfig(d=2, seed=2)
+        calls = counted_r1_steps(monkeypatch)
+        factors, trace = select_rank(w, cfg)
+        assert rank_cap(2, 256, 256, cfg.x) == 3
+        assert (len(calls), len(trace.steps), factors.rank) == (3, 3, 3)
+        assert trace.stop_reason == "memory_cap"
+
+    def test_zero_cap_extracts_nothing(self, monkeypatch):
+        calls = counted_r1_steps(monkeypatch)
+        factors, trace = select_rank(np.random.default_rng(5).standard_normal((32, 32)),
+                                     FlrqConfig(d=4, x=0.0, seed=9))
+        assert (calls, factors.rank, trace.steps, trace.stop_reason) == ([], 0, [], "memory_cap")
+
+    def test_keeps_what_drawing_then_testing_keeps(self):
+        # The same pairs, rank and steps as a loop that draws the pair past the cap and then
+        # rejects it; that pair's step is gone, and its stop reason reads memory_cap.
+        layers = [(64, 96, seed, rem, x) for seed in range(4) for rem in (False, True) for x in (0.2, 1.0)]
+        layers += [(128, 128, 2, True, 0.2), (128, 128, 5, False, 0.2), (256, 256, 2, False, 0.2)]
+        cases = [(outlier_layer(m, n, seed, rem), FlrqConfig(d=2, x=x, seed=seed))
+                 for m, n, seed, rem, x in layers]
+        cases.append((rank1_dominant(256, 256, 3), FlrqConfig(d=4, seed=5)))  # ends on the slope
+        cases.append((np.zeros((8, 8)), FlrqConfig(seed=0)))  # ends at the floor, before the cap
+        past_cap = set()
+        for w, cfg in cases:
+            factors, trace = select_rank(w, cfg)
+            pairs, steps, stop = drawn_then_tested(w, cfg)
+            if steps and steps[-1].r > rank_cap(cfg.d, *w.shape, cfg.x):
+                past_cap.add(stop)
+                steps, stop = steps[:-1], "memory_cap"
+            expected = LowRankFactors.from_pairs(pairs, *w.shape)
+            assert (factors.left.tobytes(), factors.right.tobytes()) == (
+                expected.left.tobytes(), expected.right.tobytes())
+            assert (trace.selected_rank, trace.steps, trace.stop_reason) == (len(pairs), steps, stop)
+        assert past_cap == {"budget_qk", "memory_cap"}  # both reasons the step past the cap read

@@ -7,13 +7,15 @@ inputs are generated once (``benchmark/helper.py generate``, importing PARENT_RO
 ``src/``); then ``Workload.quantize_args`` runs once under each root's ``src/``. One
 line per tree says ``identical`` or names the files that differ. Exits 0 when every tree
 is identical, 1 on any difference, 2 when a command fails. Inputs and outputs go to a
-temporary directory that is removed at the end.
+temporary directory that is removed at the end. A differing JSON file is followed by the
+top-level keys whose values differ, e.g. ``layer_001/meta.json: rank_trace``.
 """
 
 from __future__ import annotations
 
 import argparse
 import filecmp
+import json
 import os
 import shutil
 import subprocess
@@ -49,6 +51,26 @@ def differing_files(a: Path, b: Path) -> list[str]:
     return sorted(map(str, (files ^ other) | changed))
 
 
+def differing_keys(a: Path, b: Path) -> list[str]:
+    """Top-level keys of two JSON objects that only one holds or whose values write differently;
+    none when either file is not a JSON object."""
+    try:
+        x, y = (json.loads(p.read_text()) for p in (a, b))
+    except ValueError:
+        return []
+    if not (isinstance(x, dict) and isinstance(y, dict)):
+        return []
+    return sorted(k for k in x.keys() | y.keys()
+                  if k not in x or k not in y or json.dumps(x[k]) != json.dumps(y[k]))
+
+
+def describe(a: Path, b: Path, rel: str) -> str:
+    """``rel``, followed by its differing top-level keys when both trees hold it as JSON."""
+    both = (a / rel).is_file() and (b / rel).is_file()
+    keys = differing_keys(a / rel, b / rel) if both and rel.endswith(".json") else []
+    return f"{rel}: {', '.join(keys)}" if keys else rel
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("parent", type=Path, help="root of the reference checkout")
@@ -65,9 +87,10 @@ def main(argv=None) -> int:
                                       str(work / "in")])
                 for name, root in roots.items():
                     run(root, ["-m", "flrq.cli", *wl.quantize_args(work / "in", work / name, seed)])
-                diff = differing_files(work / "parent", work / "change")
+                diff = [describe(work / "parent", work / "change", rel)
+                        for rel in differing_files(work / "parent", work / "change")]
                 differ += bool(diff)
-                print(f"{wl.name} seed {seed}: {', '.join(diff) if diff else 'identical'}", flush=True)
+                print(f"{wl.name} seed {seed}: {'; '.join(diff) if diff else 'identical'}", flush=True)
                 shutil.rmtree(work)
     return 1 if differ else 0
 
