@@ -11,13 +11,14 @@ L L^T = X X^T (``calibrate``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .config import FlrqConfig
 from .errors import NumericalError
-from .linalg import TINY, product_norm
+from .linalg import TINY, amax, product_norm
 # clip and quantize_matrix are not called here, but benchmark/tracer.py wraps them as blc names.
 from .quantize import QuantizedTensor, clip, dequantize, quantize_matrix, search_clip  # noqa: F401
 from .rankselect import RankTrace, select_rank
@@ -124,27 +125,27 @@ def channel_mean(x: np.ndarray) -> np.ndarray:
 
 
 def alpha(x_bar: np.ndarray, exponent: float = 2.5) -> np.ndarray:
-    """Channel scaling x_bar^exponent / sqrt(max(x_bar) * min(x_bar))."""
-    if (x_bar <= 0.0).any():
-        raise ValueError("channel means must be strictly positive (floor them first)")
+    """Channel scaling x_bar^exponent / sqrt(max(x_bar) * min(x_bar)), for x_bar > 0."""
     return np.power(x_bar, exponent) / np.sqrt(x_bar.max() * x_bar.min())
 
 
 def scaled_flr(
     w: np.ndarray, alpha_vec: np.ndarray, cfg: FlrqConfig
 ) -> tuple[LowRankFactors, RankTrace]:
-    """Flexible-rank extraction on the channel-scaled weights.
+    """Flexible-rank extraction on the channel-scaled weights, in float32.
 
-    Columns of w are multiplied by alpha before selection; the inverse scale
-    is folded into the right factor, so left @ right approximates w in the
-    original space.
+    w * alpha is scaled by the power of two 2^-shift that puts its amax in [0.5, 1), which is
+    exact at every scale of w, and cast for select_rank. The factors come back as float64, with
+    2^shift in left and 1 / alpha in right, so left @ right approximates w; the trace's amaxes
+    are multiplied by 2^shift, back to the channel-scaled weights' space.
     """
-    if alpha_vec.shape != (w.shape[1],):
-        raise ValueError(f"alpha length {alpha_vec.shape} does not match input dim {w.shape[1]}")
-    if (alpha_vec <= 0.0).any():
-        raise ValueError("alpha must be strictly positive")
-    factors, trace = select_rank(w * alpha_vec, cfg)
-    return LowRankFactors(factors.left, factors.right / alpha_vec), trace
+    a = w * alpha_vec
+    shift = int(np.frexp(amax(a))[1])
+    a = np.ldexp(a, -shift, out=a).astype(np.float32)  # the float64 product is freed here
+    factors, trace = select_rank(a, cfg)
+    trace.steps = [replace(step, amax=math.ldexp(step.amax, shift)) for step in trace.steps]
+    left = np.ldexp(factors.left.astype(np.float64), shift)
+    return LowRankFactors(left, factors.right / alpha_vec), trace  # float32 / float64: float64
 
 
 def layer_error(

@@ -1,7 +1,8 @@
 """Dense linear algebra kernels, GEMV-centric, and the BLAS thread pin set on import.
 
-All compute is 64-bit float; 32-bit appears only at the I/O boundary. Every
-kernel is pure, so values can move freely between threads.
+Kernels compute in their inputs' dtype: float64, but float32 in rank selection (see
+``blc.scaled_flr``) and at the I/O boundary. Every kernel is pure, so values can move
+freely between threads.
 
 Imported before numpy with OPENBLAS_NUM_THREADS unset, it sets that variable to 1 (which
 child processes inherit), so OpenBLAS starts no server threads for the pin to leave idle.

@@ -20,12 +20,13 @@ from itertools import islice
 import numpy as np
 
 from .config import FlrqConfig
-from .errors import NumericalError
-from .linalg import TINY, amax, rank1_subtract
+from .linalg import amax, rank1_subtract
 from .sketch import LowRankFactors, Rank1Pair, make_rng, r1_step
 
-# A residual amax at or below this (relative to the input's) counts as numerically zero.
+# A residual amax at or below this (relative to the input's) counts as numerically zero. In
+# float32, rounding leaves up to about 5e-8 of amax after an exact rank, so its floor is higher.
 RESIDUAL_FLOOR = 1e-13
+RESIDUAL_FLOOR_F32 = 1e-6
 
 D_FP = 16  # bits charged per factor entry (and by the report per scale and zero)
 SLOPE_T = 1e-3  # the loop stops once the windowed amax slope falls below this
@@ -57,10 +58,6 @@ def qk(d: int, d_fp: int, m: int, n: int, r: int, w0: float, wr: float) -> tuple
     q = (d + log2(w0 / wr)) / d, k = 1 + d_fp * r * (m + n) / (d * m * n).
     A fully captured residual (wr <= 0) returns q = +inf.
     """
-    if w0 <= 0.0:
-        raise ValueError("original amax must be positive")
-    if r < 0:
-        raise ValueError("rank must be >= 0")
     k = 1.0 + (d_fp * r * (m + n)) / (d * m * n)
     if wr <= 0.0:
         return math.inf, k
@@ -78,21 +75,20 @@ def slope(amax_history, window: int) -> float:
     hist = list(amax_history)
     if not hist:
         raise ValueError("amax history is empty")
-    a0 = hist[0]
-    if a0 == 0.0:
-        raise NumericalError("slope undefined: original amax is zero")
     if len(hist) < window + 1:
         return math.inf
-    return (hist[-1 - window] - hist[-1]) / (window * a0)
+    return (hist[-1 - window] - hist[-1]) / (window * hist[0])
 
 
-def residual_floor(top: float) -> float:
-    """The amax at or below which a residual of an input with amax ``top`` is numerically zero."""
+def residual_floor(top: float, dtype: np.dtype) -> float:
+    """The amax at or below which a residual of a ``dtype`` input with amax ``top`` is zero."""
     # No squares, so the test scales with the input; an all-subnormal input has lost its precision.
-    return max(RESIDUAL_FLOOR * top, TINY)
+    relative = RESIDUAL_FLOOR_F32 if dtype == np.float32 else RESIDUAL_FLOOR
+    return max(relative * top, float(np.finfo(dtype).tiny))
 
 
-def components(a: np.ndarray, cfg: FlrqConfig) -> Iterator[tuple[Rank1Pair, np.ndarray, float]]:
+def components(a: np.ndarray, cfg: FlrqConfig, top: float | None = None
+               ) -> Iterator[tuple[Rank1Pair, np.ndarray, float]]:
     """Rank-1 pairs of ``a`` in extraction order, each with the residual left after it and the
     envelope: the running minimum of amax(a) and the amax of every residual so far.
 
@@ -100,14 +96,14 @@ def components(a: np.ndarray, cfg: FlrqConfig) -> Iterator[tuple[Rank1Pair, np.n
     that stops early, or bounds it with ``islice`` as ``select_rank`` does at the memory
     cap, never pays for the next extraction. Ends after min(m, n) pairs, or before an
     extraction once the residual is numerically zero: its amax at most
-    ``residual_floor(amax(a))``. Past its 2*it + 2 GEMVs, a pair costs one
+    ``residual_floor(amax(a), a.dtype)``. Past its 2*it + 2 GEMVs, a pair costs one
     pass over the residual (``rank1_subtract``) and its amax, which the zero test and
-    the envelope share.
+    the envelope share. Everything runs in ``a``'s dtype; ``top``, when given, is amax(a).
     ``a`` is never written; each yielded residual is overwritten by the next step.
     """
     rng = make_rng(cfg.seed)
-    residual, top = a, amax(a)
-    envelope, floor = top, residual_floor(top)
+    residual, top = a, amax(a) if top is None else top
+    envelope, floor = top, residual_floor(top, a.dtype)
     for _ in range(min(a.shape)):
         if top <= floor:
             return
@@ -157,7 +153,7 @@ def select_rank(w: np.ndarray, cfg: FlrqConfig) -> tuple[LowRankFactors, RankTra
     k <= 1 + x bounds the loop instead of testing a pair: no pair past ``rank_cap``
     is extracted, and the loop ends with ``memory_cap`` when the cap, not the residual
     floor or min(m, n), ended it. A zero matrix is already at the residual floor: it
-    stops before any extraction with reason ``max_rank``.
+    stops before any extraction with reason ``max_rank``. Kept pairs have ``w``'s dtype.
     """
     m, n = w.shape
     w0 = envelope = amax(w)
@@ -165,7 +161,7 @@ def select_rank(w: np.ndarray, cfg: FlrqConfig) -> tuple[LowRankFactors, RankTra
     pairs: list[Rank1Pair] = []
     trace = RankTrace(stop_reason="max_rank")  # kept if no pair is left to extract
     cap = rank_cap(cfg.d, m, n, cfg.x)
-    for r, (pair, _, envelope) in enumerate(islice(components(w, cfg), cap), start=1):
+    for r, (pair, _, envelope) in enumerate(islice(components(w, cfg, w0), cap), start=1):
         history.append(envelope)
         q, k = qk(cfg.d, D_FP, m, n, r, w0, envelope)
         s = slope(history, SLOPE_WINDOW)
@@ -179,7 +175,7 @@ def select_rank(w: np.ndarray, cfg: FlrqConfig) -> tuple[LowRankFactors, RankTra
         pairs.append(pair)
     else:  # every pair drawn was kept; the cap ended the loop if components held another one,
         # that is, below min(m, n) and with the last residual (so the envelope) above the floor
-        if cap < min(m, n) and envelope > residual_floor(w0):
+        if cap < min(m, n) and envelope > residual_floor(w0, w.dtype):
             trace.stop_reason = "memory_cap"
     trace.selected_rank = len(pairs)
     return LowRankFactors.from_pairs(pairs, m, n), trace

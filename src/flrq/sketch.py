@@ -81,9 +81,10 @@ def r1_step(a: np.ndarray, cfg: FlrqConfig, rng: np.random.Generator) -> Rank1Pa
     Both are degree 0 in p, so p is rescaled exactly after every product; k is rescaled
     too, and its power of two goes back into left. So the pair of 2^e A is (2^e left,
     right), and no scale of A underflows the probe or over- or underflows |k|. A probe that
-    collapses to zero (always, for a zero ``a``) raises NumericalError.
+    collapses to zero (always, for a zero ``a``) raises NumericalError. The pair has ``a``'s
+    dtype; the draw is float64 in every dtype, so the stream does not depend on it.
     """
-    p = _rescaled(gemv(a, rng.standard_normal(a.shape[1])))
+    p = _rescaled(gemv(a, rng.standard_normal(a.shape[1]).astype(a.dtype, copy=False)))
     for _ in range(cfg.it):
         p = _rescaled(gemv(a, _rescaled(gemv_t(a, p))))
     p_norm_sq = float(p @ p)

@@ -8,7 +8,6 @@ import pytest
 
 from flrq import rankselect
 from flrq.config import FlrqConfig
-from flrq.errors import NumericalError
 from flrq.linalg import amax, rank1_subtract
 from flrq.quantize import dequantize, quantize_matrix
 from flrq.rankselect import (
@@ -48,10 +47,6 @@ class TestQk:
         assert math.isinf(q)
         assert k > 1.0
 
-    def test_nonpositive_original_errors(self):
-        with pytest.raises(ValueError):
-            qk(4, 16, 8, 8, 1, 0.0, 1.0)
-
     def test_matches_independent_evaluation(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
@@ -82,10 +77,6 @@ class TestSlope:
     def test_empty_history_errors(self):
         with pytest.raises(ValueError):
             slope([], 4)
-
-    def test_zero_origin_errors(self):
-        with pytest.raises(NumericalError):
-            slope([0.0, 0.0], 1)
 
     def test_window_one(self):
         assert slope([10.0, 5.0], 1) == pytest.approx(0.5)
@@ -196,6 +187,14 @@ class TestComponents:
         _, trace = select_rank(w, cfg)
         assert len(calls) == len(trace.steps)
         assert trace.stop_reason in STOP_REASONS  # what read_bundle accepts
+
+    def test_one_amax_of_the_input(self, monkeypatch):
+        # select_rank hands its amax(w) to components: one pass over w, then one per residual.
+        w, cfg = self.CASES["slope"]
+        seen = []
+        monkeypatch.setattr(rankselect, "amax", lambda a: seen.append(a is w) or amax(a))
+        _, trace = select_rank(w, cfg)
+        assert (seen.count(True), len(seen)) == (1, 1 + len(trace.steps))
 
     def test_yields_min_dim_pairs_with_running_residuals(self):
         w = np.random.default_rng(9).standard_normal((12, 20))
