@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import sys
 import time
 from itertools import islice
@@ -27,7 +28,7 @@ from flrq.errors import NumericalError
 from flrq.io import extra_bits
 from flrq.linalg import amax, fro_norm
 from flrq.quantize import BIT_WIDTHS
-from flrq.rankselect import D_FP, components, deflate, select_rank
+from flrq.rankselect import D_FP, components, deflate, normalized, select_rank
 from flrq.sketch import LowRankFactors, layer_seed
 
 ABLATIONS = ("rank", "it", "blc", "x", "fixed-vs-flex", "svd")
@@ -76,12 +77,13 @@ def ablation_rows(args, idx: int, w, calib, base) -> list[dict]:
     if args.which == "rank":  # the amax envelope and plain rel_error after each of the first ranks
         max_rank = min(SWEEP_RANK, m, n)
         error = cli.plain_rel_error(w, calib, LowRankFactors.empty(m, n), base)
-        rows = [{"layer": idx, "r": 0, "amax": amax(w), "rel_error": error}]
+        a, shift = normalized(w)  # select_rank's matrix; amaxes go back to w's scale
+        rows = [{"layer": idx, "r": 0, "amax": math.ldexp(amax(a), shift), "rel_error": error}]
         pairs = []
-        for pair, _, envelope in islice(components(w, base), max_rank):
+        for pair, _, envelope in islice(components(a, base), max_rank):
             pairs.append(pair)
-            prefix = LowRankFactors.from_pairs(pairs, m, n)
-            rows.append({"layer": idx, "r": len(pairs), "amax": envelope,
+            prefix = LowRankFactors.from_pairs(pairs, m, n, shift)
+            rows.append({"layer": idx, "r": len(pairs), "amax": math.ldexp(envelope, shift),
                          "rel_error": cli.plain_rel_error(w, calib, prefix, base)})
         if len(pairs) < max_rank:
             cli.log(f"layer {idx}: residual exhausted at rank {len(pairs)}; stopping sweep early")

@@ -11,14 +11,13 @@ L L^T = X X^T (``calibrate``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .config import FlrqConfig
 from .errors import NumericalError
-from .linalg import TINY, amax, product_norm
+from .linalg import TINY, product_norm
 # clip and quantize_matrix are not called here, but benchmark/tracer.py wraps them as blc names.
 from .quantize import QuantizedTensor, clip, dequantize, quantize_matrix, search_clip  # noqa: F401
 from .rankselect import RankTrace, select_rank
@@ -132,20 +131,10 @@ def alpha(x_bar: np.ndarray, exponent: float = 2.5) -> np.ndarray:
 def scaled_flr(
     w: np.ndarray, alpha_vec: np.ndarray, cfg: FlrqConfig
 ) -> tuple[LowRankFactors, RankTrace]:
-    """Flexible-rank extraction on the channel-scaled weights, in float32.
-
-    w * alpha is scaled by the power of two 2^-shift that puts its amax in [0.5, 1), which is
-    exact at every scale of w, and cast for select_rank. The factors come back as float64, with
-    2^shift in left and 1 / alpha in right, so left @ right approximates w; the trace's amaxes
-    are multiplied by 2^shift, back to the channel-scaled weights' space.
-    """
-    a = w * alpha_vec
-    shift = int(np.frexp(amax(a))[1])
-    a = np.ldexp(a, -shift, out=a).astype(np.float32)  # the float64 product is freed here
-    factors, trace = select_rank(a, cfg)
-    trace.steps = [replace(step, amax=math.ldexp(step.amax, shift)) for step in trace.steps]
-    left = np.ldexp(factors.left.astype(np.float64), shift)
-    return LowRankFactors(left, factors.right / alpha_vec), trace  # float32 / float64: float64
+    """Flexible-rank extraction on the channel-scaled weights w * alpha, with 1 / alpha put
+    into right, so left @ right approximates w; the trace is in w * alpha's space."""
+    factors, trace = select_rank(w * alpha_vec, cfg)
+    return LowRankFactors(factors.left, factors.right / alpha_vec), trace
 
 
 def layer_error(

@@ -149,8 +149,12 @@ def _fields_of(cls, args) -> dict:
 
 def plain_rel_error(w, calib: Calibration, factors: LowRankFactors, cfg: FlrqConfig) -> float:
     """Relative output error of plainly quantizing W - LR and adding LR back."""
-    q = quantize_matrix(w - factors.reconstruct() if factors.rank else w, cfg.d)
-    return layer_error(w, q, factors, calib.l) / calib.wx_norm if calib.wx_norm > 0 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # a group's span can overflow: raised below
+        error = layer_error(w, quantize_matrix(w - factors.reconstruct() if factors.rank else w, cfg.d),
+                            factors, calib.l)
+    if not np.isfinite(error):
+        raise NumericalError("the round-to-nearest baseline's error overflows float64")
+    return error / calib.wx_norm if calib.wx_norm > 0 else 0.0
 
 
 def cmd_gen_synth(args) -> int:

@@ -1,7 +1,7 @@
 """Dense linear algebra kernels, GEMV-centric, and the BLAS thread pin set on import.
 
 Kernels compute in their inputs' dtype: float64, but float32 in rank selection (see
-``blc.scaled_flr``) and at the I/O boundary. Every kernel is pure, so values can move
+``rankselect.normalized``) and at the I/O boundary. Every kernel is pure, so values can move
 freely between threads.
 
 Imported before numpy with OPENBLAS_NUM_THREADS unset, it sets that variable to 1 (which
@@ -58,19 +58,11 @@ def as_matrix(data) -> np.ndarray:
 
 def gemv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """y = A x."""
-    if a.ndim != 2 or x.ndim != 1:
-        raise ValueError("gemv expects a 2-D matrix and a 1-D vector")
-    if x.shape[0] != a.shape[1]:
-        raise ValueError(f"gemv dimension mismatch: A is {a.shape}, x has length {x.shape[0]}")
     return a @ x
 
 
 def gemv_t(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """y = A^T x."""
-    if a.ndim != 2 or x.ndim != 1:
-        raise ValueError("gemv_t expects a 2-D matrix and a 1-D vector")
-    if x.shape[0] != a.shape[0]:
-        raise ValueError(f"gemv_t dimension mismatch: A is {a.shape}, x has length {x.shape[0]}")
     return a.T @ x
 
 
@@ -99,8 +91,6 @@ def rank1_subtract(a: np.ndarray, u: np.ndarray, v: np.ndarray, out=None) -> np.
 
 def amax(a: np.ndarray) -> float:
     """Largest absolute entry, +0.0 for a zero matrix; no np.abs temporary."""
-    if a.size == 0:
-        raise ValueError("amax of an empty matrix is undefined")
     return max(float(a.max()), -float(a.min())) + 0.0  # + 0.0 turns -0.0 into 0.0
 
 

@@ -48,11 +48,12 @@ class LowRankFactors:
         return cls(left=np.zeros((m, 0)), right=np.zeros((0, n)))
 
     @classmethod
-    def from_pairs(cls, pairs: list[Rank1Pair], m: int, n: int) -> "LowRankFactors":
+    def from_pairs(cls, pairs: list[Rank1Pair], m: int, n: int, shift: int) -> "LowRankFactors":
+        """Pairs of a matrix normalized by 2^-shift, as float64 factors of the matrix itself."""
         if not pairs:
             return cls.empty(m, n)
-        left = np.stack([p.left for p in pairs], axis=1)
-        right = np.stack([p.right for p in pairs], axis=0)
+        left = np.ldexp(np.stack([p.left for p in pairs], axis=1, dtype=np.float64), shift)
+        right = np.stack([p.right for p in pairs], axis=0, dtype=np.float64)
         return cls(left=left, right=right)
 
     def reconstruct(self) -> np.ndarray:
@@ -82,7 +83,7 @@ def r1_step(a: np.ndarray, cfg: FlrqConfig, rng: np.random.Generator) -> Rank1Pa
     too, and its power of two goes back into left. So the pair of 2^e A is (2^e left,
     right), and no scale of A underflows the probe or over- or underflows |k|. A probe that
     collapses to zero (always, for a zero ``a``) raises NumericalError. The pair has ``a``'s
-    dtype; the draw is float64 in every dtype, so the stream does not depend on it.
+    dtype (float32 in rank selection); the draw is float64, so the stream does not depend on it.
     """
     p = _rescaled(gemv(a, rng.standard_normal(a.shape[1]).astype(a.dtype, copy=False)))
     for _ in range(cfg.it):

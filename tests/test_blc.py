@@ -19,7 +19,7 @@ from flrq.errors import NumericalError
 from flrq.io import write_bundle
 from flrq.linalg import fro_norm
 from flrq.quantize import GROUP_SIZE, dequantize, quantize_matrix, search_clip
-from flrq.rankselect import select_rank
+from flrq.rankselect import deflate, select_rank
 from flrq.sketch import LowRankFactors
 from flrq.synth import SynthSpec, gen_layer
 from test_cli import tree_digest
@@ -293,17 +293,26 @@ class TestAlpha:
 
 class TestScaledFlr:
     def test_unit_alpha_matches_plain(self):
-        # Unit alpha: select_rank on w's power-of-two normalization in float32, with 2^shift
-        # put back into the left factor and both factors returned as float64.
+        # Unit alpha: select_rank itself, whose factors come back as float64.
         w, _ = outlier_layer(3, m=96, n=96)
         cfg = FlrqConfig(d=4, x=1.0, seed=3)
-        shift = int(np.frexp(np.abs(w).max())[1])
-        plain, _ = select_rank(np.ldexp(w, -shift).astype(np.float32), cfg)
+        plain, _ = select_rank(w, cfg)
         scaled, _ = scaled_flr(w, np.ones(96), cfg)
         assert plain.rank >= 1
         assert scaled.left.dtype == scaled.right.dtype == np.float64
-        assert scaled.left.tobytes() == np.ldexp(plain.left.astype(np.float64), shift).tobytes()
-        assert scaled.right.tobytes() == plain.right.astype(np.float64).tobytes()
+        assert scaled.left.tobytes() == plain.left.tobytes()
+        assert scaled.right.tobytes() == plain.right.tobytes()
+
+    def test_deflate_gives_the_factors_selection_keeps(self):
+        # deflate extracts from the same normalized float32 matrix as quantize's selection.
+        w, _ = outlier_layer(3, m=96, n=96)
+        cfg = FlrqConfig(d=4, x=1.0, seed=3)
+        scaled, _ = scaled_flr(w, np.ones(96), cfg)
+        assert scaled.rank >= 2
+        for r in range(1, scaled.rank + 1):
+            fixed = deflate(w, r, cfg)
+            assert fixed.left.tobytes() == scaled.left[:, :r].tobytes()
+            assert fixed.right.tobytes() == scaled.right[:r].tobytes()
 
     def test_selection_runs_in_float32(self, monkeypatch):
         seen = set()

@@ -775,6 +775,23 @@ class TestExitCodes:
         assert cause in lines[0]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("warnings_env", [{}, {"PYTHONWARNINGS": "error"}], ids=["default", "W-error"])
+    def test_overflowing_baseline_is_numerical_error(self, tmp_path, warnings_env):
+        # W is finite with amax 1.5 * 2^1023 and W X is in range, so flrq's own layer quantizes;
+        # plain RTN's group span max - min overflows, and its error would be NaN.
+        rng = np.random.default_rng(0)
+        w = np.outer(rng.standard_normal(64), rng.standard_normal(128)) + 0.01 * rng.standard_normal((64, 128))
+        w = np.ldexp(w / np.abs(w).max(), 1023) * 1.5
+        x = np.ldexp(rng.standard_normal((128, 64)), -1023)
+        layer = write_layer(tmp_path / "in" / "layer_000", w, x)
+        proc = run_cli("quantize", "--in", layer.parent, "--d", 3, "--out-dir", tmp_path / "out",
+                       **warnings_env)
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.strip().splitlines() == [
+            "[flrq] numerical failure: layer_000: the round-to-nearest baseline's error overflows float64"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_first_failing_layer_is_reported(self, tmp_path, threads):
         # layer_001 overflows (exit 3) and layer_002 is truncated (exit 2); the reader

@@ -11,8 +11,8 @@ from flrq.config import FlrqConfig
 from flrq.linalg import amax, rank1_subtract
 from flrq.quantize import dequantize, quantize_matrix
 from flrq.rankselect import (
-    D_FP, RESIDUAL_FLOOR, SLOPE_T, SLOPE_WINDOW, STOP_REASONS, RankStep, components, qk, rank_cap,
-    select_rank, slope,
+    D_FP, RESIDUAL_FLOOR, SLOPE_T, SLOPE_WINDOW, STOP_REASONS, RankStep, components, normalized, qk,
+    rank_cap, select_rank, slope,
 )
 from flrq.sketch import LowRankFactors, make_rng, r1_step
 from flrq.synth import SynthSpec, gen_layer
@@ -74,10 +74,6 @@ class TestSlope:
     def test_short_history_sentinel(self):
         assert slope([5, 4], 4) == math.inf
 
-    def test_empty_history_errors(self):
-        with pytest.raises(ValueError):
-            slope([], 4)
-
     def test_window_one(self):
         assert slope([10.0, 5.0], 1) == pytest.approx(0.5)
 
@@ -97,6 +93,20 @@ class TestSelectRank:
         assert got.right.tobytes() == base.right.tobytes()
         assert got.left.tobytes() == np.ldexp(base.left, k).tobytes()
         assert trace.steps == [dataclasses.replace(s, amax=math.ldexp(s.amax, k)) for s in base_trace.steps]
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_all_subnormal_input_keeps_its_rank(self, k):
+        # At 2^-1070 an exactly rank-k integer matrix has only subnormal entries, all exact:
+        # normalized hands selection the same float32 matrix, so the same rank and right factors.
+        g = np.random.default_rng(k)
+        a = g.integers(-4, 5, (64, k)) @ g.integers(-4, 5, (k, 96)).astype(float)
+        cfg = FlrqConfig(d=4, x=1.0, seed=k)
+        base, base_trace = select_rank(a, cfg)
+        got, trace = select_rank(np.ldexp(a, -1070), cfg)
+        assert base.rank == k
+        assert (trace.selected_rank, trace.stop_reason) == (base_trace.selected_rank, base_trace.stop_reason)
+        assert got.right.tobytes() == base.right.tobytes()
+        assert got.left.tobytes() == np.ldexp(base.left, -1070).tobytes()
 
     def test_rank1_dominant_selects_one(self):
         for s in range(5):
@@ -189,12 +199,13 @@ class TestComponents:
         assert trace.stop_reason in STOP_REASONS  # what read_bundle accepts
 
     def test_one_amax_of_the_input(self, monkeypatch):
-        # select_rank hands its amax(w) to components: one pass over w, then one per residual.
+        # select_rank takes amax(w) once, for normalized's shift, and hands the normalized copy's
+        # amax to components: one pass over each, then one per float32 residual.
         w, cfg = self.CASES["slope"]
         seen = []
-        monkeypatch.setattr(rankselect, "amax", lambda a: seen.append(a is w) or amax(a))
+        monkeypatch.setattr(rankselect, "amax", lambda a: seen.append((a is w, a.dtype)) or amax(a))
         _, trace = select_rank(w, cfg)
-        assert (seen.count(True), len(seen)) == (1, 1 + len(trace.steps))
+        assert seen == [(True, np.float64)] + [(False, np.float32)] * (1 + len(trace.steps))
 
     def test_yields_min_dim_pairs_with_running_residuals(self):
         w = np.random.default_rng(9).standard_normal((12, 20))
@@ -227,7 +238,7 @@ class TestComponents:
 def amax_rule_pairs(a, cfg):
     """The pairs components yields, from a loop that tests every residual's amax against amax(a)."""
     rng, residual, pairs = make_rng(cfg.seed), a.copy(), []
-    floor = max(RESIDUAL_FLOOR * np.abs(a).max(), np.finfo(np.float64).tiny)
+    floor = RESIDUAL_FLOOR * float(np.abs(a).max())
     while len(pairs) < min(a.shape) and np.abs(residual).max() > floor:
         pairs.append(r1_step(residual, cfg, rng))
         residual = residual - np.outer(pairs[-1].left, pairs[-1].right)
@@ -240,20 +251,22 @@ def pair_bytes(pairs, scale=0):
 
 class TestOnePassDeflation:
     @pytest.mark.parametrize("k", [1, 3])
-    # 2^-540: the residual's squares underflow; 2^-1000: so do a's, and 1e-13 amax(a) is
-    # subnormal, so the floor is tiny; 2^-1070: a's entries are subnormal.
+    # 2^-540: the residual's squares underflow; 2^-1000: so do a's; 2^-1070: a's entries are
+    # subnormal, yet exact, so normalized(a) is the same matrix.
     @pytest.mark.parametrize("scale", [1, 100, -100, -540, -1000, -1070])
     def test_stops_where_the_fro_norm_rule_stops(self, k, scale):
-        # Exactly rank k: k pairs at 2^0, where a Frobenius-norm floor stops too; 2^scale times
-        # them at every scale whose entries are normal, and none at all below that.
+        # Exactly rank k: k pairs of normalized(a), where a Frobenius-norm floor stops too; the
+        # same pairs, with shift + scale, at every scale.
         g = np.random.default_rng(k)
         a = g.integers(-4, 5, (24, k)) @ g.integers(-4, 5, (k, 40)).astype(float)
         cfg = FlrqConfig(seed=k)
-        expected = amax_rule_pairs(a, cfg)
+        b, shift = normalized(a)
+        expected = amax_rule_pairs(b, cfg)
         assert len(expected) == k
-        assert pair_bytes(pair for pair, _, _ in components(a, cfg)) == pair_bytes(expected)
-        got = pair_bytes(pair for pair, _, _ in components(np.ldexp(a, scale), cfg))
-        assert got == ([] if scale == -1070 else pair_bytes(expected, scale))
+        assert pair_bytes(pair for pair, _, _ in components(b, cfg)) == pair_bytes(expected)
+        bs, shift_s = normalized(np.ldexp(a, scale))
+        assert shift_s == shift + scale
+        assert pair_bytes(pair for pair, _, _ in components(bs, cfg)) == pair_bytes(expected)
 
     def test_zero_residual_amax_is_recorded_as_positive_zero(self):
         # The pair cancels w[0, 0] exactly; the other entries are -0.0 - (+0.0), and numpy
@@ -300,16 +313,18 @@ class TestLoopOracle:
 
 
 def drawn_then_tested(w, cfg):
-    """The rank rule as a loop that draws every pair, then tests k < q, k <= 1 + x and the
-    slope in that order: (kept pairs, steps, stop reason)."""
+    """The rank rule as a loop that draws every pair of normalized(w), then tests k < q,
+    k <= 1 + x and the slope in that order: (kept pairs, steps with amaxes in w's scale,
+    stop reason)."""
     m, n = w.shape
-    w0 = amax(w)
+    a, shift = normalized(w)
+    w0 = amax(a)
     history, pairs, steps = [w0], [], []
-    for r, (pair, _, envelope) in enumerate(components(w, cfg), start=1):
+    for r, (pair, _, envelope) in enumerate(components(a, cfg), start=1):
         history.append(envelope)
         q, k = qk(cfg.d, D_FP, m, n, r, w0, envelope)
         s = slope(history, SLOPE_WINDOW)
-        steps.append(RankStep(r=r, amax=envelope, q=q, k=k, slope=s))
+        steps.append(RankStep(r=r, amax=math.ldexp(envelope, shift), q=q, k=k, slope=s))
         for reason, failed in (("budget_qk", k >= q), ("memory_cap", k > 1.0 + cfg.x), ("slope", s < SLOPE_T)):
             if failed:
                 return pairs, steps, reason
@@ -366,7 +381,7 @@ class TestCapBoundsTheLoop:
             if steps and steps[-1].r > rank_cap(cfg.d, *w.shape, cfg.x):
                 past_cap.add(stop)
                 steps, stop = steps[:-1], "memory_cap"
-            expected = LowRankFactors.from_pairs(pairs, *w.shape)
+            expected = LowRankFactors.from_pairs(pairs, *w.shape, normalized(w)[1])
             assert (factors.left.tobytes(), factors.right.tobytes()) == (
                 expected.left.tobytes(), expected.right.tobytes())
             assert (trace.selected_rank, trace.steps, trace.stop_reason) == (len(pairs), steps, stop)
