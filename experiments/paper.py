@@ -137,18 +137,17 @@ def svd_row(idx: int, w, cfg) -> dict:
     """The rank-r residual of exact SVD truncation against the mean of sketch deflation's."""
     check_svd_size(w.shape)
     rank = min(SVD_RANK, *w.shape)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below instead
-        t0 = time.perf_counter()
-        svd_residual = fro_norm(np.linalg.svd(w, full_matrices=False)[1][rank:])
-        svd_time = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    svd_residual = fro_norm(np.linalg.svd(w, full_matrices=False)[1][rank:])
+    svd_time = time.perf_counter() - t0
 
-        sketch_residuals = []
-        t0 = time.perf_counter()
-        for rep in range(SVD_SKETCH_RUNS):
-            factors = deflate(w, rank, dataclasses.replace(cfg, seed=layer_seed(cfg.seed, rep)))
-            sketch_residuals.append(fro_norm(w - factors.reconstruct()))
-        sketch_time = (time.perf_counter() - t0) / SVD_SKETCH_RUNS
-        mean_sketch = float(np.mean(sketch_residuals))
+    sketch_residuals = []
+    t0 = time.perf_counter()
+    for rep in range(SVD_SKETCH_RUNS):
+        factors = deflate(w, rank, dataclasses.replace(cfg, seed=layer_seed(cfg.seed, rep)))
+        sketch_residuals.append(fro_norm(w - factors.reconstruct()))
+    sketch_time = (time.perf_counter() - t0) / SVD_SKETCH_RUNS
+    mean_sketch = float(np.mean(sketch_residuals))
     if not np.isfinite([svd_residual, mean_sketch]).all():
         raise NumericalError(f"the rank-{rank} residual ||W - W_r||_F overflows float64")
     cli.log(f"layer {idx}, rank {rank}: svd residual {svd_residual:.4f} ({svd_time:.3f}s), "

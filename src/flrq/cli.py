@@ -149,9 +149,8 @@ def _fields_of(cls, args) -> dict:
 
 def plain_rel_error(w, calib: Calibration, factors: LowRankFactors, cfg: FlrqConfig) -> float:
     """Relative output error of plainly quantizing W - LR and adding LR back."""
-    with np.errstate(over="ignore", invalid="ignore"):  # a group's span can overflow: raised below
-        error = layer_error(w, quantize_matrix(w - factors.reconstruct() if factors.rank else w, cfg.d),
-                            factors, calib.l)
+    error = layer_error(w, quantize_matrix(w - factors.reconstruct() if factors.rank else w, cfg.d),
+                        factors, calib.l)
     if not np.isfinite(error):
         raise NumericalError("the round-to-nearest baseline's error overflows float64")
     return error / calib.wx_norm if calib.wx_norm > 0 else 0.0
@@ -189,6 +188,10 @@ def each_layer(args, work, workers: int = 1, calibrated: bool = True) -> tuple[l
         w, x = read_layer_inputs(path)
         return w, calibrate(w, x) if calibrated else None  # the one pass over x; freed on return
 
+    def guarded(*layer):  # numpy's errstate is per thread, so it is set on the worker
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends in one NumericalError
+            return work(*layer)
+
     def collect(futures) -> None:
         for f in futures:
             idx = running.pop(f)
@@ -213,7 +216,7 @@ def each_layer(args, work, workers: int = 1, calibrated: bool = True) -> tuple[l
             if failed:
                 break
             cfg_i = dataclasses.replace(cfg, seed=layer_seed(args.seed, idx))
-            running[pool.submit(work, idx, w, calib, cfg_i)] = idx
+            running[pool.submit(guarded, idx, w, calib, cfg_i)] = idx
         collect(wait(running).done)
     if failed:
         idx = min(failed)

@@ -314,8 +314,8 @@ def emit_report(layers, config: dict, rtn_rel_errors) -> str:
     rows = []
     for idx, (layer, rtn) in enumerate(zip(layers, rtn_rel_errors, strict=True)):
         m, n = layer.q.shape
-        meta_bits = D_FP * 2 / GROUP_SIZE  # a scale and a zero per group
         xb = extra_bits(D_FP, layer.factors.rank, m, n)
+        meta_bits = 2 * D_FP * layer.q.scales.size / (m * n)  # a scale and a zero per group
         rows.append({
             "index": idx,
             "rank": layer.factors.rank,

@@ -37,11 +37,15 @@ class QuantizedTensor:
         return self.codes.shape
 
 
-def _grouped(a: np.ndarray) -> np.ndarray:
-    """``a`` as (m, groups, GROUP_SIZE): a view, or an edge-padded copy when n is ragged."""
-    if a.shape[1] % GROUP_SIZE:
-        a = np.pad(a, ((0, 0), (0, -a.shape[1] % GROUP_SIZE)), mode="edge")
-    return a.reshape(a.shape[0], a.shape[1] // GROUP_SIZE, GROUP_SIZE)
+def _group_views(a: np.ndarray):
+    """Views of ``a`` as (m, groups, width), each with its slice of the group axis: the whole
+    groups if any, then the short last one if any. Writes to a view reach ``a``."""
+    m, n = a.shape
+    whole, edge = n // GROUP_SIZE, n - n % GROUP_SIZE
+    if whole:
+        yield a[:, :edge].reshape(m, whole, GROUP_SIZE), slice(None, whole)
+    if edge < n:
+        yield a[:, edge:].reshape(m, 1, n - edge), slice(whole, None)
 
 
 def quantize_matrix(r: np.ndarray, d: int) -> QuantizedTensor:
@@ -62,34 +66,24 @@ def quantize_matrix(r: np.ndarray, d: int) -> QuantizedTensor:
     # A group with scale 0 is divided by 1 instead: all its values round to code 0.
     live = scales > 0.0
     divisor = np.where(live, scales, 1.0)
-    q = np.divide(_grouped(r), divisor[:, :, None])  # a view of r is never written
-    np.round(q, out=q)
     zeros = np.where(live, np.round(-gmin / divisor), 0.0)
-    # q + zeros holds small integers, so clipping after the cast clips the same values.
-    codes = np.add(q, zeros[:, :, None], out=np.empty(q.shape, np.int16), casting="unsafe")
-    del q  # from here only the int16 codes are held: the clip works in place
+    q = np.empty((m, n))  # before the codes: freeing it leaves a hole, not a heap top malloc trims
+    codes = np.empty((m, n), np.int16)
+    for (part, g), (qp, _), (dest, _) in zip(_group_views(r), _group_views(q), _group_views(codes)):
+        np.round(np.divide(part, divisor[:, g, None], out=qp), out=qp)
+        # q + zeros holds small integers, so clipping after the cast clips the same values.
+        np.add(qp, zeros[:, g, None], out=dest, casting="unsafe")
     np.clip(codes, 0, hi, out=codes)
-    codes = codes.reshape(m, codes.shape[1] * GROUP_SIZE)[:, :n]
-    return QuantizedTensor(np.ascontiguousarray(codes), scales, zeros, d)
-
-
-def _group_parts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Views of ``a`` as (m, groups, width): its whole groups, then its ragged last group (none
-    when GROUP_SIZE divides n). Splitting columns never copies, so writes to them reach ``a``."""
-    m, n = a.shape
-    whole = n - n % GROUP_SIZE
-    return (a[:, :whole].reshape(m, whole // GROUP_SIZE, GROUP_SIZE),
-            a[:, whole:].reshape(m, int(whole < n), n - whole))
+    return QuantizedTensor(codes, scales, zeros, d)
 
 
 def dequantize(q: QuantizedTensor, out: np.ndarray | None = None) -> np.ndarray:
     """Reconstruct the dense matrix from codes and group parameters, into ``out`` if given."""
     out = np.empty(q.shape) if out is None else out
     out[...] = q.codes  # small integers, exact in float64
-    whole = q.shape[1] // GROUP_SIZE
-    for part, cols in zip(_group_parts(out), (slice(None, whole), slice(whole, None))):
-        part -= q.zeros[:, cols, None]
-        part *= q.scales[:, cols, None]
+    for part, g in _group_views(out):
+        part -= q.zeros[:, g, None]
+        part *= q.scales[:, g, None]
     return out
 
 
@@ -121,8 +115,6 @@ def search_clip(w: np.ndarray, l: np.ndarray, d: int) -> ClipSearchResult:
     the rows with an entry above p, and the rest keep the first's codes and row errors.
     Quantization is row-local, so q equals quantize_matrix(clip(W, p_clp)) byte for byte.
     """
-    if w.shape[1] != l.shape[0]:
-        raise ValueError(f"activation shape {l.shape} does not conform to weights {w.shape}")
     rowmax = np.abs(w).max(axis=1)
     top = float(rowmax.max())
     scratch = np.empty(w.shape)  # each candidate's clipped rows, then their dequantization

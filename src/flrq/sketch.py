@@ -53,6 +53,8 @@ class LowRankFactors:
         if not pairs:
             return cls.empty(m, n)
         left = np.ldexp(np.stack([p.left for p in pairs], axis=1, dtype=np.float64), shift)
+        if not np.isfinite(left).all():
+            raise NumericalError("the low-rank factors overflow float64")
         right = np.stack([p.right for p in pairs], axis=0, dtype=np.float64)
         return cls(left=left, right=right)
 
@@ -79,9 +81,9 @@ def r1_step(a: np.ndarray, cfg: FlrqConfig, rng: np.random.Generator) -> Rank1Pa
 
     The probe p = (A A^T)^it A s is built from one Gaussian draw s by alternating
     gemv/gemv_t calls; k = A^T p then gives left = (|k| / |p|^2) p and right = k / |k|.
-    Both are degree 0 in p, so p is rescaled exactly after every product; k is rescaled
-    too, and its power of two goes back into left. So the pair of 2^e A is (2^e left,
-    right), and no scale of A underflows the probe or over- or underflows |k|. A probe that
+    Both are degree 0 in p, so p is rescaled exactly after every product: no scale of A
+    underflows the probe. k is not: ``components`` passes ``normalized`` residuals (amax below 1,
+    above RESIDUAL_FLOOR of the first), where k @ k neither over- nor underflows. A probe that
     collapses to zero (always, for a zero ``a``) raises NumericalError. The pair has ``a``'s
     dtype (float32 in rank selection); the draw is float64, so the stream does not depend on it.
     """
@@ -92,9 +94,7 @@ def r1_step(a: np.ndarray, cfg: FlrqConfig, rng: np.random.Generator) -> Rank1Pa
     if not p_norm_sq > 0.0:  # written so that NaN fails too
         raise NumericalError("sketch probe collapsed")
     k = gemv_t(a, p)
-    shift = int(np.frexp(np.abs(k).max())[1])
-    k = np.ldexp(k, -shift)  # amax(k) in [0.5, 1): k @ k neither overflows nor underflows
     k_norm = float(np.sqrt(k @ k))
-    left = np.ldexp((k_norm / p_norm_sq) * p, shift)
+    left = (k_norm / p_norm_sq) * p
     right = k / k_norm
     return Rank1Pair(left=left, right=right)

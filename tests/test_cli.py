@@ -792,6 +792,44 @@ class TestExitCodes:
             "[flrq] numerical failure: layer_000: the round-to-nearest baseline's error overflows float64"]
         assert not (tmp_path / "out").exists()
 
+    @staticmethod
+    def overflowing_factor_layer():
+        # amax(W) is about 1.93 * 2^1023 once scaled by alpha: the rank-1 left factor, put back
+        # into W's scale, overflows float64.
+        g = np.random.default_rng(0)
+        u, v = g.standard_normal(64), g.standard_normal(128)
+        x = g.standard_normal((128, 256))
+        x[:4] *= 30
+        x = np.ldexp(x, -1020)
+        w = np.outer(u, v) + 0.01 * g.standard_normal((64, 128))
+        w = w / np.abs(w * blc.alpha(blc.calibrate(w, x).mean)).max() * np.ldexp(1.6, 1023)
+        return w, x, 3
+
+    @staticmethod
+    def edge_of_range_layer():
+        # amax(W) is 1.9 * 2^1023: every clip candidate's output error overflows.
+        g = np.random.default_rng(0)
+        w, x = g.standard_normal((64, 128)), g.standard_normal((128, 256))
+        x[:4] *= 30
+        return np.ldexp(w / np.abs(w).max(), 1023) * 1.9, np.ldexp(x, -1020), 2
+
+    @pytest.mark.parametrize("warnings_env", [{}, {"PYTHONWARNINGS": "error"}], ids=["default", "W-error"])
+    @pytest.mark.parametrize("make, cause", [
+        ("overflowing_factor_layer", "the low-rank factors overflow float64"),
+        ("edge_of_range_layer", "no clip threshold gives a finite output error"),
+    ], ids=["factor", "clip"])
+    def test_layer_past_float64_is_one_line(self, tmp_path, make, cause, warnings_env):
+        # Finite layers whose float64 arithmetic overflows end in one line, with no warning.
+        w, x, d = getattr(self, make)()
+        layer = write_layer(tmp_path / "in" / "layer_000", w, x)
+        proc = run_cli("quantize", "--in", layer.parent, "--d", d, "--out-dir", tmp_path / "out",
+                       **warnings_env)
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.strip().splitlines() == [f"[flrq] numerical failure: layer_000: {cause}"]
+        assert proc.stdout == ""
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_first_failing_layer_is_reported(self, tmp_path, threads):
         # layer_001 overflows (exit 3) and layer_002 is truncated (exit 2); the reader

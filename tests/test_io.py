@@ -468,12 +468,18 @@ class TestReport:
         assert extra_bits(16, 0, 64, 64) == 0.0
 
     def test_meta_overhead_field(self):
-        import json
-
-        layer = make_layer(seed=2, d=3)
-        report = json.loads(emit_report([layer], {"d": 3}, [1.0]))
+        # make_layer's 32 x 64 layer has one 64-wide group per row: a scale and a zero at
+        # 16 bits over 64 weights.
+        report = json.loads(emit_report([make_layer(seed=2, d=3)], {"d": 3}, [1.0]))
         row = report["layers"][0]
-        overhead = 16 * 2 / GROUP_SIZE  # scale + zero at 16 bits
+        assert row["extra_bits_with_meta"] == pytest.approx(row["extra_bits"] + 16 * 2 / 64)
+
+    @pytest.mark.parametrize("n", [200, 256])
+    def test_meta_overhead_charges_every_group(self, n):
+        # 16 * 2 * ceil(n / GROUP_SIZE) / n: 0.32 at n = 200, whose last group is short.
+        report = json.loads(emit_report([make_layer(seed=2, d=3, n=n)], {"d": 3}, [1.0]))
+        row = report["layers"][0]
+        overhead = 16 * 2 * -(-n // GROUP_SIZE) / n
         assert row["extra_bits_with_meta"] == pytest.approx(row["extra_bits"] + overhead)
 
     def test_byte_identical_for_identical_inputs(self):
