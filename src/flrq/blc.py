@@ -133,7 +133,7 @@ def scaled_flr(
 ) -> tuple[LowRankFactors, RankTrace]:
     """Flexible-rank extraction on the channel-scaled weights w * alpha, with 1 / alpha put
     into right, so left @ right approximates w; the trace is in w * alpha's space."""
-    factors, trace = select_rank(w * alpha_vec, cfg)
+    factors, trace = select_rank(w, cfg, alpha_vec)  # forms w * alpha block by block, in float32
     return LowRankFactors(factors.left, factors.right / alpha_vec), trace
 
 

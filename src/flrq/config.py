@@ -13,7 +13,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 
-from .quantize import BIT_WIDTHS
+BIT_WIDTHS = (2, 3, 4)  # the bit widths d that flrq quantizes to
 
 
 @dataclass(frozen=True)

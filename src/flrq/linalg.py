@@ -1,8 +1,8 @@
 """Dense linear algebra kernels, GEMV-centric, and the BLAS thread pin set on import.
 
-Kernels compute in their inputs' dtype: float64, but float32 in rank selection (see
-``rankselect.normalized``) and at the I/O boundary. Every kernel is pure, so values can move
-freely between threads.
+Kernels compute in their inputs' dtype: float64, but float32 in rank selection and in the
+clip search's scoring (both behind ``rankselect.normalized``) and at the I/O boundary. Every
+kernel is pure, so values can move freely between threads.
 
 Imported before numpy with OPENBLAS_NUM_THREADS unset, it sets that variable to 1 (which
 child processes inherit), so OpenBLAS starts no server threads for the pin to leave idle.
@@ -92,6 +92,9 @@ def rank1_subtract(a: np.ndarray, u: np.ndarray, v: np.ndarray, out=None) -> np.
 def amax(a: np.ndarray) -> float:
     """Largest absolute entry, +0.0 for a zero matrix; no np.abs temporary."""
     return max(float(a.max()), -float(a.min())) + 0.0  # + 0.0 turns -0.0 into 0.0
+
+
+BLOCK_ROWS = 128  # rows per step of a pass that holds one block's float64 temporary, not A's
 
 
 def fro_norm(a: np.ndarray) -> float:

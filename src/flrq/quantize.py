@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import BIT_WIDTHS
 from .errors import NumericalError
-from .linalg import row_sq_norms
-
-BIT_WIDTHS = (2, 3, 4)
+from .linalg import BLOCK_ROWS, row_sq_norms
+from .rankselect import normalized
 
 GROUP_SIZE = 128
 CLIP_GRID = (1.0, 0.98, 0.95, 0.92, 0.90, 0.85, 0.80, 0.70)  # clip ratios, unique and descending
@@ -37,15 +37,15 @@ class QuantizedTensor:
         return self.codes.shape
 
 
-def _group_views(a: np.ndarray):
-    """Views of ``a`` as (m, groups, width), each with its slice of the group axis: the whole
-    groups if any, then the short last one if any. Writes to a view reach ``a``."""
-    m, n = a.shape
+def _group_views(*arrays: np.ndarray):
+    """Views of each same-shape array as (m, groups, width), then their slice of the group axis:
+    the whole groups if any, then the short last one if any. Writes to a view reach its array."""
+    m, n = arrays[0].shape
     whole, edge = n // GROUP_SIZE, n - n % GROUP_SIZE
     if whole:
-        yield a[:, :edge].reshape(m, whole, GROUP_SIZE), slice(None, whole)
+        yield *(a[:, :edge].reshape(m, whole, GROUP_SIZE) for a in arrays), slice(None, whole)
     if edge < n:
-        yield a[:, edge:].reshape(m, 1, n - edge), slice(whole, None)
+        yield *(a[:, edge:].reshape(m, 1, n - edge) for a in arrays), slice(whole, None)
 
 
 def quantize_matrix(r: np.ndarray, d: int) -> QuantizedTensor:
@@ -67,12 +67,14 @@ def quantize_matrix(r: np.ndarray, d: int) -> QuantizedTensor:
     live = scales > 0.0
     divisor = np.where(live, scales, 1.0)
     zeros = np.where(live, np.round(-gmin / divisor), 0.0)
-    q = np.empty((m, n))  # before the codes: freeing it leaves a hole, not a heap top malloc trims
     codes = np.empty((m, n), np.int16)
-    for (part, g), (qp, _), (dest, _) in zip(_group_views(r), _group_views(q), _group_views(codes)):
-        np.round(np.divide(part, divisor[:, g, None], out=qp), out=qp)
-        # q + zeros holds small integers, so clipping after the cast clips the same values.
-        np.add(qp, zeros[:, g, None], out=dest, casting="unsafe")
+    quotient = np.empty((min(m, BLOCK_ROWS), n))  # one block of rows at a time, not an m x n array
+    for start in range(0, m, BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        for part, qp, dest, g in _group_views(r[rows], quotient[:m - start], codes[rows]):
+            np.round(np.divide(part, divisor[rows, g, None], out=qp), out=qp)
+            # quotient + zeros holds small integers, so clipping after the cast clips the same values.
+            np.add(qp, zeros[rows, g, None], out=dest, casting="unsafe")
     np.clip(codes, 0, hi, out=codes)
     return QuantizedTensor(codes, scales, zeros, d)
 
@@ -109,35 +111,45 @@ def search_clip(w: np.ndarray, l: np.ndarray, d: int) -> ClipSearchResult:
 
     L is the layer's Gram factor (``blc.gram_factor``), so this is the output error through X;
     the row errors come from ``linalg.row_sq_norms``, which skips L's zero blocks when it is
-    the lower-triangular factor of tokens > n.
+    the lower-triangular factor of tokens > n. They are scored in float32, BLOCK_ROWS rows at a
+    time, on (W - W_hat) * 2^-sw and ``normalized(L)``: the shifts are exact, so float32 only
+    blurs the ranking, by about 1e-6 relative.
     Candidates are ratio * amax(W) for each ratio of CLIP_GRID; ties break toward the
     larger threshold. The first ratio quantizes every row; a later threshold p redoes only
     the rows with an entry above p, and the rest keep the first's codes and row errors.
     Quantization is row-local, so q equals quantize_matrix(clip(W, p_clp)) byte for byte.
     """
-    rowmax = np.abs(w).max(axis=1)
+    rowmax = np.maximum(w.max(axis=1), -w.min(axis=1)) + 0.0  # as amax: a zero W searches at +0.0
     top = float(rowmax.max())
+    sw, (lf, sl) = int(np.frexp(top)[1]), normalized(l)
     scratch = np.empty(w.shape)  # each candidate's clipped rows, then their dequantization
+    w_block = np.empty((min(len(w), BLOCK_ROWS), w.shape[1]))  # one block of a candidate's W rows
+    scaled = np.empty(w_block.shape, np.float32)  # ... and of their W - W_hat, shifted
     base, base_err = None, None
-    best_p, best_rows, best_q, best_err = None, None, None, np.inf
+    best_norm, best_err, best_p, best_rows, best_q = np.inf, np.inf, None, None, None
     grid_errors: list[tuple[float, float]] = []
     for rho in CLIP_GRID:
         p = rho * top
-        rows = slice(None) if base is None else np.flatnonzero(rowmax > p)
-        w_rows = w[rows]
-        clipped = clip(w_rows, p, out=scratch[:len(w_rows)])
-        q = quantize_matrix(clipped, d)
-        diff = dequantize(q, out=clipped)
-        row_err = row_sq_norms(np.subtract(w_rows, diff, out=diff), l)
+        rows = np.arange(len(w)) if base is None else np.flatnonzero(rowmax > p)
+        full, sub = len(rows) == len(w), scratch[:len(rows)]  # full: rows is arange, so read w in place
+        # np.take gathers rows into out= directly in any mode but "raise", which copies first.
+        q = quantize_matrix(clip(w if full else np.take(w, rows, 0, sub, "wrap"), p, out=sub), d)
+        diff = dequantize(q, out=sub)
+        errs = np.empty(len(w)) if base is None else base_err.copy()  # redone rows replace the first's
+        for start in range(0, len(rows), BLOCK_ROWS):
+            block = slice(start, start + BLOCK_ROWS)
+            k = len(diff[block])
+            w_rows = w[block] if full else np.take(w, rows[block], 0, w_block[:k], "wrap")
+            part = np.subtract(w_rows, diff[block], out=diff[block])  # W - W_hat, in float64
+            errs[rows[block]] = row_sq_norms(np.ldexp(part, -sw, out=scaled[:k], casting="same_kind"), lf)
         if base is None:
-            base, base_err = q, row_err
-        errs = base_err.copy()
-        errs[rows] = row_err
-        err = float(np.sqrt(errs.sum()))
+            base, base_err = q, errs
+        total = errs.sum()
+        err = float(np.sqrt(np.ldexp(total, 2 * (sw + sl))))  # overflows where float64's squares do
         grid_errors.append((p, err))
-        if err < best_err:
-            best_err, best_p, best_rows, best_q = err, p, rows, q
-    if best_q is None:
+        if np.sqrt(total) < best_norm:  # ranked before scaling back, so a tiny W does not tie at 0
+            best_norm, best_err, best_p, best_rows, best_q = np.sqrt(total), err, p, rows, q
+    if not best_err < np.inf:
         raise NumericalError("no clip threshold gives a finite output error")
     for name in ("codes", "scales", "zeros"):
         getattr(base, name)[best_rows] = getattr(best_q, name)

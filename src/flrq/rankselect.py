@@ -21,7 +21,7 @@ from itertools import islice
 import numpy as np
 
 from .config import FlrqConfig
-from .linalg import amax, rank1_subtract
+from .linalg import BLOCK_ROWS, amax, rank1_subtract
 from .sketch import LowRankFactors, Rank1Pair, make_rng, r1_step
 
 RESIDUAL_FLOOR = 1e-6  # residual amax / amax(a) counted as zero: float32 leaves ~5e-8 after an exact rank
@@ -76,11 +76,18 @@ def slope(amax_history, window: int) -> float:
     return (hist[-1 - window] - hist[-1]) / (window * hist[0])
 
 
-def normalized(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """``a * 2^-shift`` as float32, amax in [0.5, 1), and ``shift``. The power of two is exact at
-    every scale (subnormals too), so ``a * 2^k`` gives the same matrix, with shift + k."""
-    shift = int(np.frexp(amax(a))[1])
-    return np.ldexp(a, -shift, out=np.empty(a.shape, np.float32), casting="same_kind"), shift
+def normalized(a: np.ndarray, col_scale: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+    """``a * col_scale`` (per column; ``a`` itself when None) times ``2^-shift`` as float32, amax in
+    [0.5, 1), and ``shift``. The power of two is exact at every scale (subnormals too), so
+    ``a * 2^k`` gives the same matrix, with shift + k. The product is formed BLOCK_ROWS rows at a
+    time, and its amax from column maxima: fl(max_i |a_ij| * s_j) = max_i fl(|a_ij| * s_j)."""
+    top = amax(a) if col_scale is None else amax(np.maximum(a.max(0), -a.min(0)) * col_scale)
+    shift, out = int(np.frexp(top)[1]), np.empty(a.shape, np.float32)
+    for start in range(0, a.shape[0], BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        block = a[rows] if col_scale is None else a[rows] * col_scale
+        np.ldexp(block, -shift, out=out[rows], casting="same_kind")
+    return out, shift
 
 
 def components(a: np.ndarray, cfg: FlrqConfig, top: float | None = None
@@ -127,7 +134,7 @@ def rank_cap(d: int, m: int, n: int, x: float) -> int:
     return bisect_right(range(1, min(m, n) + 1), 1.0 + x, key=lambda r: qk(d, D_FP, m, n, r, 1.0, 1.0)[1])
 
 
-def select_rank(w: np.ndarray, cfg: FlrqConfig) -> tuple[LowRankFactors, RankTrace]:
+def select_rank(w: np.ndarray, cfg: FlrqConfig, col_scale=None) -> tuple[LowRankFactors, RankTrace]:
     """Run the flexible-rank loop on one layer.
 
     Extracts rank-1 pairs from the residual; a pair is kept only if, with it
@@ -136,12 +143,12 @@ def select_rank(w: np.ndarray, cfg: FlrqConfig) -> tuple[LowRankFactors, RankTra
     k <= 1 + x bounds the loop instead of testing a pair: no pair past ``rank_cap``
     is extracted, and the loop ends with ``memory_cap`` when the cap, not the residual
     floor or min(m, n), ended it. A zero matrix is already at the residual floor: it
-    stops before any extraction with reason ``max_rank``. It selects on ``normalized(w)``, so
-    ``w * 2^k`` decides as ``w`` does; the factors are float64 factors of ``w``, and each step's
-    amax is put back into ``w``'s scale (q, k and the slope do not depend on it).
+    stops before any extraction with reason ``max_rank``. It selects on ``normalized(w, col_scale)``,
+    so ``w * 2^k`` decides as ``w`` does; the factors are float64 factors of ``w * col_scale``, and
+    each step's amax is put back into that scale (q, k and the slope do not depend on it).
     """
     m, n = w.shape
-    a, shift = normalized(w)
+    a, shift = normalized(w, col_scale)
     w0 = envelope = amax(a)
     history = [w0]
     pairs: list[Rank1Pair] = []

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -325,6 +326,29 @@ class TestScaledFlr:
         assert layer.factors.rank >= 1
         assert seen == {("r1_step", np.dtype(np.float32)), ("rank1_subtract", np.dtype(np.float32))}
 
+    def test_matches_selection_on_the_float64_product(self):
+        # alpha is folded into normalized's pass: the factors and trace of select_rank(w * alpha).
+        w, x = outlier_layer(3, m=200, n=96)
+        a = alpha(channel_mean(x))
+        cfg = FlrqConfig(d=4, x=1.0, seed=3)
+        plain, plain_trace = select_rank(w * a, cfg)
+        scaled, trace = scaled_flr(w, a, cfg)
+        assert plain.rank >= 1 and trace == plain_trace
+        assert scaled.left.tobytes() == plain.left.tobytes()
+        assert scaled.right.tobytes() == (plain.right / a).tobytes()
+
+    def test_holds_no_float64_product(self):
+        # The float32 selection matrix and its residual, not a float64 w * alpha beside them.
+        w, x = outlier_layer(6, m=1024, n=512)
+        a = alpha(channel_mean(x))
+        tracemalloc.start()
+        try:
+            scaled_flr(w, a, FlrqConfig(d=3, seed=6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * w.nbytes
+
     def test_rank1_exact_under_any_scaling(self):
         g = np.random.default_rng(1)
         w = np.outer(g.standard_normal(24), g.standard_normal(36)) * 8
@@ -460,6 +484,9 @@ class TestEpochErrors:
 
     @pytest.mark.parametrize("case", REPLAY_LAYERS.values(), ids=REPLAY_LAYERS.keys())
     def test_records_are_within_ulps_of_their_exact_error(self, case):
+        # The clip search scores in float32, so a record other than the best is its layer_error
+        # to about 1e-6 relative (3e-8 on these layers), not within ulps as the name still says;
+        # the best record is layer_error's own.
         (m, n, tokens, seed), _ = case
         w, x = gen_layer(SynthSpec(m=m, n=n, family="outlier_channels", seed=seed, tokens=tokens))
         calib, cfg = calibrate(w, x), FlrqConfig(d=2, seed=seed)
@@ -467,7 +494,7 @@ class TestEpochErrors:
         _, _, exact = every_epoch(w, calib, cfg)
         assert len(layer.blc_trace) == len(exact) == 20
         for record, err in zip(layer.blc_trace, exact):
-            assert record.error == pytest.approx(err, rel=1e-14, abs=0)
+            assert record.error == pytest.approx(err, rel=1e-6, abs=0)
         assert layer.best_error == exact[layer.best_epoch - 1]
         assert layer.best_error == layer_error(w, layer.q, layer.factors, x)
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from flrq.blc import gram_factor
 from flrq.errors import NumericalError
-from flrq.linalg import amax, fro_norm
+from flrq.linalg import BLOCK_ROWS, amax
 from flrq.quantize import (
     CLIP_GRID,
     GROUP_SIZE,
@@ -218,19 +219,42 @@ class TestClip:
         assert w.tolist() == [[-5.0, 2.0, 5.0]]
 
 
-def reference_search_clip(w, l, d):
-    """The full-matrix grid search: every candidate quantizes and multiplies all of W."""
-    top = amax(w)
-    best_p, best_q, best_err = None, None, np.inf
-    grid_errors = []
+def reference_search_clip(w, l, d, score=np.float64):
+    """The full-matrix grid search: every candidate quantizes and multiplies all of W.
+
+    Each candidate is ranked by the norm of (W - W_hat) * 2^-sw times L * 2^-sl, multiplied
+    in ``score``'s precision with its squares summed per row, as search_clip does; a grid
+    error is that norm put back into W's scale. Returns (p_clp, q, grid_errors, norms)."""
+    sw, sl = (int(np.frexp(amax(a))[1]) for a in (w, l))
+    lf, top = np.ldexp(l, -sl).astype(score), amax(w)
+    best_p, best_q, best_norm = None, None, np.inf
+    grid_errors, norms = [], []
     for rho in CLIP_GRID:
         p = rho * top
         q = quantize_matrix(clip(w, p), d)
-        err = fro_norm((w - dequantize(q)) @ l)
-        grid_errors.append((p, err))
-        if err < best_err:
-            best_err, best_p, best_q = err, p, q
-    return best_p, best_q, grid_errors
+        prod = np.ldexp(w - dequantize(q), -sw).astype(score) @ lf
+        norm = math.sqrt(np.square(prod).sum(axis=1).astype(np.float64).sum())
+        grid_errors.append((p, float(np.ldexp(norm, sw + sl))))
+        norms.append(norm)
+        if norm < best_norm:
+            best_norm, best_p, best_q = norm, p, q
+    return best_p, best_q, grid_errors, norms
+
+
+def near_tie(norms, rel):
+    """Whether the two lowest norms lie within ``rel`` of each other (relative)."""
+    low, second = sorted(norms)[:2]
+    return second - low <= rel * second
+
+
+def assert_same_quantization(a, b):
+    for name in ("codes", "scales", "zeros"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
+# float32 rounds to 2^-24. Scored errors sum up to a few hundred products, some cancelling, so
+# the row redo and the full-matrix product agree to 2^-13 and float64 decides ties below 1e-6.
+F32_REL, TIE_REL = 2.0**-13, 1e-6
 
 
 # Row maxima as fractions of amax(W): "one" has no other row above 0.98 amax, so the
@@ -264,18 +288,44 @@ class TestSearchClip:
         3,
     ))
     def test_matches_full_matrix_search(self, case):
+        # Both score in float32, where a GEMM over the redone rows and the full product differ in
+        # their last bits: the grid errors agree to F32_REL, and the winner does unless it ties.
         w, l, d = case
-        p_clp, q, grid_errors = reference_search_clip(w, l, d)
+        p_clp, q, grid_errors, norms = reference_search_clip(w, l, d, np.float32)
         res = search_clip(w, l, d)
-        assert res.p_clp == p_clp
-        assert res.q.codes.tobytes() == q.codes.tobytes()
-        assert res.q.scales.tobytes() == q.scales.tobytes()
-        assert res.q.zeros.tobytes() == q.zeros.tobytes()
         assert [p for p, _ in res.grid_errors] == [p for p, _ in grid_errors]
         for (_, got), (_, want) in zip(res.grid_errors, grid_errors):
-            assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0)
+            assert math.isclose(got, want, rel_tol=F32_REL, abs_tol=0.0)
+        if not near_tie(norms, 2 * F32_REL):
+            assert res.p_clp == p_clp
+            assert_same_quantization(res.q, q)
+        assert_same_quantization(res.q, quantize_matrix(clip(w, res.p_clp), d))
         assert (res.p_clp, res.error) in res.grid_errors  # the winner's own entry
         assert res.error == min(err for _, err in res.grid_errors)
+
+    @given(case=clip_layers(), k=st.sampled_from([-600, 0, 600]))
+    @example(case=(  # n % GROUP_SIZE = 72, tokens > n: L is triangular
+        np.random.default_rng(1).standard_normal((5, 200)),
+        gram_factor(np.random.default_rng(2).standard_normal((200, 500))),
+        2,
+    ), k=-600)
+    def test_float32_scoring_picks_float64s_winner(self, case, k):
+        # The float64 reference ranks on the same exact powers of two, so at W * 2^-600 it still
+        # tells the candidates apart; at W * 2^600 float64's squares overflow and nothing wins.
+        w, l, d = case
+        w = np.ldexp(w, k)
+        p_clp, q, _, norms = reference_search_clip(w, l, d)
+        shift = int(np.frexp(amax(w))[1]) + int(np.frexp(amax(l))[1])
+        with np.errstate(over="ignore"):  # a losing candidate's error may overflow, as in float64
+            if np.isinf(np.ldexp(min(norms) ** 2, 2 * shift)):
+                with pytest.raises(NumericalError, match="no clip threshold gives a finite"):
+                    search_clip(w, l, d)
+                return
+            res = search_clip(w, l, d)
+        if not near_tie(norms, TIE_REL):
+            assert res.p_clp == p_clp
+            assert_same_quantization(res.q, q)
+        assert_same_quantization(res.q, quantize_matrix(clip(w, res.p_clp), d))
 
     @pytest.mark.parametrize("n", [2 * GROUP_SIZE, 2 * GROUP_SIZE + 1], ids=["whole", "ragged"])
     def test_never_writes_w(self, n):
@@ -350,3 +400,31 @@ class TestSearchClip:
         plain = quantize_matrix(w, 4)
         for name in ("codes", "scales", "zeros"):
             assert getattr(res.q, name).tobytes() == getattr(plain, name).tobytes()
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory it allocated, which tracemalloc sees numpy's too."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedTemporaries:
+    # Freed m x n float64 temporaries let malloc trim a heap top and fault it in again on the
+    # next call, hundreds of times a layer. These bounds are deterministic; timings are not.
+    def test_quantize_matrix_holds_one_row_block_of_quotients(self):
+        w = np.random.default_rng(0).standard_normal((1024, 1024))
+        q, peak = traced_peak(quantize_matrix, w, 2)
+        # The codes, one block of float64 quotients, and a few arrays of one entry per group.
+        assert peak < q.codes.nbytes + BLOCK_ROWS * w.shape[1] * 8 + 12 * q.scales.nbytes
+
+    def test_search_clip_allocates_one_m_by_n_float64(self):
+        g = np.random.default_rng(1)
+        w = g.standard_normal((1024, 1024))
+        w[:, :4] *= 10.0  # every row holds an outlier, so each threshold redoes every row
+        res, peak = traced_peak(search_clip, w, gram_factor(g.standard_normal((1024, 64))), 2)
+        assert res.p_clp < amax(w)
+        # Its scratch, two candidates' int16 codes and row blocks: no second m x n float64.
+        assert peak < 2 * w.nbytes

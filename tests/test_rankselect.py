@@ -94,6 +94,17 @@ class TestSelectRank:
         assert got.left.tobytes() == np.ldexp(base.left, k).tobytes()
         assert trace.steps == [dataclasses.replace(s, amax=math.ldexp(s.amax, k)) for s in base_trace.steps]
 
+    @pytest.mark.parametrize("k", [-1070, -600, 0, 600, 1000])
+    def test_column_scale_is_the_product_normalized(self, k):
+        # normalized(w, s) forms w * s itself, so it is normalized(w * s) byte for byte, shift too.
+        g = np.random.default_rng(7)
+        w = np.ldexp(g.standard_normal((300, 40)), k)
+        w[:, 3] = -0.0  # a column whose maximum is -0.0
+        s = g.uniform(0.01, 3.0, 40)
+        got, shift = normalized(w, s)
+        want, want_shift = normalized(w * s)
+        assert (got.tobytes(), shift) == (want.tobytes(), want_shift)
+
     @pytest.mark.parametrize("k", [1, 2])
     def test_all_subnormal_input_keeps_its_rank(self, k):
         # At 2^-1070 an exactly rank-k integer matrix has only subnormal entries, all exact:

@@ -61,3 +61,33 @@ def test_a_key_held_by_one_side_or_a_non_object_file(same_bytes, tmp_path):
     (b / "broken.json").write_text("{")
     (a / "broken.json").write_text("{}")
     assert compare(same_bytes, a, b) == ["broken.json", "list.json", "meta.json: y"]
+
+
+TRACE = [{"epoch": 1, "error": 2.0, "p_clp": 0.5, "rank": 1}, {"epoch": 2, "error": 1.0, "p_clp": 0.4, "rank": 1}]
+
+
+def traced(records, **top):
+    return {**META, "best_epoch": 2, "p_clp": 0.4, "blc_trace": records, **top}
+
+
+def test_a_moved_trace_gives_its_largest_error_change(same_bytes, tmp_path):
+    nudged = [{**TRACE[0], "error": 2.0 * (1 + 3e-7)}, TRACE[1]]
+    a = write_tree(tmp_path / "a", traced(TRACE), b"\x01")
+    b = write_tree(tmp_path / "b", traced(nudged), b"\x01")
+    assert compare(same_bytes, a, b) == ["layer_000/meta.json: blc_trace (errors by <= 3e-07 relative)"]
+    assert same_bytes.trace_moves(a / "layer_000/meta.json", b / "layer_000/meta.json") == (
+        pytest.approx(3e-7), [])
+
+
+def test_a_moved_threshold_rank_or_best_epoch_is_named(same_bytes, tmp_path):
+    moved = [{**TRACE[0], "p_clp": 0.45, "rank": 2}, TRACE[1]]
+    a = write_tree(tmp_path / "a", traced(TRACE), b"\x01")
+    b = write_tree(tmp_path / "b", traced(moved, best_epoch=1), b"\x01")
+    assert compare(same_bytes, a, b) == [
+        "layer_000/meta.json: best_epoch, blc_trace (errors by <= 0 relative; moved: p_clp, rank, best_epoch)"]
+
+
+def test_traces_that_do_not_pair_up_are_only_named(same_bytes, tmp_path):
+    a = write_tree(tmp_path / "a", traced(TRACE), b"\x01")
+    b = write_tree(tmp_path / "b", traced(TRACE[:1]), b"\x01")
+    assert compare(same_bytes, a, b) == ["layer_000/meta.json: blc_trace"]
