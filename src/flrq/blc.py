@@ -25,6 +25,7 @@ from .sketch import LowRankFactors
 
 CHANNEL_MEAN_EPS = 1e-8
 CHANNEL_MEAN_CHUNK = 128  # tokens per step of channel_mean's pass over x
+CALIBRATION_CHUNK = 1024  # tokens per chunk of calibrate's pass: a multiple of CHANNEL_MEAN_CHUNK
 
 
 @dataclass
@@ -70,45 +71,72 @@ class Calibration:  # one layer's activations, reduced by ``calibrate``
     wx_norm: float  # ||W X||_F
 
 
-def gram_factor(x: np.ndarray) -> np.ndarray:
-    """L L^T = X X^T: X when tokens <= n, else the n x n cholesky(X X^T), or R^T of qr(X^T) when
-    X X^T is singular (an all-zero channel). gram_factor(L) is L."""
+def _columns(x, width: int):
+    return (x[:, s:s + width] for s in range(0, x.shape[1], width))  # views of width tokens each
+
+
+def _chunks(x):
+    """X's CALIBRATION_CHUNK-token column chunks: an array's views, or a source's reads."""
+    return _columns(x, CALIBRATION_CHUNK) if isinstance(x, np.ndarray) else x.chunks(CALIBRATION_CHUNK)
+
+
+def _gram_steps(x, g: np.ndarray):
+    """X's CHANNEL_MEAN_CHUNK-token steps, chunk after chunk, adding each X_c X_c^T into g on
+    the way. numpy computes X_c X_c^T by syrk and mirrors it, so g stays exactly symmetric."""
+    for c in _chunks(x):
+        g += c @ c.T
+        yield from _columns(c, CHANNEL_MEAN_CHUNK)
+
+
+def gram_factor(x, g: np.ndarray | None = None) -> np.ndarray:
+    """L L^T = X X^T: X when tokens <= n, else the n x n cholesky of g = X X^T summed over X's
+    chunks (here, unless given), or, when g is singular (an all-zero channel), R^T of X^T's QR,
+    taken as R = qr([R; X_c^T]) chunk after chunk. x is an array, or a source when tokens > n."""
     if x.shape[1] <= x.shape[0]:
-        return x
+        return x  # so gram_factor(L) is L
+    g = sum(c @ c.T for c in _chunks(x)) if g is None else g  # the sum _gram_steps makes
     try:
-        g = x @ x.T  # exactly symmetric: numpy computes it by syrk and mirrors the triangle
         return np.linalg.cholesky(g.T)  # g in the Fortran order LAPACK reads: no transposing copy
     except np.linalg.LinAlgError:
-        return np.ascontiguousarray(np.linalg.qr(x.T, mode="r").T)
+        r = np.empty((0, x.shape[0]))
+        for c in _chunks(x):
+            r = np.linalg.qr(np.concatenate((r, c.T)), mode="r")
+        return np.ascontiguousarray(r.T)
 
 
-def calibrate(w: np.ndarray, x: np.ndarray) -> Calibration:
-    """Reduce the activations x (n x tokens) of weights w once; the caller can drop x on
-    return (the Calibration keeps it only as L, when tokens <= n)."""
+def calibrate(w: np.ndarray, x) -> Calibration:
+    """Reduce the activations x of weights w in one pass over X's chunks. x is an n x tokens
+    array or an ``io.ActivationSource``, read whole if tokens <= n (L is X); the caller can
+    drop x on return."""
+    n, tokens = x.shape
+    if tokens <= n and not isinstance(x, np.ndarray):
+        x = next(x.chunks(tokens))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below instead
-        l = gram_factor(x)
+        g = np.zeros((n, n)) if tokens > n else None
+        mean = channel_mean(x if g is None else _gram_steps(x, g))
+        l = gram_factor(x, g)
         wx_norm = product_norm(w, l)
     if not (np.isfinite(wx_norm) and np.isfinite(l).all()):
         raise NumericalError("the layer's output ||W X||_F overflows float64")
-    return Calibration(channel_mean(x), l, wx_norm)
+    return Calibration(mean, l, wx_norm)
 
 
-def channel_mean(x: np.ndarray) -> np.ndarray:
+def channel_mean(x) -> np.ndarray:
     """Per-channel mean of column-normalized absolute activations.
 
     Each token (column) is scaled to unit L2 norm. It is first scaled by the power of
     two that puts its largest entry in [0.5, 1), which is exact, so its direction
     survives squares that would underflow or overflow. A token with no normal entry
     (all zero, or all subnormal: their precision is gone already) is skipped. Entries
-    are floored at a small epsilon so downstream scaling stays finite. x is read
-    once, in CHANNEL_MEAN_CHUNK-token chunks, never copied or transposed: each chunk's
-    tokens are summed in order by a cumulative sum along its rows.
+    are floored at a small epsilon so downstream scaling stays finite. x (an array, or its
+    CHANNEL_MEAN_CHUNK-token column steps) is read once, a step at a time, never copied or
+    transposed: each step's tokens are summed in order by a cumulative sum along its rows.
     """
-    if x.size == 0:
+    if isinstance(x, np.ndarray) and x.size == 0:
         raise ValueError("activation matrix is empty")
-    total, live_tokens = np.zeros(x.shape[0]), 0
-    for start in range(0, x.shape[1], CHANNEL_MEAN_CHUNK):
-        a = np.abs(x[:, start:start + CHANNEL_MEAN_CHUNK])
+    total, live_tokens, nonzero_tokens = 0.0, 0, 0
+    for step in _columns(x, CHANNEL_MEAN_CHUNK) if isinstance(x, np.ndarray) else x:
+        a = np.abs(step)
         top = a.max(axis=0)
         exp = np.frexp(top)[1]
         a *= np.ldexp(1.0, np.where(top < TINY, exp, -exp))  # a power of two: exact; zeros below TINY
@@ -117,9 +145,10 @@ def channel_mean(x: np.ndarray) -> np.ndarray:
         a[:, 0] += total
         total = np.cumsum(a, axis=1, out=a)[:, -1].copy()  # tokens added one after another
         live_tokens += np.count_nonzero(norms)
+        nonzero_tokens += np.count_nonzero(top)
     if not live_tokens:
         raise NumericalError("calibration activations underflow: every nonzero token is subnormal"
-                             if x.any() else "all calibration tokens are zero")
+                             if nonzero_tokens else "all calibration tokens are zero")
     return np.maximum(total / live_tokens, CHANNEL_MEAN_EPS)
 
 

@@ -98,23 +98,24 @@ def build_parser() -> Parser:
 # --- layer I/O helpers --------------------------------------------------------
 
 
-def _read_matrix(path: Path) -> np.ndarray:
+def _read(path: Path, read=lambda path: as_matrix(flrq_io.read_container_file(path).to_array())):
     try:
-        return as_matrix(flrq_io.read_container_file(path).to_array())
+        return read(path)
     except (ValueError, FormatError) as exc:
         raise FormatError(f"{path}: {exc}") from None
 
 
 def read_layer_inputs(directory: Path):
+    """W, and X: an ActivationSource when X has more tokens than channels, whose header is
+    checked here and whose payload ``calibrate`` reads in chunks; else X's array, its factor L."""
     wpath = directory / WEIGHTS_FILE
     xpath = directory / ACTIVATIONS_FILE
     if not wpath.exists() or not xpath.exists():
         raise FormatError(f"{directory} does not contain {WEIGHTS_FILE} + {ACTIVATIONS_FILE}")
-    w = _read_matrix(wpath)
-    x = _read_matrix(xpath)
+    w, x = _read(wpath), _read(xpath, flrq_io.ActivationSource)
     if w.shape[1] != x.shape[0]:
         raise FormatError(f"{xpath}: activations {x.shape} do not conform to weights {w.shape}")
-    return w, x
+    return w, x if x.shape[1] > x.shape[0] else _read(xpath)
 
 
 def discover_layers(in_dir: Path) -> list[Path]:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
@@ -85,7 +86,9 @@ def write_container(c: TensorContainer) -> bytes:
     return head + c.payload
 
 
-def read_container(data: bytes) -> TensorContainer:
+def read_container(data, size: int | None = None) -> TensorContainer:
+    """The container in ``data``; given the file's ``size``, data may be the file's head alone."""
+    size = len(data) if size is None else size
     if len(data) < len(MAGIC):
         raise TruncatedError("container shorter than the magic header")
     if data[: len(MAGIC)] != MAGIC:
@@ -104,11 +107,11 @@ def read_container(data: bytes) -> TensorContainer:
     dims = struct.unpack_from(f"<{ndim}Q", data, offset)
     offset += 8 * ndim
     expected = math.prod(dims) * _ELEMENT_SIZE[dtype_code]  # Python int: no wraparound
+    if size - offset < expected:
+        raise TruncatedError(f"payload has {size - offset} bytes, expected {expected}")
+    if size - offset > expected:
+        raise FormatError(f"payload has {size - offset - expected} trailing bytes beyond {expected}")
     payload = memoryview(data)[offset:]  # a view: the payload is not copied
-    if len(payload) < expected:
-        raise TruncatedError(f"payload has {len(payload)} bytes, expected {expected}")
-    if len(payload) > expected:
-        raise FormatError(f"payload has {len(payload)} trailing bytes beyond {expected}")
     return TensorContainer(dtype_code=dtype_code, dims=tuple(int(d) for d in dims), payload=payload)
 
 
@@ -123,6 +126,37 @@ def read_container_file(path) -> TensorContainer:
     with open(path, "rb") as fh:
         got = fh.readinto(memoryview(buf)[7:])
     return read_container(memoryview(buf)[7 : 7 + got].toreadonly())
+
+
+class ActivationSource:
+    """An n x tokens f32 or f64 container file: its header is checked here, ``chunks`` reads the rest."""
+
+    def __init__(self, path):
+        with open(path, "rb") as fh:
+            st = os.fstat(fh.fileno())  # key: st_dev and st_ino name the file, whichever link reached it
+            head = read_container(fh.read(4096), st.st_size)  # ndim > 509 reads as truncated
+        self.path, self.key, self.shape = Path(path), (st.st_dev, st.st_ino), head.dims
+        if len(self.shape) != 2 or 0 in self.shape or head.dtype_code == DTYPE_PACKED:
+            raise FormatError(f"expected a non-empty 2-D f32 or f64 matrix, got dims {self.shape}")
+        self.dtype = np.dtype(_NUMPY_DTYPE[head.dtype_code])
+        self.offset = st.st_size - math.prod(self.shape) * self.dtype.itemsize
+
+    def chunks(self, width: int) -> Iterator[np.ndarray]:
+        """Its float64 column chunks of ``width`` tokens, read by row into one reused buffer."""
+        (n, tokens), size = self.shape, self.dtype.itemsize
+        raw = np.empty(n * min(width, tokens), self.dtype)
+        flat = raw if raw.dtype == np.float64 else np.empty(raw.size)  # f32 is widened exactly
+        with open(self.path, "rb") as fh:
+            for start in range(0, tokens, width):
+                k = min(width, tokens - start)
+                rows, chunk = raw[:n * k].reshape(n, k), flat[:n * k].reshape(n, k)
+                for i, row in enumerate(rows):
+                    if os.preadv(fh.fileno(), [row], self.offset + (i * tokens + start) * size) < k * size:
+                        raise TruncatedError(f"{self.path}: the payload ends inside row {i}")
+                np.copyto(chunk, rows)  # a no-op for f64, where rows is chunk
+                if not np.isfinite(chunk).all():
+                    raise FormatError(f"{self.path}: matrix contains non-finite entries")
+                yield chunk
 
 
 def pack_codes(codes, d: int) -> bytes:

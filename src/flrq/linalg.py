@@ -104,24 +104,35 @@ def fro_norm(a: np.ndarray) -> float:
 TRI_BLOCKS = 4  # column blocks of a lower-triangular factor, with edges n * j // TRI_BLOCKS
 
 
-def _times_factor(a: np.ndarray, l: np.ndarray) -> np.ndarray:
-    """a @ l. When l is square and zero above its diagonal blocks (a lower-triangular Gram
-    factor), column block j is a[:, lo:] @ l[lo:, lo:hi], skipping those zero blocks (3/8
-    of the multiplies); otherwise it is a @ l itself. The split depends on n and l's zeros
-    alone."""
+def lower_blocks(l: np.ndarray) -> list[int] | None:
+    """The edges n * j // TRI_BLOCKS of l's column blocks if l is square and zero above its
+    diagonal blocks (a lower-triangular Gram factor), else None. They depend on n and l's zeros."""
     n = l.shape[0]
     edges = [n * j // TRI_BLOCKS for j in range(TRI_BLOCKS + 1)]
     if l.shape[1] != n or any(l[:lo, lo:hi].any() for lo, hi in zip(edges[1:], edges[2:])):
+        return None
+    return edges
+
+
+def _by_blocks(a: np.ndarray, l: np.ndarray, edges: list[int] | None) -> np.ndarray:
+    """a @ l; given edges, column block j is a[:, lo:] @ l[lo:, lo:hi], skipping l's zero blocks
+    (3/8 of the multiplies)."""
+    if edges is None:
         return a @ l
-    out = np.empty((a.shape[0], n), np.result_type(a, l))
+    out = np.empty((a.shape[0], l.shape[1]), np.result_type(a, l))
     for lo, hi in zip(edges, edges[1:]):
         np.matmul(a[:, lo:], l[lo:, lo:hi], out=out[:, lo:hi])
     return out
 
 
-def row_sq_norms(a: np.ndarray, l: np.ndarray) -> np.ndarray:
-    """Per-row sums of (a @ l)**2, through the triangular blocks of l when it has them."""
-    prod = _times_factor(a, l)
+def _times_factor(a: np.ndarray, l: np.ndarray) -> np.ndarray:
+    return _by_blocks(a, l, lower_blocks(l))
+
+
+def row_sq_norms(a: np.ndarray, l: np.ndarray, edges: list[int] | None = None) -> np.ndarray:
+    """Per-row sums of (a @ l)**2, through l's triangular blocks if it has them. A caller that
+    multiplies by one l many times passes edges = lower_blocks(l), so l is tested once."""
+    prod = _times_factor(a, l) if edges is None else _by_blocks(a, l, edges)
     return np.square(prod, out=prod).sum(axis=1)
 
 

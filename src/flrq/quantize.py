@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import BIT_WIDTHS
 from .errors import NumericalError
-from .linalg import BLOCK_ROWS, row_sq_norms
+from .linalg import BLOCK_ROWS, lower_blocks, row_sq_norms
 from .rankselect import normalized
 
 GROUP_SIZE = 128
@@ -122,6 +122,7 @@ def search_clip(w: np.ndarray, l: np.ndarray, d: int) -> ClipSearchResult:
     rowmax = np.maximum(w.max(axis=1), -w.min(axis=1)) + 0.0  # as amax: a zero W searches at +0.0
     top = float(rowmax.max())
     sw, (lf, sl) = int(np.frexp(top)[1]), normalized(l)
+    edges = lower_blocks(lf)  # once for every row block; None (a full L) is tested per block
     scratch = np.empty(w.shape)  # each candidate's clipped rows, then their dequantization
     w_block = np.empty((min(len(w), BLOCK_ROWS), w.shape[1]))  # one block of a candidate's W rows
     scaled = np.empty(w_block.shape, np.float32)  # ... and of their W - W_hat, shifted
@@ -141,7 +142,8 @@ def search_clip(w: np.ndarray, l: np.ndarray, d: int) -> ClipSearchResult:
             k = len(diff[block])
             w_rows = w[block] if full else np.take(w, rows[block], 0, w_block[:k], "wrap")
             part = np.subtract(w_rows, diff[block], out=diff[block])  # W - W_hat, in float64
-            errs[rows[block]] = row_sq_norms(np.ldexp(part, -sw, out=scaled[:k], casting="same_kind"), lf)
+            part = np.ldexp(part, -sw, out=scaled[:k], casting="same_kind")
+            errs[rows[block]] = row_sq_norms(part, lf, edges)
         if base is None:
             base, base_err = q, errs
         total = errs.sum()

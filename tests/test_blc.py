@@ -14,10 +14,11 @@ import flrq
 from flrq import linalg, rankselect
 from flrq.blc import EpochRecord, QuantizedLayer
 from flrq.blc import alpha, calibrate, channel_mean, flrq_layer, gram_factor, layer_error
-from flrq.blc import CHANNEL_MEAN_CHUNK, CHANNEL_MEAN_EPS, scaled_flr
+from flrq.blc import CALIBRATION_CHUNK, CHANNEL_MEAN_CHUNK, CHANNEL_MEAN_EPS, scaled_flr
 from flrq.config import FlrqConfig
 from flrq.errors import NumericalError
-from flrq.io import write_bundle
+from flrq.io import DTYPE_F32, ActivationSource, TensorContainer, container_from_array, write_bundle
+from flrq.io import write_container_file
 from flrq.linalg import fro_norm
 from flrq.quantize import GROUP_SIZE, dequantize, quantize_matrix, search_clip
 from flrq.rankselect import deflate, select_rank
@@ -276,6 +277,66 @@ print(before, pinned, get(), len(digests))
         assert run("import numpy\nimport flrq")[1:] == ["None", "1"]
         # An explicit count is kept, and the pin still runs BLAS on 1 thread.
         assert run("import flrq.cli", OPENBLAS_NUM_THREADS="2")[1:] == ["2", "1"]
+
+
+def source_of(path: Path, x: np.ndarray, f32: bool = False) -> ActivationSource:
+    """An ActivationSource over ``x`` written to ``path``, as f64, or as f32 when ``f32``."""
+    f32_container = TensorContainer(DTYPE_F32, x.shape, x.astype("<f4").tobytes())
+    write_container_file(path, f32_container if f32 else container_from_array(x))
+    return ActivationSource(path)
+
+
+def assert_same_calibration(a, b) -> None:
+    assert a.mean.tobytes() == b.mean.tobytes()
+    assert a.l.tobytes() == b.l.tobytes()
+    assert a.wx_norm.hex() == b.wx_norm.hex()
+
+
+class TestStreamedCalibration:
+    # n = 48: tokens below n, at n, above n within one chunk, and one token past two chunks.
+    @pytest.mark.parametrize("tokens", [20, 48, 600, 2 * CALIBRATION_CHUNK + 1])
+    @pytest.mark.parametrize("f32", [False, True], ids=["f64", "f32"])
+    def test_source_calibrates_as_its_array(self, tmp_path, tokens, f32):
+        g = np.random.default_rng(tokens)
+        w, x = g.standard_normal((16, 48)), g.standard_normal((48, tokens))
+        if f32:
+            x = x.astype(np.float32).astype(np.float64)
+        source = source_of(tmp_path / "x.flrqten", x, f32)
+        assert source.shape == x.shape
+        whole = calibrate(w, x)
+        assert_same_calibration(calibrate(w, source), whole)
+        # layer_error recomputes L from the whole X, as benchmark/helper.py's verify does, and a
+        # chunk holds whole CHANNEL_MEAN_CHUNK steps, so the means keep channel_mean's bytes.
+        assert whole.l.tobytes() == gram_factor(x).tobytes()
+        assert whole.mean.tobytes() == channel_mean(x).tobytes()
+
+    def test_zero_channel_over_many_chunks_falls_back_to_qr(self, tmp_path):
+        tokens = 2 * CALIBRATION_CHUNK + 1
+        g = np.random.default_rng(5)
+        w, x = g.standard_normal((8, 40)), g.standard_normal((40, tokens))
+        x[7] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(x @ x.T)
+        l = gram_factor(x)
+        assert l.shape == (40, 40) and np.array_equal(l, np.tril(l)) and not l[7].any()
+        assert np.allclose(l @ l.T, x @ x.T, rtol=1e-12, atol=1e-10 * tokens)
+        assert_same_calibration(calibrate(w, source_of(tmp_path / "x.flrqten", x)), calibrate(w, x))
+
+    def test_streamed_peak_does_not_grow_with_tokens(self, tmp_path):
+        g = np.random.default_rng(6)
+        w, peaks = g.standard_normal((16, 128)), {}
+        for chunks in (4, 16):
+            x = g.standard_normal((128, chunks * CALIBRATION_CHUNK))
+            source, x_bytes = source_of(tmp_path / f"x{chunks}.flrqten", x), x.nbytes
+            del x
+            tracemalloc.start()
+            try:
+                calibrate(w, source)
+                peaks[chunks] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peaks[chunks] < x_bytes / 2
+        assert abs(peaks[16] - peaks[4]) < 2**20
 
 
 class TestAlpha:

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import shlex
+import struct
 import subprocess
 import sys
 import threading
@@ -17,8 +18,10 @@ import pytest
 import flrq
 import paper
 from flrq import blc, cli, linalg, quantize
+from flrq import io as flrq_io
 from flrq.cli import build_parser, main
 from flrq.config import FlrqConfig
+from flrq.errors import FormatError
 from flrq.io import DTYPE_F32, TensorContainer, container_from_array, read_bundle, write_container_file
 from paper import ABLATIONS
 
@@ -497,6 +500,63 @@ class TestQuantizeCommand:
             capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, proc.stderr
+
+
+class TestStreamedActivations:
+    def test_reader_leaves_a_wide_payload_unread(self, tmp_path):
+        g = np.random.default_rng(0)
+        w, x = g.standard_normal((4, 8)), g.standard_normal((8, 40))
+        x[3, 17] = np.nan  # only calibrate's pass over the chunks can find it
+        layer = write_layer(tmp_path / "wide", w, x)
+        _, source = cli.read_layer_inputs(layer)
+        st = os.stat(layer / cli.ACTIVATIONS_FILE)
+        assert isinstance(source, flrq_io.ActivationSource) and weakref.ref(source)() is source
+        assert source.shape == (8, 40) and source.key == (st.st_dev, st.st_ino)
+        with pytest.raises(FormatError, match="non-finite"):
+            blc.calibrate(w, source)
+        narrow = write_layer(tmp_path / "narrow", w, g.standard_normal((8, 8)))
+        assert isinstance(cli.read_layer_inputs(narrow)[1], np.ndarray)  # tokens <= n: X is L
+
+    @pytest.mark.parametrize("corrupt", ["truncated", "trailing-bytes", "dims-past-file-size",
+                                         "n-not-w-columns"])
+    def test_bad_header_fails_before_any_chunk(self, tmp_path, monkeypatch, capsys, corrupt):
+        g = np.random.default_rng(1)
+        x = g.standard_normal((9 if corrupt == "n-not-w-columns" else 8, 40))
+        layer = write_layer(tmp_path / "layer", g.standard_normal((4, 8)), x)
+        path = layer / cli.ACTIVATIONS_FILE
+        data = path.read_bytes()
+        if corrupt == "truncated":
+            path.write_bytes(data[:-4])
+        elif corrupt == "trailing-bytes":
+            path.write_bytes(data + bytes(1))
+        elif corrupt == "dims-past-file-size":  # tokens, the second dim, at bytes 25..33
+            path.write_bytes(data[:25] + struct.pack("<Q", 2**61) + data[33:])
+        reads = []
+        monkeypatch.setattr(flrq_io.ActivationSource, "chunks", lambda source, width: reads.append(width))
+        assert main(["quantize", "--in", str(layer), "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert reads == []
+        assert len(err) == 1 and cli.ACTIVATIONS_FILE in err[0]
+
+    @pytest.mark.parametrize("argv", [["quantize"], ["ablate", "--which", "blc"]],
+                             ids=["quantize", "ablate-blc"])
+    def test_source_writes_the_bytes_of_the_whole_array(self, tmp_path, monkeypatch, argv):
+        # Two chunks and one token: X streams, and the outputs equal those computed from X itself.
+        src = gen_synth(tmp_path / "in", "--family", "outlier_channels", "--layers", "2", "--m", "64",
+                        "--n", "128", "--outlier-count", "2", "--outlier-boost", "30",
+                        "--tokens", str(2 * blc.CALIBRATION_CHUNK + 1), "--seed", "3")
+        argv = [*argv, "--in", str(src), "--d", "2", "--seed", "3"]
+        assert run([*argv, "--out-dir", str(tmp_path / "streamed")]) == 0
+        read = cli.read_layer_inputs
+
+        def read_whole(path):
+            w, source = read(path)
+            assert isinstance(source, flrq_io.ActivationSource)
+            return w, linalg.as_matrix(flrq_io.read_container_file(source.path).to_array())
+
+        monkeypatch.setattr(cli, "read_layer_inputs", read_whole)
+        assert run([*argv, "--out-dir", str(tmp_path / "whole")]) == 0
+        assert tree_digest(tmp_path / "streamed") == tree_digest(tmp_path / "whole")
 
 
 class TestRankSweep:
