@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import FlrqConfig
 from .errors import NumericalError
-from .linalg import TINY, product_norm
+from .linalg import TINY, add_gram, gram_cholesky, product_norm
 # clip and quantize_matrix are not called here, but benchmark/tracer.py wraps them as blc names.
 from .quantize import QuantizedTensor, clip, dequantize, quantize_matrix, search_clip  # noqa: F401
 from .rankselect import RankTrace, select_rank
@@ -82,21 +82,24 @@ def _chunks(x):
 
 def _gram_steps(x, g: np.ndarray):
     """X's CHANNEL_MEAN_CHUNK-token steps, chunk after chunk, adding each X_c X_c^T into g on
-    the way. numpy computes X_c X_c^T by syrk and mirrors it, so g stays exactly symmetric."""
+    the way (``add_gram``: g's upper triangle, by syrk with no per-chunk temporary)."""
     for c in _chunks(x):
-        g += c @ c.T
+        add_gram(g, c)
         yield from _columns(c, CHANNEL_MEAN_CHUNK)
 
 
 def gram_factor(x, g: np.ndarray | None = None) -> np.ndarray:
-    """L L^T = X X^T: X when tokens <= n, else the n x n cholesky of g = X X^T summed over X's
-    chunks (here, unless given), or, when g is singular (an all-zero channel), R^T of X^T's QR,
-    taken as R = qr([R; X_c^T]) chunk after chunk. x is an array, or a source when tokens > n."""
+    """L L^T = X X^T: X when tokens <= n, else the float64 cholesky of g = X X^T summed over X's
+    chunks (here, unless given) in g's memory or, when g is singular (an all-zero channel), R^T of
+    X^T's QR, R = qr([R; X_c^T]) chunk after chunk. x is an array, or a source when tokens > n."""
     if x.shape[1] <= x.shape[0]:
         return x  # so gram_factor(L) is L
-    g = sum(c @ c.T for c in _chunks(x)) if g is None else g  # the sum _gram_steps makes
+    if g is None:
+        g = np.zeros((x.shape[0],) * 2)
+        for c in _chunks(x):
+            add_gram(g, c)
     try:
-        return np.linalg.cholesky(g.T)  # g in the Fortran order LAPACK reads: no transposing copy
+        return gram_cholesky(g)
     except np.linalg.LinAlgError:
         r = np.empty((0, x.shape[0]))
         for c in _chunks(x):

@@ -2,16 +2,20 @@
 
 Kernels compute in their inputs' dtype: float64, but float32 in rank selection and in the
 clip search's scoring (both behind ``rankselect.normalized``) and at the I/O boundary. Every
-kernel is pure, so values can move freely between threads.
+kernel but the Gram pair, which writes its caller's g, is pure: values move freely between threads.
 
 Imported before numpy with OPENBLAS_NUM_THREADS unset, it sets that variable to 1 (which
 child processes inherit), so OpenBLAS starts no server threads for the pin to leave idle.
 A process that loaded numpy first, or set the variable itself, keeps its environment.
+
+The Gram pair calls syrk (``scipy_cblas_dsyrk64_``) and potrf (``scipy_dpotrf_64_``) of the pinned
+library, bound on first use. Where numpy bundles another library, the pair uses numpy's @ and cholesky.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
 import sys
 from pathlib import Path
@@ -22,10 +26,10 @@ if "numpy" not in sys.modules:
 import numpy as np  # noqa: E402
 
 
-def _pin_blas() -> int | None:
+def _pin_blas() -> ctypes.CDLL | None:
     """Pin numpy's bundled OpenBLAS to 1 thread, where its results depend on no thread count.
 
-    Returns 1, or None (changing nothing) when that library or its thread call
+    Returns the library, or None (changing nothing) when that library or its thread call
     cannot be found. The count is process-wide, so nothing restores it. It is the only
     guard when numpy loaded first or OPENBLAS_NUM_THREADS was set to another count.
     """
@@ -37,10 +41,11 @@ def _pin_blas() -> int | None:
         return None
     put.argtypes, put.restype = [ctypes.c_int], None
     put(1)
-    return 1
+    return lib
 
 
-BLAS_THREADS = _pin_blas()  # every flrq entry point imports this module, so all run pinned
+OPENBLAS = _pin_blas()  # every flrq entry point imports this module, so all run pinned
+BLAS_THREADS = None if OPENBLAS is None else 1
 TINY = np.finfo(np.float64).tiny  # the smallest normal float64
 
 
@@ -141,3 +146,41 @@ def product_norm(a: np.ndarray, b: np.ndarray) -> float:
     lower-triangular b is multiplied block by block, as in row_sq_norms."""
     prod = _times_factor(a, b)
     return float(np.sqrt(np.sum(np.square(prod, out=prod))))
+
+
+@functools.cache
+def _gram_routines():
+    """OPENBLAS's syrk and potrf (ILP64), bound on the first call, or None where either is missing."""
+    try:
+        syrk, potrf = OPENBLAS.scipy_cblas_dsyrk64_, OPENBLAS.scipy_dpotrf_64_
+    except AttributeError:  # also when OPENBLAS is None
+        return None
+    i64, ptr, f64, p64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double, ctypes.POINTER(ctypes.c_int64)
+    syrk.argtypes, syrk.restype = [ctypes.c_int] * 3 + [i64, i64, f64, ptr, i64, f64, ptr, i64], None
+    potrf.argtypes, potrf.restype = [ctypes.c_char_p, p64, ptr, p64, p64], None
+    return syrk, potrf
+
+
+def add_gram(g: np.ndarray, c: np.ndarray) -> None:
+    """g += c c^T for a C-ordered float64 g: into its upper triangle by syrk, else by numpy."""
+    if c.dtype != np.float64 or c.strides[1] != 8 or c.strides[0] % 8 or c.strides[0] < 8 * c.shape[1]:
+        c = np.ascontiguousarray(c, np.float64)  # syrk reads raw pointers: a wrong lda corrupts memory
+    if (blas := _gram_routines()) is None:
+        g += c @ c.T  # numpy's syrk, into a temporary it mirrors
+    else:  # numpy's call (RowMajor, Upper, NoTrans), with lda = c's row stride, and beta = 1
+        blas[0](101, 121, 111, *c.shape, 1.0, c.ctypes.data, c.strides[0] // 8, 1.0, g.ctypes.data, len(g))
+
+
+def gram_cholesky(g: np.ndarray) -> np.ndarray:
+    """C-ordered L with L L^T = g, from g's upper triangle, written over g by potrf (else
+    np.linalg.cholesky(g.T), the same potrf call on copies); LinAlgError unless g is positive definite."""
+    if (blas := _gram_routines()) is None:
+        return np.linalg.cholesky(g.T)  # g in the Fortran order LAPACK reads: no transposing copy
+    n, info = ctypes.c_int64(len(g)), ctypes.c_int64()
+    blas[1](b"L", n, g.ctypes.data, n, info)  # g's buffer in Fortran order: g^T's lower triangle
+    if info.value:  # > 0: not positive definite; < 0: an argument potrf rejected
+        raise (np.linalg.LinAlgError if info.value > 0 else ValueError)(f"potrf: info {info.value}")
+    for lo in range(0, len(g), BLOCK_ROWS):  # potrf left L^T in g's upper triangle
+        g[lo:, lo:lo + BLOCK_ROWS] = np.triu(g[lo:lo + BLOCK_ROWS, lo:]).T  # a copy: the two overlap
+        g[lo:lo + BLOCK_ROWS, lo + BLOCK_ROWS:] = 0.0
+    return g

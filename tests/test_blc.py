@@ -1,3 +1,4 @@
+import contextlib
 import math
 import os
 import subprocess
@@ -15,6 +16,7 @@ from flrq import linalg, rankselect
 from flrq.blc import EpochRecord, QuantizedLayer
 from flrq.blc import alpha, calibrate, channel_mean, flrq_layer, gram_factor, layer_error
 from flrq.blc import CALIBRATION_CHUNK, CHANNEL_MEAN_CHUNK, CHANNEL_MEAN_EPS, scaled_flr
+from flrq.cli import main
 from flrq.config import FlrqConfig
 from flrq.errors import NumericalError
 from flrq.io import DTYPE_F32, ActivationSource, TensorContainer, container_from_array, write_bundle
@@ -203,6 +205,16 @@ class TestGramFactor:
         assert x.flags.c_contiguous
         assert gram_factor(x).tobytes() == np.linalg.cholesky(x @ x.T).tobytes()
 
+    def test_strided_or_f32_chunks_factor_as_their_float64_c_copy(self):
+        # The syrk binding reads raw pointers, so such a chunk is copied before it reaches BLAS.
+        x = np.random.default_rng(11).standard_normal((48, 2 * CALIBRATION_CHUNK + 5))
+        l = gram_factor(x)
+        assert gram_factor(np.asfortranarray(x)).tobytes() == l.tobytes()  # column stride 8n
+        assert gram_factor(x[::-1]).tobytes() == gram_factor(x[::-1].copy()).tobytes()  # negative rows
+        x32 = x.astype(np.float32)
+        assert gram_factor(x32).dtype == np.float64
+        assert gram_factor(x32).tobytes() == gram_factor(x32.astype(np.float64)).tobytes()
+
     def test_zero_channel_falls_back_to_qr(self):
         x = np.random.default_rng(4).standard_normal((40, 200))
         x[7] = 0.0  # X X^T is singular, so its Cholesky factorization fails
@@ -279,6 +291,35 @@ print(before, pinned, get(), len(digests))
         assert run("import flrq.cli", OPENBLAS_NUM_THREADS="2")[1:] == ["2", "1"]
 
 
+@contextlib.contextmanager
+def numpy_gram_path():
+    """Calibration through numpy's expressions: the syrk/potrf binding finds no OpenBLAS handle."""
+    with pytest.MonkeyPatch.context() as mp:
+        linalg._gram_routines.cache_clear()
+        mp.setattr(linalg, "OPENBLAS", None)
+        try:
+            yield
+        finally:
+            linalg._gram_routines.cache_clear()
+
+
+@pytest.fixture
+def numpy_gram():
+    with numpy_gram_path():
+        assert linalg._gram_routines() is None
+        yield
+
+
+@pytest.mark.usefixtures("numpy_gram")
+class TestGramFactorThroughNumpy(TestGramFactor):
+    """TestGramFactor where numpy ships no OpenBLAS with syrk and potrf."""
+
+    # Subprocess tests: the patch does not reach a fresh interpreter.
+    test_bytes_independent_of_blas_threads = None
+    test_import_pins_blas_for_concurrent_callers = None
+    test_import_before_numpy_starts_no_blas_threads = None
+
+
 def source_of(path: Path, x: np.ndarray, f32: bool = False) -> ActivationSource:
     """An ActivationSource over ``x`` written to ``path``, as f64, or as f32 when ``f32``."""
     f32_container = TensorContainer(DTYPE_F32, x.shape, x.astype("<f4").tobytes())
@@ -337,6 +378,59 @@ class TestStreamedCalibration:
                 tracemalloc.stop()
             assert peaks[chunks] < x_bytes / 2
         assert abs(peaks[16] - peaks[4]) < 2**20
+
+
+@pytest.mark.usefixtures("numpy_gram")
+class TestStreamedCalibrationThroughNumpy(TestStreamedCalibration):
+    """TestStreamedCalibration where numpy ships no OpenBLAS with syrk and potrf."""
+
+
+class TestGramRoutines:
+    def test_bound_on_the_first_factor_not_at_import(self):
+        script = ("import flrq.cli\nfrom flrq import linalg\n"
+                  "print(linalg._gram_routines.cache_info().currsize)\n" + GRAM_X +
+                  "gram_factor(x)\nprint(linalg._gram_routines() is not None, np.__version__)\n")
+        at_import, bound, version = run_python(script).split()
+        assert at_import == "0"
+        # Under the numpy that every bit-for-bit claim was measured on, the factor runs on BLAS.
+        assert bound == "True" or version != "2.4.6"
+
+    @pytest.mark.parametrize("tokens", [CALIBRATION_CHUNK + 1, 3 * CALIBRATION_CHUNK])
+    def test_paths_agree_over_several_chunks(self, tokens):
+        # A sum of chunks adds in another order through syrk's beta = 1, so last bits can move.
+        x = np.random.default_rng(tokens).standard_normal((200, tokens))
+        blas = gram_factor(x)
+        with numpy_gram_path():
+            plain = gram_factor(x)
+        assert np.abs(blas - plain).max() <= 1e-12 * np.abs(plain).max()
+
+    def test_quantize_through_numpy_keeps_the_bytes_of_one_chunk(self, tmp_path):
+        assert main(["gen-synth", "--m", "32", "--n", "128", "--tokens", "600", "--layers", "2",
+                     "--out-dir", str(tmp_path / "in")]) == 0
+        runs = {}
+        for path, context in (("blas", contextlib.nullcontext()), ("numpy", numpy_gram_path())):
+            with context:
+                argv = ["quantize", "--in", str(tmp_path / "in"), "--out-dir", str(tmp_path / path)]
+                assert main([*argv, "--threads", "2"]) == 0
+            runs[path] = tree_digest(tmp_path / path)
+        assert runs["blas"] == runs["numpy"]
+
+    def test_calibrate_holds_one_chunk_and_one_gram_buffer(self, tmp_path):
+        # Beyond one chunk and G, calibrate holds channel_mean's n x 128 step temporaries, then
+        # the W-sized product of ||W X||_F. A chunk's product or a Cholesky copy adds n^2 x 8 bytes.
+        n = 256
+        g = np.random.default_rng(12)
+        w, x = g.standard_normal((n, n)), g.standard_normal((n, 4 * CALIBRATION_CHUNK))
+        source = source_of(tmp_path / "x.flrqten", x)
+        del x
+        tracemalloc.start()
+        try:
+            calibrate(w, source)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        chunk, gram = n * CALIBRATION_CHUNK * 8, n * n * 8
+        assert peak < chunk + gram + w.nbytes + gram // 2
 
 
 class TestAlpha:
