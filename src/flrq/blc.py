@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import FlrqConfig
 from .errors import NumericalError
-from .linalg import TINY, add_gram, gram_cholesky, product_norm
+from .linalg import BLOCK_ROWS, TINY, add_gram, blocks_norm, gram_cholesky, product_norm
 # clip and quantize_matrix are not called here, but benchmark/tracer.py wraps them as blc names.
 from .quantize import QuantizedTensor, clip, dequantize, quantize_matrix, search_clip  # noqa: F401
 from .rankselect import RankTrace, select_rank
@@ -107,18 +107,19 @@ def gram_factor(x, g: np.ndarray | None = None) -> np.ndarray:
         return np.ascontiguousarray(r.T)
 
 
-def calibrate(w: np.ndarray, x) -> Calibration:
+def calibrate(w, x) -> Calibration:
     """Reduce the activations x of weights w in one pass over X's chunks. x is an n x tokens
     array or an ``io.ActivationSource``, read whole if tokens <= n (L is X); the caller can
-    drop x on return."""
+    drop x on return. w is an array or a source, whose payload is read only once X's pass and
+    the factor are done; ``w.read()`` then gives the caller that same array."""
     n, tokens = x.shape
     if tokens <= n and not isinstance(x, np.ndarray):
-        x = next(x.chunks(tokens))
+        x = x.read()
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below instead
         g = np.zeros((n, n)) if tokens > n else None
         mean = channel_mean(x if g is None else _gram_steps(x, g))
         l = gram_factor(x, g)
-        wx_norm = product_norm(w, l)
+        wx_norm = product_norm(w if isinstance(w, np.ndarray) else w.read(), l)
     if not (np.isfinite(wx_norm) and np.isfinite(l).all()):
         raise NumericalError("the layer's output ||W X||_F overflows float64")
     return Calibration(mean, l, wx_norm)
@@ -172,17 +173,24 @@ def scaled_flr(
 def layer_error(
     w: np.ndarray, q: QuantizedTensor, factors: LowRankFactors, x: np.ndarray
 ) -> float:
-    """||(W - dequant(q) - left @ right) L||_F, with L = gram_factor(x); x may be L itself."""
+    """||(W - dequant(q) - left @ right) L||_F, with L = gram_factor(x); x may be L itself.
+    Summed over BLOCK_ROWS-row blocks (``blocks_norm``): no m-row residual or product is formed."""
     if w.shape[1] != x.shape[0]:
         raise ValueError(f"activations {x.shape} do not conform to weights {w.shape}")
     if q.shape != w.shape:
         raise ValueError(f"quantized shape {q.shape} does not match weights {w.shape}")
     if factors.left.shape[0] != w.shape[0] or factors.right.shape[1] != w.shape[1]:
         raise ValueError("factor shapes do not match the weights")
-    approx = dequantize(q)
-    if factors.rank:  # rank 0 adds a zero matrix
-        approx += factors.reconstruct()
-    return product_norm(np.subtract(w, approx, out=approx), gram_factor(x))
+    buf = np.empty((min(len(w), BLOCK_ROWS), w.shape[1]))
+
+    def residual(start: int) -> np.ndarray:  # rows start ... of W - dequant(q) - left @ right
+        rows = slice(start, start + BLOCK_ROWS)
+        approx = dequantize(q, out=buf[:len(w[rows])], rows=rows)
+        if factors.rank:  # rank 0 adds a zero matrix
+            approx += factors.left[rows] @ factors.right
+        return np.subtract(w[rows], approx, out=approx)
+
+    return blocks_norm(map(residual, range(0, len(w), BLOCK_ROWS)), gram_factor(x))
 
 
 def flrq_layer(w: np.ndarray, calib: Calibration, cfg: FlrqConfig) -> QuantizedLayer:
@@ -199,11 +207,13 @@ def flrq_layer(w: np.ndarray, calib: Calibration, cfg: FlrqConfig) -> QuantizedL
     found = None  # the last epoch's clip search
     rank0_epochs: list[int] = []
     for epoch in range(1, epochs + 1):
-        # Epoch 1 extracts from W itself, later epochs from the dequantization residual.
-        factors, rank_trace = scaled_flr(w if found is None else w - dequantize(found.q), alpha_vec, cfg)
-        rest = w - factors.reconstruct() if factors.rank else w
-        found = search_clip(rest, calib.l, cfg.d)
-        del rest  # freed before the next epoch's residual
+        # Epoch 1 extracts from W itself, later epochs from W - dequant(q), in dequantize's array.
+        residual = w if found is None else dequantize(found.q)
+        if found is not None:
+            np.subtract(w, residual, out=residual)
+        factors, rank_trace = scaled_flr(residual, alpha_vec, cfg)
+        del residual  # freed before the search
+        found = search_clip(w, calib.l, cfg.d, factors)  # on W - left @ right
         trace.append(EpochRecord(epoch=epoch, error=found.error, p_clp=found.p_clp, rank=factors.rank))
         if best is None or found.error < trace[best[0] - 1].error:
             best = (epoch, found.q, factors, rank_trace)

@@ -13,6 +13,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
+import shutil
 import sys
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
@@ -21,10 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from . import io as flrq_io
-from .blc import Calibration, QuantizedLayer, calibrate, flrq_layer, layer_error
+from .blc import Calibration, calibrate, flrq_layer, layer_error
 from .config import FlrqConfig
 from .errors import FlrqError, FormatError, NumericalError
-from .linalg import BLAS_THREADS, as_matrix
+from .linalg import BLAS_THREADS
 from .quantize import BIT_WIDTHS, CLIP_GRID, quantize_matrix
 from .sketch import LowRankFactors, layer_seed
 from .synth import FAMILIES, SynthSpec, gen_layer
@@ -98,24 +100,24 @@ def build_parser() -> Parser:
 # --- layer I/O helpers --------------------------------------------------------
 
 
-def _read(path: Path, read=lambda path: as_matrix(flrq_io.read_container_file(path).to_array())):
+def _source(path: Path) -> flrq_io.ActivationSource:
     try:
-        return read(path)
+        return flrq_io.ActivationSource(path)
     except (ValueError, FormatError) as exc:
         raise FormatError(f"{path}: {exc}") from None
 
 
 def read_layer_inputs(directory: Path):
-    """W, and X: an ActivationSource when X has more tokens than channels, whose header is
-    checked here and whose payload ``calibrate`` reads in chunks; else X's array, its factor L."""
+    """W and X as ``io.ActivationSource``s, headers, sizes and shapes checked before any payload
+    byte is read; ``calibrate`` reads X's chunks, then W. X is read here if tokens <= n (L is X)."""
     wpath = directory / WEIGHTS_FILE
     xpath = directory / ACTIVATIONS_FILE
     if not wpath.exists() or not xpath.exists():
         raise FormatError(f"{directory} does not contain {WEIGHTS_FILE} + {ACTIVATIONS_FILE}")
-    w, x = _read(wpath), _read(xpath, flrq_io.ActivationSource)
+    w, x = _source(wpath), _source(xpath)
     if w.shape[1] != x.shape[0]:
         raise FormatError(f"{xpath}: activations {x.shape} do not conform to weights {w.shape}")
-    return w, x if x.shape[1] > x.shape[0] else _read(xpath)
+    return w, x if x.shape[1] > x.shape[0] else x.read()
 
 
 def discover_layers(in_dir: Path) -> list[Path]:
@@ -171,8 +173,9 @@ def cmd_gen_synth(args) -> int:
     return 0
 
 
-def each_layer(args, work, workers: int = 1, calibrated: bool = True) -> tuple[list[str], list]:
-    """Run ``work(idx, w, calib, cfg)`` on every layer of --in over ``workers`` threads.
+def each_layer(args, work, workers: int = 1, calibrated: bool = True, layers=None) -> tuple[list[str], list]:
+    """Run ``work(idx, w, calib, cfg)`` on every layer of --in (``discover_layers``, unless
+    ``layers`` are given) over ``workers`` threads.
 
     Layer ``idx``'s ``cfg`` is the command's config seeded ``layer_seed(--seed, idx)``, and
     its ``calib`` is ``calibrate(w, x)``, or None when not ``calibrated``.
@@ -181,13 +184,14 @@ def each_layer(args, work, workers: int = 1, calibrated: bool = True) -> tuple[l
     and the lowest failing layer's error is raised, so the error does not depend on
     ``workers``.
     """
-    cfg = FlrqConfig(**_fields_of(FlrqConfig, args))  # checked before any input is read
-    layers = discover_layers(args.in_dir)
+    cfg = FlrqConfig(**_fields_of(FlrqConfig, args))  # checked before any input file is opened
+    layers = discover_layers(args.in_dir) if layers is None else layers
     workers = min(workers, len(layers))
 
     def read(path: Path):
         w, x = read_layer_inputs(path)
-        return w, calibrate(w, x) if calibrated else None  # the one pass over x; freed on return
+        calib = calibrate(w, x) if calibrated else None  # the one pass over x, then W's read
+        return w.read(), calib  # the array calibrate read; x is freed on return
 
     def guarded(*layer):  # numpy's errstate is per thread, so it is set on the worker
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends in one NumericalError
@@ -225,24 +229,36 @@ def each_layer(args, work, workers: int = 1, calibrated: bool = True) -> tuple[l
     return [p.name for p in layers], [done[idx] for idx in range(len(layers))]
 
 
-def quantize_layer(idx: int, w, calib: Calibration, cfg: FlrqConfig):
-    """The layer quantized, and the rel_error of plain RTN on the same calibration."""
-    return flrq_layer(w, calib, cfg), plain_rel_error(w, calib, LowRankFactors.empty(*w.shape), cfg)
-
-
 def cmd_quantize(args) -> int:
+    """Quantize --in into --out-dir, which must be new or empty. Workers write each bundle as its
+    layer ends into the sibling tree .<name>.partial-<pid>, renamed onto --out-dir after
+    report.json; a failure removes it, so --out-dir never holds a partial tree."""
     t0 = time.perf_counter()
-    names, results = each_layer(args, quantize_layer, args.threads)
-    elapsed = time.perf_counter() - t0
-    quantized, rtn_rel_errors = zip(*results)
+    out = Path(os.path.abspath(args.out_dir))  # so that `--out-dir .` has a name and a parent
+    if out.exists() and (not out.is_dir() or any(out.iterdir())):
+        raise UsageError(f"--out-dir {args.out_dir} exists and is not an empty directory")
+    layers = discover_layers(args.in_dir)
+    names = [p.name for p in layers]
     echo = config_echo(args, clip_grid=CLIP_GRID, layers=names)
+    partial = out.with_name(f".{out.name}.partial-{os.getpid()}")
 
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    for name, layer in zip(names, quantized):
-        flrq_io.write_bundle(args.out_dir / name, layer, echo)
-    (args.out_dir / "report.json").write_text(flrq_io.emit_report(quantized, echo, rtn_rel_errors))
+    def quantize_layer(idx: int, w, calib: Calibration, cfg: FlrqConfig) -> dict:
+        """The layer quantized and its bundle written; its report row, with plain RTN's rel_error."""
+        layer = flrq_layer(w, calib, cfg)
+        rtn = plain_rel_error(w, calib, LowRankFactors.empty(*w.shape), cfg)
+        flrq_io.write_bundle(partial / names[idx], layer, echo)
+        return flrq_io.report_row(idx, layer, rtn)
+
+    partial.mkdir(parents=True)
+    try:
+        _, rows = each_layer(args, quantize_layer, args.threads, layers=layers)
+        (partial / "report.json").write_text(flrq_io.emit_report(rows, echo))
+        os.replace(partial, out)
+    except BaseException:
+        shutil.rmtree(partial, ignore_errors=True)
+        raise
     blas = f"{BLAS_THREADS} BLAS thread(s)" if BLAS_THREADS else "BLAS unpinned"
-    log(f"quantized {len(names)} layer(s) in {elapsed:.2f}s "
+    log(f"quantized {len(names)} layer(s) in {time.perf_counter() - t0:.2f}s "
         f"({min(args.threads, len(names))} worker(s) x {blas}) -> {args.out_dir}")
     return 0
 

@@ -129,17 +129,26 @@ def read_container_file(path) -> TensorContainer:
 
 
 class ActivationSource:
-    """An n x tokens f32 or f64 container file: its header is checked here, ``chunks`` reads the rest."""
+    """A 2-D f32 or f64 container file (X or W): its header is checked here, the rest read later."""
 
     def __init__(self, path):
         with open(path, "rb") as fh:
             st = os.fstat(fh.fileno())  # key: st_dev and st_ino name the file, whichever link reached it
             head = read_container(fh.read(4096), st.st_size)  # ndim > 509 reads as truncated
-        self.path, self.key, self.shape = Path(path), (st.st_dev, st.st_ino), head.dims
+        self.path, self.key, self.shape, self.array = Path(path), (st.st_dev, st.st_ino), head.dims, None
         if len(self.shape) != 2 or 0 in self.shape or head.dtype_code == DTYPE_PACKED:
             raise FormatError(f"expected a non-empty 2-D f32 or f64 matrix, got dims {self.shape}")
         self.dtype = np.dtype(_NUMPY_DTYPE[head.dtype_code])
         self.offset = st.st_size - math.prod(self.shape) * self.dtype.itemsize
+
+    def read(self) -> np.ndarray:
+        """The whole matrix in float64, read on the first call; later calls return that array."""
+        if self.array is None:
+            array = read_container_file(self.path).to_array()  # the header is checked already
+            if not np.isfinite(array).all():
+                raise FormatError(f"{self.path}: matrix contains non-finite entries")
+            self.array = array
+        return self.array
 
     def chunks(self, width: int) -> Iterator[np.ndarray]:
         """Its float64 column chunks of ``width`` tokens, read by row into one reused buffer."""
@@ -337,31 +346,29 @@ def extra_bits(d_fp: int, rank: int, m: int, n: int) -> float:
     return d_fp * rank * (m + n) / (m * n)
 
 
-def emit_report(layers, config: dict, rtn_rel_errors) -> str:
-    """Render the canonical JSON report for a set of quantized layers.
+def report_row(idx: int, layer: QuantizedLayer, rtn_rel_error: float) -> dict:
+    """Layer ``idx``'s report row: factors, scales and zeros charged at ``D_FP`` bits; RTN's last."""
+    m, n = layer.q.shape
+    xb = extra_bits(D_FP, layer.factors.rank, m, n)
+    meta_bits = 2 * D_FP * layer.q.scales.size / (m * n)  # a scale and a zero per group
+    return {
+        "index": idx,
+        "rank": layer.factors.rank,
+        "extra_bits": xb,
+        "extra_bits_with_meta": xb + meta_bits,
+        "rel_error": layer.rel_error,
+        "abs_error": layer.best_error,
+        "stop_reason": layer.rank_trace.stop_reason,
+        "blc_best_epoch": layer.best_epoch,
+        "p_clp": layer.p_clp,
+        "rtn_rel_error": rtn_rel_error,
+    }
 
-    Keys are emitted in a fixed order and floats use their shortest repr, so
-    identical inputs produce byte-identical text; wall time is never recorded.
-    Factors, scales and zeros are charged at ``D_FP`` bits. Each row ends with
-    its layer's ``rtn_rel_errors`` entry, the relative error of plain quantization.
-    """
-    rows = []
-    for idx, (layer, rtn) in enumerate(zip(layers, rtn_rel_errors, strict=True)):
-        m, n = layer.q.shape
-        xb = extra_bits(D_FP, layer.factors.rank, m, n)
-        meta_bits = 2 * D_FP * layer.q.scales.size / (m * n)  # a scale and a zero per group
-        rows.append({
-            "index": idx,
-            "rank": layer.factors.rank,
-            "extra_bits": xb,
-            "extra_bits_with_meta": xb + meta_bits,
-            "rel_error": layer.rel_error,
-            "abs_error": layer.best_error,
-            "stop_reason": layer.rank_trace.stop_reason,
-            "blc_best_epoch": layer.best_epoch,
-            "p_clp": layer.p_clp,
-            "rtn_rel_error": rtn,
-        })
+
+def emit_report(rows: list[dict], config: dict) -> str:
+    """Render the canonical JSON report of the layers' ``report_row``s. Keys are emitted in a fixed
+    order and floats use their shortest repr, so identical inputs produce byte-identical text;
+    wall time is never recorded."""
     aggregate = {f"avg_{key}": float(np.mean([r[key] for r in rows])) if rows else None
                  for key in ("rank", "extra_bits")}
     report = {"config": config, "layers": rows, "aggregate": aggregate}

@@ -49,18 +49,6 @@ BLAS_THREADS = None if OPENBLAS is None else 1
 TINY = np.finfo(np.float64).tiny  # the smallest normal float64
 
 
-def as_matrix(data) -> np.ndarray:
-    """Validate and canonicalize a dense, non-empty 2-D matrix (float64, row-major, finite)."""
-    a = np.ascontiguousarray(data, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if a.size == 0:
-        raise ValueError(f"matrix of shape {a.shape} is empty")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix contains non-finite entries")
-    return a
-
-
 def gemv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """y = A x."""
     return a @ x
@@ -130,22 +118,26 @@ def _by_blocks(a: np.ndarray, l: np.ndarray, edges: list[int] | None) -> np.ndar
     return out
 
 
-def _times_factor(a: np.ndarray, l: np.ndarray) -> np.ndarray:
-    return _by_blocks(a, l, lower_blocks(l))
-
-
 def row_sq_norms(a: np.ndarray, l: np.ndarray, edges: list[int] | None = None) -> np.ndarray:
     """Per-row sums of (a @ l)**2, through l's triangular blocks if it has them. A caller that
     multiplies by one l many times passes edges = lower_blocks(l), so l is tested once."""
-    prod = _times_factor(a, l) if edges is None else _by_blocks(a, l, edges)
+    prod = _by_blocks(a, l, lower_blocks(l) if edges is None else edges)
     return np.square(prod, out=prod).sum(axis=1)
 
 
+def blocks_norm(blocks, l: np.ndarray) -> float:
+    """||A @ l||_F for the A whose row blocks ``blocks`` yields, one block's product at a time;
+    np.sum adds each block's squares, so a single block gives the bits of fro_norm(A @ l)."""
+    edges, total = lower_blocks(l), 0.0
+    for a in blocks:
+        prod = _by_blocks(a, l, edges)
+        total += np.sum(np.square(prod, out=prod))
+    return float(np.sqrt(total))
+
+
 def product_norm(a: np.ndarray, b: np.ndarray) -> float:
-    """fro_norm(a @ b), squaring the product in place: one temporary instead of two. A
-    lower-triangular b is multiplied block by block, as in row_sq_norms."""
-    prod = _times_factor(a, b)
-    return float(np.sqrt(np.sum(np.square(prod, out=prod))))
+    """fro_norm(a @ b), over BLOCK_ROWS-row blocks of a: no m-row product is formed."""
+    return blocks_norm((a[s:s + BLOCK_ROWS] for s in range(0, len(a), BLOCK_ROWS)), b)
 
 
 @functools.cache

@@ -79,13 +79,13 @@ def quantize_matrix(r: np.ndarray, d: int) -> QuantizedTensor:
     return QuantizedTensor(codes, scales, zeros, d)
 
 
-def dequantize(q: QuantizedTensor, out: np.ndarray | None = None) -> np.ndarray:
-    """Reconstruct the dense matrix from codes and group parameters, into ``out`` if given."""
-    out = np.empty(q.shape) if out is None else out
-    out[...] = q.codes  # small integers, exact in float64
+def dequantize(q: QuantizedTensor, out: np.ndarray | None = None, rows: slice = slice(None)) -> np.ndarray:
+    """Reconstruct the dense matrix (its ``rows``) from codes and group parameters, into ``out`` if given."""
+    out = np.empty(q.codes[rows].shape) if out is None else out
+    out[...] = q.codes[rows]  # small integers, exact in float64
     for part, g in _group_views(out):
-        part -= q.zeros[:, g, None]
-        part *= q.scales[:, g, None]
+        part -= q.zeros[rows, g, None]
+        part *= q.scales[rows, g, None]
     return out
 
 
@@ -106,50 +106,66 @@ class ClipSearchResult:
     q: QuantizedTensor  # the chosen candidate, quantized
 
 
-def search_clip(w: np.ndarray, l: np.ndarray, d: int) -> ClipSearchResult:
-    """Grid-search the clip threshold minimizing ||(W - dequant(quant(clip(W)))) L||_F.
+def search_clip(w: np.ndarray, l: np.ndarray, d: int, factors=None) -> ClipSearchResult:
+    """Grid-search the clip threshold minimizing ||(R - dequant(quant(clip(R)))) L||_F, where
+    R = W - left @ right for the low-rank ``factors`` (R = W without them).
 
     L is the layer's Gram factor (``blc.gram_factor``), so this is the output error through X;
     the row errors come from ``linalg.row_sq_norms``, which skips L's zero blocks when it is
     the lower-triangular factor of tokens > n. They are scored in float32, BLOCK_ROWS rows at a
-    time, on (W - W_hat) * 2^-sw and ``normalized(L)``: the shifts are exact, so float32 only
+    time, on (R - R_hat) * 2^-sw and ``normalized(L)``: the shifts are exact, so float32 only
     blurs the ranking, by about 1e-6 relative.
-    Candidates are ratio * amax(W) for each ratio of CLIP_GRID; ties break toward the
+    Candidates are ratio * amax(R) for each ratio of CLIP_GRID; ties break toward the
     larger threshold. The first ratio quantizes every row; a later threshold p redoes only
     the rows with an entry above p, and the rest keep the first's codes and row errors.
-    Quantization is row-local, so q equals quantize_matrix(clip(W, p_clp)) byte for byte.
+    Quantization is row-local, so q equals quantize_matrix(clip(R, p_clp)) byte for byte.
+    R is formed in the search's one m x n scratch by one product per block of rows. The rows
+    that the last ratio can redo are copied aside before the first candidate overwrites it,
+    and the first rebuilds each block by the same product, so every candidate sees R's bits.
     """
-    rowmax = np.maximum(w.max(axis=1), -w.min(axis=1)) + 0.0  # as amax: a zero W searches at +0.0
+    low_rank = factors is not None and factors.rank > 0
+
+    def rest(rows: slice, out: np.ndarray) -> np.ndarray:  # R's rows
+        return np.subtract(w[rows], factors.left[rows] @ factors.right, out=out) if low_rank else w[rows]
+
+    scratch = np.empty(w.shape)  # R, then each candidate's clipped rows, then their dequantization
+    for start in range(0, len(w), BLOCK_ROWS) if low_rank else ():
+        rest(slice(start, start + BLOCK_ROWS), scratch[start:start + BLOCK_ROWS])
+    r = scratch if low_rank else w
+    rowmax = np.maximum(r.max(axis=1), -r.min(axis=1)) + 0.0  # as amax: a zero R searches at +0.0
     top = float(rowmax.max())
+    redo = np.flatnonzero(rowmax > CLIP_GRID[-1] * top) if low_rank else np.arange(len(w))
+    saved = np.take(r, redo, 0) if low_rank else w  # the rows of R that a later candidate redoes
     sw, (lf, sl) = int(np.frexp(top)[1]), normalized(l)
     edges = lower_blocks(lf)  # once for every row block; None (a full L) is tested per block
-    scratch = np.empty(w.shape)  # each candidate's clipped rows, then their dequantization
-    w_block = np.empty((min(len(w), BLOCK_ROWS), w.shape[1]))  # one block of a candidate's W rows
-    scaled = np.empty(w_block.shape, np.float32)  # ... and of their W - W_hat, shifted
+    buf = np.empty((min(len(w), BLOCK_ROWS), w.shape[1]))  # one block of a candidate's R rows
+    scaled = np.empty(buf.shape, np.float32)  # ... and of their R - R_hat, shifted
     base, base_err = None, None
     best_norm, best_err, best_p, best_rows, best_q = np.inf, np.inf, None, None, None
     grid_errors: list[tuple[float, float]] = []
     for rho in CLIP_GRID:
         p = rho * top
-        rows = np.arange(len(w)) if base is None else np.flatnonzero(rowmax > p)
-        full, sub = len(rows) == len(w), scratch[:len(rows)]  # full: rows is arange, so read w in place
+        first = base is None
+        picked = None if first else np.flatnonzero(rowmax[redo] > p)  # indices into saved
+        rows = np.arange(len(w)) if first else redo[picked]
+        sub = scratch[:len(rows)]
         # np.take gathers rows into out= directly in any mode but "raise", which copies first.
-        q = quantize_matrix(clip(w if full else np.take(w, rows, 0, sub, "wrap"), p, out=sub), d)
+        q = quantize_matrix(clip(r if first else np.take(saved, picked, 0, sub, "wrap"), p, out=sub), d)
         diff = dequantize(q, out=sub)
-        errs = np.empty(len(w)) if base is None else base_err.copy()  # redone rows replace the first's
+        errs = np.empty(len(w)) if first else base_err.copy()  # redone rows replace the first's
         for start in range(0, len(rows), BLOCK_ROWS):
             block = slice(start, start + BLOCK_ROWS)
             k = len(diff[block])
-            w_rows = w[block] if full else np.take(w, rows[block], 0, w_block[:k], "wrap")
-            part = np.subtract(w_rows, diff[block], out=diff[block])  # W - W_hat, in float64
+            r_rows = rest(block, buf[:k]) if first else np.take(saved, picked[block], 0, buf[:k], "wrap")
+            part = np.subtract(r_rows, diff[block], out=diff[block])  # R - R_hat, in float64
             part = np.ldexp(part, -sw, out=scaled[:k], casting="same_kind")
             errs[rows[block]] = row_sq_norms(part, lf, edges)
-        if base is None:
+        if first:
             base, base_err = q, errs
         total = errs.sum()
         err = float(np.sqrt(np.ldexp(total, 2 * (sw + sl))))  # overflows where float64's squares do
         grid_errors.append((p, err))
-        if np.sqrt(total) < best_norm:  # ranked before scaling back, so a tiny W does not tie at 0
+        if np.sqrt(total) < best_norm:  # ranked before scaling back, so a tiny R does not tie at 0
             best_norm, best_err, best_p, best_rows, best_q = np.sqrt(total), err, p, rows, q
     if not best_err < np.inf:
         raise NumericalError("no clip threshold gives a finite output error")

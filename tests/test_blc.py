@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import flrq
-from flrq import linalg, rankselect
+from flrq import linalg, quantize, rankselect
 from flrq.blc import EpochRecord, QuantizedLayer
 from flrq.blc import alpha, calibrate, channel_mean, flrq_layer, gram_factor, layer_error
 from flrq.blc import CALIBRATION_CHUNK, CHANNEL_MEAN_CHUNK, CHANNEL_MEAN_EPS, scaled_flr
@@ -185,12 +185,13 @@ class TestGramFactor:
 
     def test_square_x_layer_has_the_bytes_of_the_full_product(self, tmp_path, monkeypatch):
         # tokens = n: X is square but not triangular, so every error must take the full
-        # a @ L. Replacing the blocked product by a @ L must change no byte.
+        # a @ L. Making every product a @ L, in the search too, must change no byte.
         w, x = gen_layer(SynthSpec(m=64, n=GROUP_SIZE, family="outlier_channels", seed=8,
                                    tokens=GROUP_SIZE))
         cfg = FlrqConfig(d=2, seed=8, epochs=3)
         write_bundle(tmp_path / "kernel", flrq_layer(w, calibrate(w, x), cfg))
-        monkeypatch.setattr(linalg, "_times_factor", lambda a, l: a @ l)
+        for module in (linalg, quantize):
+            monkeypatch.setattr(module, "lower_blocks", lambda l: None)
         write_bundle(tmp_path / "full", flrq_layer(w, calibrate(w, x), cfg))
         assert tree_digest(tmp_path / "kernel") == tree_digest(tmp_path / "full")
 

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import shlex
+import signal
 import struct
 import subprocess
 import sys
@@ -502,6 +503,130 @@ class TestQuantizeCommand:
         assert proc.returncode == 0, proc.stderr
 
 
+class TestOneLayerAtATime:
+    """quantize holds one layer's working set: W is read after X's pass, and each bundle is
+    written as soon as its layer ends, into a sibling tree renamed onto --out-dir at the end."""
+
+    def test_finished_layers_are_not_kept(self, tmp_path, monkeypatch):
+        codes, alive = [], {}  # weakrefs to each layer's codes; live ones when layer i starts
+        quantize_layer = cli.flrq_layer
+
+        def traced_layer(w, calib, cfg):  # --seed 0: cfg.seed is the layer index
+            alive[cfg.seed] = sum(ref() is not None for ref in codes)
+            layer = quantize_layer(w, calib, cfg)
+            codes.append(weakref.ref(layer.q.codes))
+            return layer
+
+        monkeypatch.setattr(cli, "flrq_layer", traced_layer)
+        tree = TestQuantizeCommand.pipeline_tree(tmp_path / "in", 4)
+        assert main(["quantize", "--in", str(tree), "--out-dir", str(tmp_path / "out"),
+                     "--threads", "1"]) == 0
+        assert alive[3] <= 1
+        assert len(list((tmp_path / "out").glob("layer_*/codes.flrqten"))) == 4
+
+    def test_w_is_read_after_x_and_handed_to_the_worker(self, tmp_path, monkeypatch):
+        g = np.random.default_rng(7)
+        for idx in range(2):  # X in three chunks
+            write_layer(tmp_path / "in" / f"layer_{idx:03d}", g.standard_normal((8, 16)),
+                        g.standard_normal((16, 2 * blc.CALIBRATION_CHUNK + 1)))
+        events, weights, handed = [], {}, []
+        chunks, read = flrq_io.ActivationSource.chunks, flrq_io.ActivationSource.read
+        quantize_layer = cli.flrq_layer
+
+        def traced_chunks(source, width):
+            for chunk in chunks(source, width):
+                events.append(("chunk", source.path.name))
+                yield chunk
+
+        def traced_read(source):
+            if source.array is None:
+                events.append(("read", source.path.name))
+            weights[source.path.parent.name] = read(source)
+            return weights[source.path.parent.name]
+
+        def traced_layer(w, calib, cfg):  # --seed 0: cfg.seed is the layer index
+            handed.append(w is weights[f"layer_{cfg.seed:03d}"])
+            return quantize_layer(w, calib, cfg)
+
+        monkeypatch.setattr(flrq_io.ActivationSource, "chunks", traced_chunks)
+        monkeypatch.setattr(flrq_io.ActivationSource, "read", traced_read)
+        monkeypatch.setattr(cli, "flrq_layer", traced_layer)
+        assert main(["quantize", "--in", str(tmp_path / "in"), "--out-dir", str(tmp_path / "out")]) == 0
+        one_layer = [("chunk", cli.ACTIVATIONS_FILE)] * 3 + [("read", cli.WEIGHTS_FILE)]
+        assert events == one_layer * 2  # each W payload is read once, after X's last chunk
+        assert handed == [True, True]
+
+    @pytest.mark.parametrize("corrupt", ["truncated", "trailing-bytes"])
+    def test_bad_w_fails_before_any_chunk(self, tmp_path, monkeypatch, capsys, corrupt):
+        g = np.random.default_rng(1)
+        layer = write_layer(tmp_path / "layer", g.standard_normal((4, 8)), g.standard_normal((8, 40)))
+        path = layer / cli.WEIGHTS_FILE
+        data = path.read_bytes()
+        path.write_bytes(data[:-4] if corrupt == "truncated" else data + bytes(1))
+        reads = []
+        monkeypatch.setattr(flrq_io.ActivationSource, "chunks", lambda source, width: reads.append(width))
+        assert main(["quantize", "--in", str(layer), "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert reads == []
+        assert len(err) == 1 and cli.WEIGHTS_FILE in err[0]
+
+    def test_used_out_dir_is_a_usage_error(self, tmp_path, monkeypatch):
+        # A second run into a tree it did not write would leave that tree's extra bundles,
+        # which read back as valid beside a report that does not list them.
+        flags = ["--m", "16", "--n", "24", "--tokens", "8"]
+        three = gen_synth(tmp_path / "three", "--layers", "3", *flags)
+        one = gen_synth(tmp_path / "one", *flags)
+        out = tmp_path / "out"
+        assert main(["quantize", "--in", str(three), "--out-dir", str(out)]) == 0
+        before = tree_digest(out)
+        proc = run_cli("quantize", "--in", one, "--seed", "9", "--out-dir", out)
+        assert proc.returncode == 1 and "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("[flrq] usage error:") and "--out-dir" in lines[0]
+        assert tree_digest(out) == before
+        reads = []
+        monkeypatch.setattr(cli, "read_layer_inputs", reads.append)
+        (tmp_path / "file").write_text("")
+        for taken in (out, tmp_path / "file"):  # checked before any layer is read
+            assert main(["quantize", "--in", str(one), "--out-dir", str(taken)]) == 1
+        assert reads == []
+
+    def test_empty_out_dir_is_filled(self, tmp_path):
+        src, out = gen_synth(tmp_path / "in", "--m", "16", "--n", "24"), tmp_path / "out"
+        out.mkdir()
+        assert main(["quantize", "--in", str(src), "--out-dir", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["layer_000", "report.json"]
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []
+
+    def test_failed_layer_leaves_no_tree(self, tmp_path, monkeypatch):
+        # Layer 0 is written before layer 1 overflows; the run then removes the whole tree.
+        g = np.random.default_rng(0)
+        w, x = g.standard_normal((8, 16)), g.standard_normal((16, 32))
+        write_layer(tmp_path / "in" / "layer_000", w, x)
+        write_layer(tmp_path / "in" / "layer_001", w * 1e160, x)
+        written, write = [], flrq_io.write_bundle
+        monkeypatch.setattr(flrq_io, "write_bundle", lambda d, *a: written.append(d.name) or write(d, *a))
+        assert main(["quantize", "--in", str(tmp_path / "in"), "--out-dir", str(tmp_path / "out")]) == 3
+        assert written == ["layer_000"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in"]
+
+    def test_killed_run_leaves_no_bundle_at_out_dir(self, tmp_path):
+        src = gen_synth(tmp_path / "in", "--layers", "3", "--m", "16", "--n", "24")
+        out = tmp_path / "out"
+        script = ("import os, signal, sys\nfrom flrq import cli, io\nwrite = io.write_bundle\n"
+                  "def write_then_die(*args):\n    write(*args)\n    os.kill(os.getpid(), signal.SIGKILL)\n"
+                  "io.write_bundle = write_then_die\nsys.exit(cli.main(sys.argv[1:]))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(flrq.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script, "quantize", "--in", str(src),
+                               "--out-dir", str(out)], env=env, capture_output=True, text=True)
+        assert proc.returncode == -signal.SIGKILL
+        assert not out.exists()
+        # The first bundle was written, and reads back, in the hidden sibling tree only.
+        partial, = tmp_path.glob(".out.partial-*")
+        assert [p.name for p in partial.iterdir()] == ["layer_000"]
+        read_bundle(partial / "layer_000")
+
+
 class TestStreamedActivations:
     def test_reader_leaves_a_wide_payload_unread(self, tmp_path):
         g = np.random.default_rng(0)
@@ -552,7 +677,7 @@ class TestStreamedActivations:
         def read_whole(path):
             w, source = read(path)
             assert isinstance(source, flrq_io.ActivationSource)
-            return w, linalg.as_matrix(flrq_io.read_container_file(source.path).to_array())
+            return w, flrq_io.read_container_file(source.path).to_array()
 
         monkeypatch.setattr(cli, "read_layer_inputs", read_whole)
         assert run([*argv, "--out-dir", str(tmp_path / "whole")]) == 0
@@ -764,19 +889,20 @@ class TestExitCodes:
         assert main(["frobnicate"]) == 1
 
     @pytest.mark.parametrize(
-        "w_shape, x_shape, nan, bad_file",
+        "w_shape, x_shape, bad_value, bad_file",
         [
-            ((8,), (8, 4), False, "weights.flrqten"),  # 1-D weights
-            ((4, 8), (6, 3), False, "activations.flrqten"),  # W/X shape mismatch
-            ((4, 8), (8, 3), True, "weights.flrqten"),  # non-finite weights
-            ((4, 8), (8, 0), False, "activations.flrqten"),  # no calibration tokens
+            ((8,), (8, 4), None, "weights.flrqten"),  # 1-D weights
+            ((4, 8), (6, 3), None, "activations.flrqten"),  # W/X shape mismatch
+            ((4, 8), (8, 3), np.nan, "weights.flrqten"),  # non-finite weights
+            ((4, 8), (8, 3), -np.inf, "weights.flrqten"),
+            ((4, 8), (8, 0), None, "activations.flrqten"),  # no calibration tokens
         ],
-        ids=["1d-weights", "shape-mismatch", "nan-weights", "zero-tokens"],
+        ids=["1d-weights", "shape-mismatch", "nan-weights", "inf-weights", "zero-tokens"],
     )
-    def test_bad_layer_inputs_are_data_errors(self, tmp_path, w_shape, x_shape, nan, bad_file):
+    def test_bad_layer_inputs_are_data_errors(self, tmp_path, w_shape, x_shape, bad_value, bad_file):
         w = np.ones(w_shape)
-        if nan:
-            w[0, 0] = np.nan
+        if bad_value is not None:
+            w[0, 0] = bad_value
         layer = write_layer(tmp_path / "layer", w, np.ones(x_shape))
         proc = run_cli("quantize", "--in", layer, "--out-dir", tmp_path / "out")
         assert proc.returncode == 2

@@ -21,6 +21,7 @@ from flrq.io import (
     container_from_array,
     container_from_packed,
     emit_report,
+    report_row,
     extra_bits,
     pack_codes,
     read_bundle,
@@ -442,11 +443,17 @@ class TestBundles:
             read_bundle(tmp_path / "b")
 
 
+def report_of(layers, config, rtn_rel_errors) -> dict:
+    """The report of ``layers`` as quantize writes it: one report_row each, then emit_report."""
+    rows = [report_row(idx, *row) for idx, row in enumerate(zip(layers, rtn_rel_errors, strict=True))]
+    return json.loads(emit_report(rows, config))
+
+
 class TestReport:
     def test_zero_layers_valid_json(self):
         import json
 
-        report = json.loads(emit_report([], {"d": 4}, []))
+        report = json.loads(emit_report([], {"d": 4}))
         assert report["aggregate"]["avg_rank"] is None
         assert report["aggregate"] == {"avg_rank": None, "avg_extra_bits": None}
         assert report["layers"] == []
@@ -455,7 +462,7 @@ class TestReport:
         import json
 
         layer = make_layer(seed=1, d=4)
-        report = json.loads(emit_report([layer], {"d": 4}, [1.0]))
+        report = report_of([layer], {"d": 4}, [1.0])
         row = report["layers"][0]
         assert row["extra_bits"] == pytest.approx(
             extra_bits(16, layer.factors.rank, *layer.q.shape)
@@ -470,24 +477,24 @@ class TestReport:
     def test_meta_overhead_field(self):
         # make_layer's 32 x 64 layer has one 64-wide group per row: a scale and a zero at
         # 16 bits over 64 weights.
-        report = json.loads(emit_report([make_layer(seed=2, d=3)], {"d": 3}, [1.0]))
+        report = report_of([make_layer(seed=2, d=3)], {"d": 3}, [1.0])
         row = report["layers"][0]
         assert row["extra_bits_with_meta"] == pytest.approx(row["extra_bits"] + 16 * 2 / 64)
 
     @pytest.mark.parametrize("n", [200, 256])
     def test_meta_overhead_charges_every_group(self, n):
         # 16 * 2 * ceil(n / GROUP_SIZE) / n: 0.32 at n = 200, whose last group is short.
-        report = json.loads(emit_report([make_layer(seed=2, d=3, n=n)], {"d": 3}, [1.0]))
+        report = report_of([make_layer(seed=2, d=3, n=n)], {"d": 3}, [1.0])
         row = report["layers"][0]
         overhead = 16 * 2 * -(-n // GROUP_SIZE) / n
         assert row["extra_bits_with_meta"] == pytest.approx(row["extra_bits"] + overhead)
 
     def test_byte_identical_for_identical_inputs(self):
         layer = make_layer(seed=3, d=2)
-        a = emit_report([layer], {"d": 2}, [1.0])
-        b = emit_report([layer], {"d": 2}, [1.0])
+        a = emit_report([report_row(0, layer, 1.0)], {"d": 2})
+        b = emit_report([report_row(0, layer, 1.0)], {"d": 2})
         assert a == b
 
     def test_rtn_rel_error_is_the_last_column(self):
-        report = json.loads(emit_report([make_layer(seed=4, d=2)], {"d": 2}, [0.25]))
+        report = report_of([make_layer(seed=4, d=2)], {"d": 2}, [0.25])
         assert list(report["layers"][0].items())[-1] == ("rtn_rel_error", 0.25)

@@ -4,10 +4,10 @@ import pytest
 from flrq.blc import gram_factor, layer_error
 from flrq.errors import NumericalError
 from flrq.linalg import (
+    BLOCK_ROWS,
     RANK1_BLOCK_ROWS,
     TRI_BLOCKS,
     amax,
-    as_matrix,
     fro_norm,
     gemv,
     gemv_t,
@@ -15,28 +15,9 @@ from flrq.linalg import (
     rank1_subtract,
     row_sq_norms,
 )
-from flrq.quantize import quantize_matrix
+from flrq.quantize import dequantize, quantize_matrix
 from flrq.sketch import LowRankFactors
 from paper import SVD_DIM_LIMIT, check_svd_size
-
-
-class TestMatrixValidation:
-    def test_accepts_nested_lists(self):
-        a = as_matrix([[1.0, 2.0], [3.0, 4.0]])
-        assert a.shape == (2, 2)
-        assert a.dtype == np.float64
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            as_matrix([[1.0, np.nan]])
-
-    def test_rejects_inf(self):
-        with pytest.raises(ValueError):
-            as_matrix([[np.inf, 0.0]])
-
-    def test_rejects_1d(self):
-        with pytest.raises(ValueError):
-            as_matrix([1.0, 2.0])
 
 
 class TestGemv:
@@ -236,6 +217,17 @@ class TestRowSqNorms:
         factors = LowRankFactors(g.standard_normal((24, 2)), g.standard_normal((2, n)))
         q = quantize_matrix(w, 3)
         assert layer_error(w, q, factors, x) == layer_error(w, q, factors, gram_factor(x))
+
+    @pytest.mark.parametrize("m", [1, 40, 2 * BLOCK_ROWS + 5])
+    @pytest.mark.parametrize("n,tokens", [(130, 60), (130, 390), (257, 257)])
+    def test_blocked_layer_error_matches_numpy(self, m, n, tokens):
+        # layer_error sums BLOCK_ROWS-row blocks; numpy forms the whole residual and product.
+        g = np.random.default_rng(m + n + tokens)
+        w, x = g.standard_normal((m, n)), activations(n, tokens, m)
+        factors = LowRankFactors(g.standard_normal((m, 2)), g.standard_normal((2, n)))
+        q = quantize_matrix(w - factors.reconstruct(), 3)
+        oracle = np.linalg.norm((w - dequantize(q) - factors.reconstruct()) @ gram_factor(x))
+        assert layer_error(w, q, factors, x) == pytest.approx(oracle, rel=1e-14, abs=0)
 
     def test_tiny_factors(self):
         # n < TRI_BLOCKS leaves some column blocks empty.

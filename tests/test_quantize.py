@@ -18,6 +18,7 @@ from flrq.quantize import (
     quantize_matrix,
     search_clip,
 )
+from flrq.sketch import LowRankFactors
 
 
 def reference_quantize(w, d):
@@ -400,6 +401,42 @@ class TestSearchClip:
         plain = quantize_matrix(w, 4)
         for name in ("codes", "scales", "zeros"):
             assert getattr(res.q, name).tobytes() == getattr(plain, name).tobytes()
+
+
+@st.composite
+def factored_layers(draw):
+    """(W, factors, L, d): m has a tail of fewer than 8 rows past its BLOCK_ROWS blocks (or is
+    below 8), n < GROUP_SIZE, the rank runs from 0, and tokens are at most n or above it."""
+    m = BLOCK_ROWS * draw(st.integers(0, 2)) + draw(st.integers(1, 7))
+    n, rank = draw(st.integers(1, GROUP_SIZE - 1)), draw(st.integers(0, 3))
+    tokens = draw(st.one_of(st.integers(1, n), st.integers(n + 1, 2 * n + 8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.standard_normal((m, n))
+    w[:, rng.integers(n)] *= 10.0  # an outlier channel, which the factors may take
+    factors = LowRankFactors(rng.standard_normal((m, rank)), rng.standard_normal((rank, n)))
+    return w, factors, gram_factor(rng.standard_normal((n, tokens))), draw(st.sampled_from([2, 3, 4]))
+
+
+class TestSearchClipOnFactors:
+    @given(case=factored_layers())
+    def test_equals_the_search_of_the_remainder(self, case):
+        # The search forms W - left @ right itself, by one product per row block; given the
+        # remainder from the same blocks, the plain search must agree in every byte.
+        w, factors, l, d = case
+        rest = np.concatenate([w[s:s + BLOCK_ROWS] - factors.left[s:s + BLOCK_ROWS] @ factors.right
+                               for s in range(0, len(w), BLOCK_ROWS)])
+        got, want = search_clip(w, l, d, factors), search_clip(rest, l, d)
+        assert_same_quantization(got.q, want.q)
+        assert (got.p_clp, got.error) == (want.p_clp, want.error)
+        assert got.grid_errors == want.grid_errors
+
+    def test_never_writes_w_or_factors(self):
+        g = np.random.default_rng(3)
+        w = g.standard_normal((BLOCK_ROWS + 3, 40))
+        factors = LowRankFactors(g.standard_normal((len(w), 2)), g.standard_normal((2, 40)))
+        before = [a.copy() for a in (w, factors.left, factors.right)]
+        search_clip(w, gram_factor(g.standard_normal((40, 90))), 2, factors)
+        assert all(np.array_equal(a, b) for a, b in zip((w, factors.left, factors.right), before))
 
 
 def traced_peak(fn, *args):
