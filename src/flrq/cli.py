@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import glob
 import json
 import os
 import shutil
@@ -109,7 +110,7 @@ def _source(path: Path) -> flrq_io.ActivationSource:
 
 def read_layer_inputs(directory: Path):
     """W and X as ``io.ActivationSource``s, headers, sizes and shapes checked before any payload
-    byte is read; ``calibrate`` reads X's chunks, then W. X is read here if tokens <= n (L is X)."""
+    byte is read; ``calibrate`` reads X (whole if tokens <= n, as L is X), then W."""
     wpath = directory / WEIGHTS_FILE
     xpath = directory / ACTIVATIONS_FILE
     if not wpath.exists() or not xpath.exists():
@@ -117,7 +118,7 @@ def read_layer_inputs(directory: Path):
     w, x = _source(wpath), _source(xpath)
     if w.shape[1] != x.shape[0]:
         raise FormatError(f"{xpath}: activations {x.shape} do not conform to weights {w.shape}")
-    return w, x if x.shape[1] > x.shape[0] else x.read()
+    return w, x
 
 
 def discover_layers(in_dir: Path) -> list[Path]:
@@ -230,9 +231,9 @@ def each_layer(args, work, workers: int = 1, calibrated: bool = True, layers=Non
 
 
 def cmd_quantize(args) -> int:
-    """Quantize --in into --out-dir, which must be new or empty. Workers write each bundle as its
-    layer ends into the sibling tree .<name>.partial-<pid>, renamed onto --out-dir after
-    report.json; a failure removes it, so --out-dir never holds a partial tree."""
+    """Quantize --in into --out-dir (new or empty). Workers write each bundle as its layer ends into
+    the sibling tree .<name>.partial-<pid>, renamed onto --out-dir after report.json; a failure
+    removes it. Other runs' such trees are named, never removed: a pid may be another host's."""
     t0 = time.perf_counter()
     out = Path(os.path.abspath(args.out_dir))  # so that `--out-dir .` has a name and a parent
     if out.exists() and (not out.is_dir() or any(out.iterdir())):
@@ -249,6 +250,8 @@ def cmd_quantize(args) -> int:
         flrq_io.write_bundle(partial / names[idx], layer, echo)
         return flrq_io.report_row(idx, layer, rtn)
 
+    for stale in sorted(out.parent.glob(f".{glob.escape(out.name)}.partial-*")):
+        log(f"warning: {stale} is another run's partial tree, running or killed; left as it is")
     partial.mkdir(parents=True)
     try:
         _, rows = each_layer(args, quantize_layer, args.threads, layers=layers)

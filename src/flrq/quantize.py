@@ -115,60 +115,49 @@ def search_clip(w: np.ndarray, l: np.ndarray, d: int, factors=None) -> ClipSearc
     the lower-triangular factor of tokens > n. They are scored in float32, BLOCK_ROWS rows at a
     time, on (R - R_hat) * 2^-sw and ``normalized(L)``: the shifts are exact, so float32 only
     blurs the ranking, by about 1e-6 relative.
-    Candidates are ratio * amax(R) for each ratio of CLIP_GRID; ties break toward the
-    larger threshold. The first ratio quantizes every row; a later threshold p redoes only
-    the rows with an entry above p, and the rest keep the first's codes and row errors.
-    Quantization is row-local, so q equals quantize_matrix(clip(R, p_clp)) byte for byte.
-    R is formed in the search's one m x n scratch by one product per block of rows. The rows
-    that the last ratio can redo are copied aside before the first candidate overwrites it,
-    and the first rebuilds each block by the same product, so every candidate sees R's bits.
+    Candidates are ratio * amax(R) for each ratio of CLIP_GRID; ties break toward the larger
+    threshold. R is formed once, by one product per block of rows, and keeps its bits: the
+    first ratio clips nothing, so it quantizes R in place. A later threshold p redoes only the
+    rows with an entry above p, gathered into one buffer sized for the last ratio's rows,
+    clipped, and gathered again; the rest keep the first's codes and row errors. Quantization
+    is row-local and the row sets only grow as p falls, so a leader's rows, written into the
+    first's q as found, make q equal quantize_matrix(clip(R, p_clp)) byte for byte.
     """
-    low_rank = factors is not None and factors.rank > 0
-
-    def rest(rows: slice, out: np.ndarray) -> np.ndarray:  # R's rows
-        return np.subtract(w[rows], factors.left[rows] @ factors.right, out=out) if low_rank else w[rows]
-
-    scratch = np.empty(w.shape)  # R, then each candidate's clipped rows, then their dequantization
-    for start in range(0, len(w), BLOCK_ROWS) if low_rank else ():
-        rest(slice(start, start + BLOCK_ROWS), scratch[start:start + BLOCK_ROWS])
-    r = scratch if low_rank else w
+    r = np.array(w, dtype=np.float64)  # R, in its own buffer: rank 0 skips the products
+    for start in range(0, len(w), BLOCK_ROWS) if factors is not None and factors.rank else ():
+        r[start:start + BLOCK_ROWS] -= factors.left[start:start + BLOCK_ROWS] @ factors.right
     rowmax = np.maximum(r.max(axis=1), -r.min(axis=1)) + 0.0  # as amax: a zero R searches at +0.0
     top = float(rowmax.max())
-    redo = np.flatnonzero(rowmax > CLIP_GRID[-1] * top) if low_rank else np.arange(len(w))
-    saved = np.take(r, redo, 0) if low_rank else w  # the rows of R that a later candidate redoes
+    cand = np.empty((np.count_nonzero(rowmax > CLIP_GRID[-1] * top), w.shape[1]))  # a later p's rows
     sw, (lf, sl) = int(np.frexp(top)[1]), normalized(l)
     edges = lower_blocks(lf)  # once for every row block; None (a full L) is tested per block
-    buf = np.empty((min(len(w), BLOCK_ROWS), w.shape[1]))  # one block of a candidate's R rows
-    scaled = np.empty(buf.shape, np.float32)  # ... and of their R - R_hat, shifted
-    base, base_err = None, None
-    best_norm, best_err, best_p, best_rows, best_q = np.inf, np.inf, None, None, None
+    buf = np.empty((min(len(w), BLOCK_ROWS), w.shape[1]))  # one block of a candidate's R - R_hat
+    scaled = np.empty(buf.shape, np.float32)  # ... shifted, in float32
+    base, base_err = None, np.empty(len(w))  # the first candidate's q and row errors
+    best_norm, best_err, best_p = np.inf, np.inf, None
     grid_errors: list[tuple[float, float]] = []
     for rho in CLIP_GRID:
-        p = rho * top
-        first = base is None
-        picked = None if first else np.flatnonzero(rowmax[redo] > p)  # indices into saved
-        rows = np.arange(len(w)) if first else redo[picked]
-        sub = scratch[:len(rows)]
+        p, first = rho * top, base is None
+        rows = np.arange(len(w)) if first else np.flatnonzero(rowmax > p)
         # np.take gathers rows into out= directly in any mode but "raise", which copies first.
-        q = quantize_matrix(clip(r if first else np.take(saved, picked, 0, sub, "wrap"), p, out=sub), d)
-        diff = dequantize(q, out=sub)
-        errs = np.empty(len(w)) if first else base_err.copy()  # redone rows replace the first's
+        src = r if first else np.take(r, rows, 0, cand[:len(rows)], "wrap")
+        q = quantize_matrix(clip(src, p, out=src), d)
+        src = src if first else np.take(r, rows, 0, src, "wrap")  # R's rows again, over their clip
+        base = q if first else base
+        errs = base_err if first else base_err.copy()  # redone rows replace the first's
         for start in range(0, len(rows), BLOCK_ROWS):
             block = slice(start, start + BLOCK_ROWS)
-            k = len(diff[block])
-            r_rows = rest(block, buf[:k]) if first else np.take(saved, picked[block], 0, buf[:k], "wrap")
-            part = np.subtract(r_rows, diff[block], out=diff[block])  # R - R_hat, in float64
-            part = np.ldexp(part, -sw, out=scaled[:k], casting="same_kind")
-            errs[rows[block]] = row_sq_norms(part, lf, edges)
-        if first:
-            base, base_err = q, errs
+            diff = dequantize(q, out=buf[:len(src[block])], rows=block)
+            diff = np.subtract(src[block], diff, out=diff)  # R - R_hat, in float64
+            diff = np.ldexp(diff, -sw, out=scaled[:len(diff)], casting="same_kind")
+            errs[rows[block]] = row_sq_norms(diff, lf, edges)
         total = errs.sum()
         err = float(np.sqrt(np.ldexp(total, 2 * (sw + sl))))  # overflows where float64's squares do
         grid_errors.append((p, err))
         if np.sqrt(total) < best_norm:  # ranked before scaling back, so a tiny R does not tie at 0
-            best_norm, best_err, best_p, best_rows, best_q = np.sqrt(total), err, p, rows, q
+            best_norm, best_err, best_p = np.sqrt(total), err, p
+            for name in () if first else ("codes", "scales", "zeros"):  # later sets hold earlier ones
+                getattr(base, name)[rows] = getattr(q, name)
     if not best_err < np.inf:
         raise NumericalError("no clip threshold gives a finite output error")
-    for name in ("codes", "scales", "zeros"):
-        getattr(base, name)[best_rows] = getattr(best_q, name)
     return ClipSearchResult(p_clp=best_p, error=best_err, grid_errors=grid_errors, q=base)

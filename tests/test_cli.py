@@ -626,6 +626,21 @@ class TestOneLayerAtATime:
         assert [p.name for p in partial.iterdir()] == ["layer_000"]
         read_bundle(partial / "layer_000")
 
+    def test_stale_partial_tree_is_named_and_left(self, tmp_path, capsys):
+        # A killed run's tree may belong to a run on another host, so it is named, never touched.
+        src = gen_synth(tmp_path / "in", "--m", "16", "--n", "24")
+        stale, other = tmp_path / ".out.partial-0", tmp_path / ".outer.partial-0"
+        for tree in (stale, other):
+            (tree / "layer_000").mkdir(parents=True)
+            (tree / "layer_000" / "codes.bin").write_bytes(b"left by a killed run")
+        before = tree_digest(stale)
+        capsys.readouterr()
+        assert main(["quantize", "--in", str(src), "--out-dir", str(tmp_path / "out")]) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines() if "warning" in line]
+        assert len(warnings) == 1 and str(stale) in warnings[0]
+        assert tree_digest(stale) == before
+        read_bundle(tmp_path / "out" / "layer_000")
+
 
 class TestStreamedActivations:
     def test_reader_leaves_a_wide_payload_unread(self, tmp_path):
@@ -640,7 +655,7 @@ class TestStreamedActivations:
         with pytest.raises(FormatError, match="non-finite"):
             blc.calibrate(w, source)
         narrow = write_layer(tmp_path / "narrow", w, g.standard_normal((8, 8)))
-        assert isinstance(cli.read_layer_inputs(narrow)[1], np.ndarray)  # tokens <= n: X is L
+        assert isinstance(cli.read_layer_inputs(narrow)[1], flrq_io.ActivationSource)  # calibrate reads it
 
     @pytest.mark.parametrize("corrupt", ["truncated", "trailing-bytes", "dims-past-file-size",
                                          "n-not-w-columns"])
@@ -741,6 +756,17 @@ class TestAblate:
         assert paper.main(["ablate", "--which", "svd", "--in", str(big),
                            "--out-dir", str(tmp_path / "big_out")]) == 3
         assert calibrated == []
+
+    def test_svd_never_reads_x(self, tmp_path):
+        # A NaN in X, which calibration refuses, goes unseen by svd whether X is narrow
+        # (tokens <= n, so L would be X itself) or wide.
+        g = np.random.default_rng(0)
+        for tokens in (8, 40):
+            x = g.standard_normal((16, tokens))
+            x[3, 5] = np.nan
+            layer = write_layer(tmp_path / f"in{tokens}", g.standard_normal((4, 16)), x)
+            assert paper.main(["ablate", "--which", "svd", "--in", str(layer),
+                               "--out-dir", str(tmp_path / f"out{tokens}")]) == 0
 
     def test_it_ablation_extraction_error_monotone(self, tmp_path):
         src = gen_synth(tmp_path / "in", "--family", "outlier_channels", "--layers", "2",

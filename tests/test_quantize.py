@@ -384,6 +384,12 @@ class TestSearchClip:
         assert list(CLIP_GRID) == sorted(set(CLIP_GRID), reverse=True)
         assert all(0.0 < rho <= 1.0 for rho in CLIP_GRID)
 
+    def test_first_ratio_clips_nothing(self):
+        # The first candidate quantizes R in place, which leaves R's bits only if its threshold
+        # is amax(R); each later one redoes the rows above it, so the grid must strictly fall.
+        assert CLIP_GRID[0] == 1.0
+        assert all(a > b for a, b in zip(CLIP_GRID, CLIP_GRID[1:]))
+
     def test_no_finite_candidate_is_numerical_error(self):
         g = np.random.default_rng(0)
         w, x = g.standard_normal((8, 16)) * 1e160, g.standard_normal((16, 32))
@@ -465,3 +471,18 @@ class TestBoundedTemporaries:
         assert res.p_clp < amax(w)
         # Its scratch, two candidates' int16 codes and row blocks: no second m x n float64.
         assert peak < 2 * w.nbytes
+
+    @pytest.mark.parametrize("rank", [0, 3])
+    def test_search_clip_holds_r_and_the_redone_rows(self, rank):
+        # R, a buffer for the rows that the last ratio redoes, and L's float32 copy, plus codes
+        # and row blocks: a second m x n float64 breaks the bound.
+        g = np.random.default_rng(0)
+        m, n = 1024, 256
+        w = g.standard_normal((m, n))
+        w[::3, 5] = 12.0  # a third of the rows lie above the last threshold
+        factors = LowRankFactors(0.1 * g.standard_normal((m, rank)), g.standard_normal((rank, n)))
+        rowmax = np.abs(w - factors.reconstruct()).max(axis=1)
+        share = np.count_nonzero(rowmax > CLIP_GRID[-1] * rowmax.max()) / m
+        _, peak = traced_peak(search_clip, w, gram_factor(g.standard_normal((n, 2 * n))), 2, factors)
+        assert 0.0 < share < 1.0
+        assert peak < 8 * m * n * (2 + share) + 4 * n * n
